@@ -19,7 +19,7 @@ import numpy as np
 from .deciders import orlicz_koc_decider
 from .errors import NonConvergenceError, SchemaError
 from .optimize import golden_section_min
-from .orlicz import OrliczSpec
+from .orlicz import OrliczSpec, _norm_on_cells
 from .rearrange import hlp_dominates, rearrange
 from .spaces import ORLICZ, SpaceHandle, norm
 from .step import StepFunction, add, scale
@@ -108,10 +108,13 @@ def _combination(members: tuple[StepFunction, ...], theta) -> StepFunction:
 
 class _HullObjective:
     """``theta -> || x - sum theta_i a_i ||`` over a precomputed common cell
-    decomposition, so line searches avoid repeated piecewise algebra."""
+    decomposition, so line searches avoid repeated piecewise algebra; Orlicz
+    norms are evaluated on the cells directly."""
 
     def __init__(self, x: StepFunction, members: tuple[StepFunction, ...],
                  space: SpaceHandle):
+        if x.alpha != space.alpha:
+            raise SchemaError("function and space live on different domains")
         self.space = space
         self.alpha = x.alpha
         bps: set[float] = set(x.breakpoints())
@@ -125,16 +128,12 @@ class _HullObjective:
         self.xv = x.values(mids) if len(mids) else mids
         self.member_vals = np.array([m.values(mids) for m in members]) \
             if len(mids) else np.zeros((len(members), 0))
-        psi = space.orlicz
-        self._power_fast = (space.kind == ORLICZ and space.flavor == "luxemburg"
-                            and psi is not None and psi.family == "power")
 
     def __call__(self, theta) -> float:
         vals = self.xv - np.asarray(theta) @ self.member_vals
-        if self._power_fast:
-            psi = self.space.orlicz
-            s = float(np.sum(self.widths * np.abs(vals) ** psi.p))
-            return (psi.coef * s) ** (1.0 / psi.p)
+        if self.space.kind == ORLICZ:
+            return _norm_on_cells(self.widths, np.abs(vals), self.space.orlicz,
+                                  self.space.flavor)
         pieces = tuple((float(a), float(b), float(v))
                        for a, b, v in zip(self.lo, self.hi, vals) if v != 0.0)
         return norm(self.space, StepFunction(self.alpha, pieces))

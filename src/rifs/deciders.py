@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import HypothesisNotMetError, SchemaError
-from .optimize import bisect_level
 from .orlicz import OrliczSpec
 from .spaces import LORENTZ_GAMMA, LORENTZ_LAMBDA, ORLICZ, SpaceHandle, fundamental_function
 from .weights import (
@@ -70,9 +69,7 @@ class Verdict:
 
 
 def a_psi(psi: OrliczSpec) -> float:
-    """``sup { t > 0 : psi(t) = 0 }``; analytic for the named families."""
-    if psi.family == "power":
-        return 0.0
+    """``sup { t > 0 : psi(t) = 0 }``; analytic for every family."""
     if psi.family == "shifted_power":
         return psi.shift
     if psi.family == "table":
@@ -83,16 +80,7 @@ def a_psi(psi: OrliczSpec) -> float:
             else:
                 break
         return last_zero
-    # Generic route: bisect the positivity boundary.
-    hi = 1.0
-    for _ in range(80):
-        if psi.psi(hi) > 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise SchemaError("psi appears to vanish identically")
-    return bisect_level(lambda t: 1.0 if psi.psi(t) > 0 else 2.0, 0.0, hi,
-                        level=1.0, tol=1e-12)
+    return 0.0  # power and exp_minus_one are positive on (0, inf)
 
 
 def is_delta2(psi: OrliczSpec, u_range: tuple[float, float] = (1e-8, 1e8)) -> Verdict:
@@ -121,8 +109,7 @@ def is_delta2(psi: OrliczSpec, u_range: tuple[float, float] = (1e-8, 1e8)) -> Ve
     # table: scan
     grid = np.geomspace(u_min, u_max, 17 * max(1, int(math.log10(u_max / u_min))) + 1)
     observed = 0.0
-    for u in grid:
-        lo_val, hi_val = psi.psi(u), psi.psi(2.0 * u)
+    for u, lo_val, hi_val in zip(grid, psi.psi_many(grid), psi.psi_many(2.0 * grid)):
         if lo_val == 0.0 and hi_val > 0.0:
             return Verdict(FAILS, witness={"u": float(u), "ratio": math.inf},
                            probe_log={"grid": [u_min, u_max]})
@@ -139,23 +126,11 @@ def is_delta2(psi: OrliczSpec, u_range: tuple[float, float] = (1e-8, 1e8)) -> Ve
 
 def is_N_at_zero(psi: OrliczSpec) -> Verdict:
     """Does ``psi(t)/t -> 0`` as t -> 0?  (Convexity makes the ratio monotone.)"""
-    if psi.family == "power":
-        if psi.p > 1.0:
-            return Verdict(HOLDS, probe_log={"analytic": "ratio = coef * t^(p-1) -> 0"})
-        return Verdict(FAILS, witness={"ratio_limit": psi.coef},
-                       probe_log={"analytic": "ratio is constant for p = 1"})
-    if psi.family == "shifted_power":
-        return Verdict(HOLDS, probe_log={"analytic": "psi vanishes near 0"})
-    if psi.family == "exp_minus_one":
-        return Verdict(FAILS, witness={"ratio_limit": 1.0},
-                       probe_log={"analytic": "expm1(t)/t -> 1"})
-    ts = [t for t, _ in psi.points]
-    vs = [v for _, v in psi.points]
-    first_slope = (vs[1] - vs[0]) / (ts[1] - ts[0]) if len(ts) > 1 else 0.0
-    if first_slope == 0.0:
-        return Verdict(HOLDS, probe_log={"analytic": "first table segment is flat"})
-    return Verdict(FAILS, witness={"ratio_limit": first_slope},
-                   probe_log={"analytic": "ratio tends to the first table slope"})
+    limit = psi.slope_at_zero
+    log = {"analytic": f"psi(t)/t -> {limit} for the {psi.family} family"}
+    if limit == 0.0:
+        return Verdict(HOLDS, probe_log=log)
+    return Verdict(FAILS, witness={"ratio_limit": limit}, probe_log=log)
 
 
 def orlicz_koc_decider(psi: OrliczSpec, alpha: float) -> Verdict:
@@ -212,18 +187,9 @@ def a_psi_vs_phi_infty(psi: OrliczSpec) -> Verdict:
 def l1_embedding_limit(space: SpaceHandle) -> float:
     """Analytic ``d = lim phi(t)/t`` as t -> inf (alpha = inf only)."""
     if space.kind == ORLICZ:
-        psi = space.orlicz
         # d equals lim_{s->0} psi(s)/s through s = psi^{-1}(1/t); the Orlicz
         # flavor is sandwiched in [d, 2d] and has the same sign.
-        if psi.family == "power":
-            return psi.coef if psi.p == 1.0 else 0.0
-        if psi.family == "shifted_power":
-            return 0.0
-        if psi.family == "exp_minus_one":
-            return 1.0
-        ts = [t for t, _ in psi.points]
-        vs = [v for _, v in psi.points]
-        return (vs[1] - vs[0]) / (ts[1] - ts[0]) if len(ts) > 1 else 0.0
+        return space.orlicz.slope_at_zero
     w, p = space.weight, space.p
     tail = w.tail
     if space.kind == LORENTZ_GAMMA:
@@ -271,10 +237,7 @@ def phi_infinity(space: SpaceHandle) -> float:
     """``lim phi(t)`` as t -> inf: inf or the finite limit."""
     if not math.isinf(space.alpha):
         raise SchemaError("phi_infinity applies to alpha = inf")
-    if space.kind == LORENTZ_GAMMA:
-        winf = space.weight.W_infinity()
-        return math.inf if math.isinf(winf) else winf ** (1.0 / space.p)
-    if space.kind == LORENTZ_LAMBDA:
+    if space.kind in (LORENTZ_GAMMA, LORENTZ_LAMBDA):
         winf = space.weight.W_infinity()
         return math.inf if math.isinf(winf) else winf ** (1.0 / space.p)
     a = a_psi(space.orlicz)

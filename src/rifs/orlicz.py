@@ -6,34 +6,32 @@ Families
     shifted_power(a, p)   psi(u) = max(0, |u| - a)^p, a > 0, p >= 1
     exp_minus_one         psi(u) = exp(|u|) - 1
     table(points)         convex piecewise-linear through (t, psi(t)) points,
-                          origin prepended: t strictly increasing, values
-                          nonnegative, slopes nondecreasing; optionally
-                          psi = inf beyond the last point (inf_beyond), which
-                          a table with no positive final slope requires
+                          origin prepended: at least one point with t > 0,
+                          t strictly increasing, values nonnegative, slopes
+                          nondecreasing; linear with the last slope beyond the
+                          last point T, or psi = inf beyond T (inf_beyond),
+                          which a table with no positive final slope requires
 
 Every family is even, convex, continuous, vanishes at zero and tends to
-infinity; construction validates this on the parameters and a probe grid.
+infinity; construction validates this on the parameters.
+
+``OrliczSpec.psi_many`` is the one implementation of psi (the scalar ``psi``
+calls it), and ``OrliczSpec.slope_at_zero`` gives lim psi(s)/s at 0.  The
+modular and both norms reduce a step function to its cells, a pair of arrays
+(widths, |values|), and evaluate there.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import SchemaError
 from .optimize import bisect_level, golden_section_min
 from .step import StepFunction
-
-
-def _safe_pow(base: float, p: float, coef: float = 1.0) -> float:
-    """coef * base**p without OverflowError; overflow maps to inf."""
-    if base <= 0.0:
-        return 0.0
-    if p * math.log(base) > 709.0:
-        return math.inf
-    return coef * base ** p
 
 
 @dataclass(frozen=True)
@@ -68,16 +66,18 @@ class OrliczSpec:
         """Piecewise-linear psi through (t, psi(t)) points, linear beyond the
         last point, or inf there when `inf_beyond`.
 
-        (0, 0) is prepended unless given. The t must be strictly increasing,
-        the values nonnegative, and the slopes nondecreasing (convexity;
-        `inf_beyond` does not lift this). A table whose final slope is not
-        positive (under convexity, only an all-zero table, or the origin
-        alone) does not tend to infinity and needs `inf_beyond`. Any breach
-        raises `SchemaError`.
+        (0, 0) is prepended unless given, and at least one point with t > 0
+        must follow it. The t must be strictly increasing, the values
+        nonnegative, and the slopes nondecreasing (convexity; `inf_beyond`
+        does not lift this). A table whose final slope is not positive (under
+        convexity, only an all-zero table) does not tend to infinity and
+        needs `inf_beyond`. Any breach raises `SchemaError`.
         """
         pts = tuple((float(t), float(v)) for t, v in points)
         if not pts or pts[0] != (0.0, 0.0):
             pts = ((0.0, 0.0),) + pts
+        if len(pts) < 2:
+            raise SchemaError("table needs a point with t > 0")
         ts = [t for t, _ in pts]
         vs = [v for _, v in pts]
         if any(t1 <= t0 for t0, t1 in zip(ts, ts[1:])):
@@ -87,7 +87,7 @@ class OrliczSpec:
         slopes = [(v1 - v0) / (t1 - t0) for (t0, v0), (t1, v1) in zip(pts, pts[1:])]
         if any(s1 < s0 - 1e-12 for s0, s1 in zip(slopes, slopes[1:])):
             raise SchemaError("table must be convex (nondecreasing slopes)")
-        if not inf_beyond and (not slopes or slopes[-1] <= 0):
+        if not inf_beyond and slopes[-1] <= 0:
             raise SchemaError(
                 "table must tend to infinity: positive final slope or inf_beyond")
         return cls("table", points=pts, inf_beyond=inf_beyond)
@@ -96,24 +96,29 @@ class OrliczSpec:
     def finite_valued(self) -> bool:
         return not (self.family == "table" and self.inf_beyond)
 
-    def psi(self, u: float) -> float:
-        u = abs(u)
+    @cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """Breakpoints, values and last slope of the table family."""
+        ts, vs = np.array(self.points).T
+        return ts, vs, float((vs[-1] - vs[-2]) / (ts[-1] - ts[-2]))
+
+    @property
+    def slope_at_zero(self) -> float:
+        """``lim psi(s)/s`` as s -> 0+ (convexity makes the ratio monotone)."""
         if self.family == "power":
-            return _safe_pow(u, self.p, self.coef)
+            return self.coef if self.p == 1.0 else 0.0
         if self.family == "shifted_power":
-            return _safe_pow(max(0.0, u - self.shift), self.p)
+            return 0.0
         if self.family == "exp_minus_one":
-            return math.expm1(u) if u <= 709.0 else math.inf
-        ts = [t for t, _ in self.points]
-        vs = [v for _, v in self.points]
-        if u <= ts[-1]:
-            return float(np.interp(u, ts, vs))
-        if self.inf_beyond:
-            return math.inf
-        last_slope = (vs[-1] - vs[-2]) / (ts[-1] - ts[-2]) if len(ts) > 1 else 0.0
-        return vs[-1] + last_slope * (u - ts[-1])
+            return 1.0
+        ts, vs, _ = self._table
+        return float(vs[1] / ts[1])
+
+    def psi(self, u: float) -> float:
+        return float(self.psi_many(u))
 
     def psi_many(self, us: np.ndarray) -> np.ndarray:
+        """psi at every entry of ``us``; overflow maps to inf."""
         us = np.abs(np.asarray(us, dtype=float))
         with np.errstate(over="ignore"):
             if self.family == "power":
@@ -121,8 +126,10 @@ class OrliczSpec:
             if self.family == "shifted_power":
                 return np.maximum(0.0, us - self.shift) ** self.p
             if self.family == "exp_minus_one":
-                return np.where(us > 709.0, np.inf, np.expm1(np.minimum(us, 709.0)))
-        return np.array([self.psi(u) for u in us])
+                return np.expm1(us)
+            ts, vs, last_slope = self._table
+            beyond = math.inf if self.inf_beyond else vs[-1] + last_slope * (us - ts[-1])
+            return np.where(us <= ts[-1], np.interp(us, ts, vs), beyond)
 
     def to_json(self) -> dict:
         params: dict = {}
@@ -187,64 +194,63 @@ def young_conjugate(psi: OrliczSpec, u: float) -> float:
     return max(0.0, -neg, boundary if math.isfinite(boundary) else 0.0)
 
 
-def modular(x: StepFunction, psi: OrliczSpec) -> float:
-    """``rho_psi(x) = integral psi(x(t)) dt``, exact over the pieces (may be inf)."""
-    total = 0.0
-    for t0, t1, v in x.pieces:
-        val = psi.psi(v)
-        if math.isinf(val):
-            return math.inf
-        total += (t1 - t0) * val
-    return total
+def _cells(x: StepFunction) -> tuple[np.ndarray, np.ndarray]:
+    """(widths, |values|) of the pieces of x."""
+    pieces = np.array(x.pieces, dtype=float).reshape(-1, 3)
+    return pieces[:, 1] - pieces[:, 0], np.abs(pieces[:, 2])
 
 
-def luxemburg_norm(x: StepFunction, psi: OrliczSpec) -> float:
-    """``inf { lam > 0 : rho_psi(x / lam) <= 1 }`` by bisection; 0 for x = 0.
+def _modular(widths: np.ndarray, mags: np.ndarray, psi: OrliczSpec) -> float:
+    return float(np.dot(widths, psi.psi_many(mags)))
 
-    The map lam -> rho(x/lam) is nonincreasing; at a modular jump (non-finite
-    psi) the upper bracket is returned, i.e. the inf over the closed sublevel
-    set.  Power family is solved in closed form.
+
+def _norm_on_cells(widths: np.ndarray, mags: np.ndarray, psi: OrliczSpec,
+                   flavor: str) -> float:
+    """Luxemburg (``flavor="luxemburg"``) or Amemiya-form (``"orlicz"``) norm
+    of the function with absolute value ``mags[i]`` on a cell of width
+    ``widths[i]``; 0 for the zero function.
+
+    Luxemburg: ``inf { lam > 0 : rho(x / lam) <= 1 }``, in closed form for the
+    power family and by bisection otherwise.  The map lam -> rho(x/lam) is
+    nonincreasing; at a modular jump (non-finite psi) the upper bracket is
+    returned, i.e. the inf over the closed sublevel set.
+
+    Amemiya: ``inf_(k>0) (1 + rho(k x)) / k``.  The objective is unimodal in k
+    (rho is convex with rho(0) = 0), so an expanding bracket plus golden
+    section converges; tolerance 1e-9.  The bracket starts inside psi's
+    effective domain, at k <= T / sup|x| when psi = inf beyond T.
     """
-    if x.is_zero:
+    if flavor == "luxemburg" and psi.family == "power":
+        # Inline rather than through psi_many: its errstate guard costs as much
+        # as the whole closed form, and hull line searches call this per step.
+        return (psi.coef * float(np.dot(widths, mags ** psi.p))) ** (1.0 / psi.p)
+    if not mags.any():
         return 0.0
-    if psi.family == "power":
-        s = sum((t1 - t0) * abs(v) ** psi.p for t0, t1, v in x.pieces)
-        return (psi.coef * s) ** (1.0 / psi.p)
+    top = float(mags.max())
+    if flavor == "luxemburg":
+        def rho(lam: float) -> float:
+            return _modular(widths, mags / lam, psi)
 
-    def rho(lam: float) -> float:
-        return modular(StepFunction(x.alpha, tuple((t0, t1, v / lam) for t0, t1, v in x.pieces)), psi)
-
-    hi = max(x.sup_abs, 1e-12)
-    for _ in range(200):
-        if rho(hi) <= 1.0:
-            break
-        hi *= 2.0
-    else:
-        raise SchemaError("luxemburg norm: modular never drops to 1")
-    lo = hi
-    while rho(lo / 2.0) <= 1.0:
-        lo /= 2.0
-        if lo < 1e-150:
-            return 0.0  # modular stays below 1 for every positive scale
-    return bisect_level(rho, lo / 2.0, hi, level=1.0, tol=1e-10)
-
-
-def orlicz_norm(x: StepFunction, psi: OrliczSpec) -> float:
-    """Amemiya form ``inf_(k>0) (1 + rho_psi(k x)) / k`` of the Orlicz norm.
-
-    The objective is unimodal in k (rho is convex with rho(0) = 0), so an
-    expanding bracket plus golden section converges; tolerance 1e-9.
-    """
-    if x.is_zero:
-        return 0.0
+        hi = max(top, 1e-12)
+        for _ in range(200):
+            if rho(hi) <= 1.0:
+                break
+            hi *= 2.0
+        else:
+            raise SchemaError("luxemburg norm: modular never drops to 1")
+        lo = hi
+        while rho(lo / 2.0) <= 1.0:
+            lo /= 2.0
+            if lo < 1e-150:
+                return 0.0  # modular stays below 1 for every positive scale
+        return bisect_level(rho, lo / 2.0, hi, level=1.0, tol=1e-10)
 
     def h(k: float) -> float:
         if k <= 0:
             return math.inf
-        rho = modular(StepFunction(x.alpha, tuple((t0, t1, k * v) for t0, t1, v in x.pieces)), psi)
-        return math.inf if math.isinf(rho) else (1.0 + rho) / k
+        return (1.0 + _modular(widths, k * mags, psi)) / k
 
-    k_lo, k_hi = 1.0, 1.0
+    k_lo = k_hi = 1.0 if psi.finite_valued else min(1.0, psi.points[-1][0] / top)
     for _ in range(80):
         if h(k_lo / 2.0) >= h(k_lo):
             break
@@ -255,3 +261,18 @@ def orlicz_norm(x: StepFunction, psi: OrliczSpec) -> float:
         k_hi *= 2.0
     _, val = golden_section_min(h, k_lo / 2.0, k_hi * 2.0, tol=1e-9)
     return val
+
+
+def modular(x: StepFunction, psi: OrliczSpec) -> float:
+    """``rho_psi(x) = integral psi(x(t)) dt``, exact over the pieces (may be inf)."""
+    return _modular(*_cells(x), psi)
+
+
+def luxemburg_norm(x: StepFunction, psi: OrliczSpec) -> float:
+    """``inf { lam > 0 : rho_psi(x / lam) <= 1 }``; 0 for x = 0."""
+    return _norm_on_cells(*_cells(x), psi, "luxemburg")
+
+
+def orlicz_norm(x: StepFunction, psi: OrliczSpec) -> float:
+    """Amemiya form ``inf_(k>0) (1 + rho_psi(k x)) / k`` of the Orlicz norm."""
+    return _norm_on_cells(*_cells(x), psi, "orlicz")

@@ -196,8 +196,7 @@ def fundamental_function(space: SpaceHandle, t: float) -> float:
     """``phi(t) = || chi_(0,t) ||``; analytic identities where available.
 
     For the x**-based Lorentz space this is ``(W(t) + W_p(t))^(1/p)``, for the
-    x*-based one ``W(t)^(1/p)``; Orlicz spaces go through the norm evaluators
-    (closed form for the power family).
+    x*-based one ``W(t)^(1/p)``; Orlicz spaces go through the norm evaluators.
     """
     if not (0.0 < t < space.alpha) and not (t == space.alpha == 1.0):
         raise SchemaError(f"fundamental_function needs 0 < t < alpha, got {t}")
@@ -205,7 +204,4 @@ def fundamental_function(space: SpaceHandle, t: float) -> float:
         return (space.weight.W(t) + space.weight.Wp(space.p, t)) ** (1.0 / space.p)
     if space.kind == LORENTZ_LAMBDA:
         return space.weight.W(t) ** (1.0 / space.p)
-    psi = space.orlicz
-    if space.flavor == "luxemburg" and psi.family == "power":
-        return (psi.coef * t) ** (1.0 / psi.p)
     return norm(space, indicator(0.0, t, 1.0, space.alpha))

@@ -135,11 +135,15 @@ def test_hull_matches_grid_search_oracle():
         (indicator(0, 1, 0.4), [StepFunction.zero(), indicator(0, 1, 2.0),
                                 indicator(0.5, 1.5, 1.0)]),
     ]
-    for x, members in instances:
-        r = project_hull(x, _members(*members, hull=True), L2)
-        oracle = _simplex_grid_oracle(x, members, L2, resolution=1e-3 if len(members) == 2 else 1e-2)
-        assert r.distance <= oracle + 1e-9
-        assert r.distance == pytest.approx(oracle, abs=1e-4 if len(members) == 2 else 1e-3)
+    spaces = [L2, SpaceHandle.orlicz_space(OrliczSpec.exp_minus_one()),
+              SpaceHandle.orlicz_space(OrliczSpec.power(3), flavor="orlicz")]
+    for space in spaces:
+        for x, members in instances:
+            r = project_hull(x, _members(*members, hull=True), space)
+            oracle = _simplex_grid_oracle(x, members, space,
+                                          resolution=1e-3 if len(members) == 2 else 1e-2)
+            assert r.distance <= oracle + 1e-9
+            assert r.distance == pytest.approx(oracle, abs=1e-4 if len(members) == 2 else 1e-3)
 
 
 def test_hull_respects_member_cap():

@@ -17,6 +17,7 @@ from rifs import (
     a_psi,
     a_psi_vs_phi_infty,
     embeds_in_L1,
+    fundamental_limits,
     gamma_approx_compact_decider,
     gamma_dual_weight,
     gamma_reflexive_decider,
@@ -27,6 +28,7 @@ from rifs import (
     rbp_check,
     weight_W_infinity,
 )
+from rifs.deciders import phi_infinity
 
 INF = math.inf
 POWER1 = OrliczSpec.power(1)
@@ -41,8 +43,16 @@ W_HALF = WeightSpec.power(-0.5)
 def test_a_psi_values():
     assert a_psi(POWER2) == 0.0
     assert a_psi(SHIFTED) == 1.0
-    assert abs(a_psi(EXP)) <= 1e-12  # psi > 0 on (0, inf)
+    assert a_psi(EXP) == 0.0  # psi > 0 on (0, inf)
     assert a_psi(OrliczSpec.table([(1.0, 0.0), (2.0, 0.0), (3.0, 1.0)])) == 2.0
+
+
+def test_exp_fundamental_function_unbounded():
+    # a_psi = 0 exactly, so phi(inf) = inf and the cross-check agrees.
+    space = SpaceHandle.orlicz_space(EXP)
+    assert phi_infinity(space) == INF
+    assert a_psi_vs_phi_infty(EXP).status == "holds"
+    assert fundamental_limits(space)["phi_infinity_infinite"]
 
 
 def test_a_psi_positive_iff_vanishing_region():

@@ -50,6 +50,14 @@ def test_table_must_tend_to_infinity():
         OrliczSpec.table([(1.0, 1.0), (2.0, 1.0)], inf_beyond=True)
 
 
+def test_table_needs_a_point_beyond_the_origin():
+    # psi = inf on all of (0, inf) would leave L^psi = {0}.
+    for points in ([], [(0.0, 0.0)]):
+        for inf_beyond in (False, True):
+            with pytest.raises(SchemaError, match="t > 0"):
+                OrliczSpec.table(points, inf_beyond=inf_beyond)
+
+
 def test_table_prepends_origin_and_interpolates():
     psi = OrliczSpec.table([(1.0, 0.0), (2.0, 3.0)])
     assert psi.psi(0.5) == 0.0
@@ -191,13 +199,24 @@ def test_orlicz_power2_indicator():
 
 
 def test_orlicz_sandwich():
-    cfg = TrialConfig(seed=17, trials=60)
-    psi = OrliczSpec.power(2)
-    for trial in range(cfg.trials):
-        x = random_step(cfg, trial)
-        lux = luxemburg_norm(x, psi)
-        orl = orlicz_norm(x, psi)
-        assert lux - 1e-9 <= orl <= 2.0 * lux + 1e-9
+    # ||x||_Lux <= ||x||_Orl <= 2 ||x||_Lux for every Young function; the
+    # inf_beyond tables meet values of x up to three times their last point.
+    cfg = TrialConfig(seed=17, trials=60, value_range=(0.1, 6.0))
+    for psi in (OrliczSpec.power(2), OrliczSpec.shifted_power(0.5, 2.0),
+                OrliczSpec.exp_minus_one(), OrliczSpec.table([(1.0, 1.0), (2.0, 3.0)]),
+                OrliczSpec.table([(1.0, 1.0), (2.0, 3.0)], inf_beyond=True),
+                OrliczSpec.table([(1.0, 0.0)], inf_beyond=True)):
+        for trial in range(cfg.trials):
+            x = random_step(cfg, trial)
+            lux = luxemburg_norm(x, psi)
+            orl = orlicz_norm(x, psi)
+            assert lux - 1e-9 <= orl <= 2.0 * lux + 1e-9
+
+
+def test_orlicz_norm_beyond_last_table_point():
+    # (1 + psi(5k))/k is 1/k + 5 on (0, 0.2], 10 on [0.2, 0.4], inf beyond.
+    psi = OrliczSpec.table([(1.0, 1.0), (2.0, 3.0)], inf_beyond=True)
+    assert orlicz_norm(indicator(0, 1, 5.0), psi) == pytest.approx(10.0, rel=1e-9)
 
 
 def _dual_sup_oracle(x, psi, grid_max, n_grid):
