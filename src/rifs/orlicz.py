@@ -24,6 +24,7 @@ modular and both norms reduce a step function to its cells, a pair of arrays
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,6 +33,8 @@ import numpy as np
 from .errors import SchemaError
 from .optimize import bisect_level, golden_section_min
 from .step import StepFunction
+
+_TINY = sys.float_info.min  # smallest normal float
 
 
 @dataclass(frozen=True)
@@ -217,13 +220,22 @@ def _norm_on_cells(widths: np.ndarray, mags: np.ndarray, psi: OrliczSpec,
 
     Amemiya: ``inf_(k>0) (1 + rho(k x)) / k``.  The objective is unimodal in k
     (rho is convex with rho(0) = 0), so an expanding bracket plus golden
-    section converges; tolerance 1e-9.  The bracket starts inside psi's
-    effective domain, at k <= T / sup|x| when psi = inf beyond T.
+    section converges; tolerance 1e-9.  The search runs in s = k sup|x|, so
+    the bracket starts at k = 1 / sup|x| whatever the scale of x, clamped to
+    psi's effective domain (s <= T when psi = inf beyond T).
     """
     if flavor == "luxemburg" and psi.family == "power":
         # Inline rather than through psi_many: its errstate guard costs as much
         # as the whole closed form, and hull line searches call this per step.
-        return (psi.coef * float(np.dot(widths, mags ** psi.p))) ** (1.0 / psi.p)
+        total = psi.coef * float(np.dot(widths, mags ** psi.p))
+        if _TINY <= total < math.inf:
+            return total ** (1.0 / psi.p)
+        # |x|^p overflowed or underflowed (or x = 0): rescale by sup|x|.
+        if not mags.any():
+            return 0.0
+        top = float(mags.max())
+        total = psi.coef * float(np.dot(widths, (mags / top) ** psi.p))
+        return top * total ** (1.0 / psi.p)
     if not mags.any():
         return 0.0
     top = float(mags.max())
@@ -245,22 +257,24 @@ def _norm_on_cells(widths: np.ndarray, mags: np.ndarray, psi: OrliczSpec,
                 return 0.0  # modular stays below 1 for every positive scale
         return bisect_level(rho, lo / 2.0, hi, level=1.0, tol=1e-10)
 
-    def h(k: float) -> float:
-        if k <= 0:
-            return math.inf
-        return (1.0 + _modular(widths, k * mags, psi)) / k
+    unit = mags / top
 
-    k_lo = k_hi = 1.0 if psi.finite_valued else min(1.0, psi.points[-1][0] / top)
+    def h(s: float) -> float:  # the Amemiya objective at k = s / top, over top
+        if s <= 0:
+            return math.inf
+        return (1.0 + _modular(widths, s * unit, psi)) / s
+
+    s_lo = s_hi = 1.0 if psi.finite_valued else min(1.0, psi.points[-1][0])
     for _ in range(80):
-        if h(k_lo / 2.0) >= h(k_lo):
+        if h(s_lo / 2.0) >= h(s_lo):
             break
-        k_lo /= 2.0
+        s_lo /= 2.0
     for _ in range(80):
-        if h(k_hi * 2.0) >= h(k_hi):
+        if h(s_hi * 2.0) >= h(s_hi):
             break
-        k_hi *= 2.0
-    _, val = golden_section_min(h, k_lo / 2.0, k_hi * 2.0, tol=1e-9)
-    return val
+        s_hi *= 2.0
+    _, val = golden_section_min(h, s_lo / 2.0, s_hi * 2.0, tol=1e-9)
+    return top * val
 
 
 def modular(x: StepFunction, psi: OrliczSpec) -> float:
@@ -270,7 +284,10 @@ def modular(x: StepFunction, psi: OrliczSpec) -> float:
 
 def luxemburg_norm(x: StepFunction, psi: OrliczSpec) -> float:
     """``inf { lam > 0 : rho_psi(x / lam) <= 1 }``; 0 for x = 0."""
-    return _norm_on_cells(*_cells(x), psi, "luxemburg")
+    # The power closed form tries |x|^p unscaled first; overflow there is
+    # expected and handled, so it must not warn.
+    with np.errstate(over="ignore"):
+        return _norm_on_cells(*_cells(x), psi, "luxemburg")
 
 
 def orlicz_norm(x: StepFunction, psi: OrliczSpec) -> float:

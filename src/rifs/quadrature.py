@@ -1,13 +1,16 @@
 """Adaptive Gauss-Kronrod quadrature (G7/K15) with a hard subdivision cap.
 
-The integrand must accept a numpy array and return one; all active panels
-are evaluated in a single vectorized call per refinement level.  Exceeding
-the subdivision cap raises :class:`QuadratureCapError` rather than returning
-a silently inaccurate value.
+The integrand must accept a numpy array and return one.  ``integrate_cells``
+refines many cells at once, each on its own tolerance budget: the active
+panels of all cells are evaluated in a single vectorized call per refinement
+level.  ``integrate`` is its one-cell case.  Exceeding the subdivision cap
+raises :class:`QuadratureCapError` rather than returning a silently
+inaccurate value.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -36,17 +39,88 @@ _WG = np.array([
 ])
 
 
-def _panels(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """K15 value and error estimate for each [lo_i, hi_i] panel."""
+def _panels(f, lo: np.ndarray, hi: np.ndarray,
+            cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """K15 value and error estimate for each [lo_i, hi_i] panel of cell cells_i."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     ts = mid[:, None] + half[:, None] * _NODES[None, :]
-    fs = f(ts.ravel()).reshape(ts.shape)
+    fs = f(ts, cells[:, None])
     k15 = half * (fs @ _WK)
     g7 = half * (fs @ _WG)
     diff = np.abs(k15 - g7)
     err = np.minimum(diff, (200.0 * diff) ** 1.5)
     return k15, err
+
+
+def integrate_cells(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    lo,
+    hi,
+    rel_tol: float = 1e-9,
+    abs_tol: float = 0.0,
+    max_subdiv: int = 10_000,
+) -> np.ndarray:
+    """Integrate f over every cell [lo_i, hi_i] to the requested relative tolerance.
+
+    ``f(ts, cells)`` gets the nodes as one row of 15 per panel and the index
+    of each panel's cell as a column, and returns f at every node.  Each cell
+    refines on its own: its own tolerance budget, split rule and cap of
+    ``max_subdiv`` panels, exactly as if it were integrated alone; the panels
+    of all unfinished cells share one call of f per refinement level.  Empty
+    cells (hi <= lo) integrate to 0.
+    """
+    lo = np.asarray(lo, dtype=float).ravel()
+    hi = np.asarray(hi, dtype=float).ravel()
+    n = len(lo)
+    out = np.zeros(n)
+    cells = np.flatnonzero(~(hi <= lo))
+    if not len(cells):
+        return out
+    lo, hi = lo[cells], hi[cells]
+    vals, errs = _panels(f, lo, hi, cells)
+    while True:
+        # Within a cell, panels keep the order a run of that cell alone gives
+        # them, so its sums (sequential in bincount) are that run's sums.
+        counts = np.bincount(cells, minlength=n)
+        totals = np.bincount(cells, vals, n)
+        err = np.bincount(cells, errs, n)
+        budget = np.fmax(abs_tol, rel_tol * np.abs(totals))
+        done = (err <= budget) | (err == 0.0)
+        np.copyto(out, totals, where=done & (counts > 0))
+        open_ = ~done
+        worst = counts[open_]
+        if not worst.size:
+            return out
+        if worst.max() >= max_subdiv:
+            raise QuadratureCapError(
+                f"quadrature did not reach tolerance within {max_subdiv} panels"
+            )
+        # Split every panel holding more than its prorated share of its cell's
+        # budget.
+        live = open_[cells]
+        split = live & (errs > (budget / (2.0 * np.maximum(counts, 1)))[cells])
+        if math.isnan(err.sum()):
+            # Only a NaN estimate (err >= 0 otherwise, so the sum is NaN
+            # exactly then) can leave an open cell with no panel above its
+            # share; such a cell splits its worst panel.
+            lacking = open_.copy()
+            lacking[cells[split]] = False
+            for c in np.flatnonzero(lacking):
+                own = np.flatnonzero(cells == c)
+                split[own[np.argmax(errs[own])]] = True
+        keep = live ^ split
+        lo_s, hi_s, cells_s = lo[split], hi[split], cells[split]
+        mid = 0.5 * (lo_s + hi_s)
+        new_lo = np.concatenate([lo_s, mid])
+        new_hi = np.concatenate([mid, hi_s])
+        new_cells = np.concatenate([cells_s, cells_s])
+        new_vals, new_errs = _panels(f, new_lo, new_hi, new_cells)
+        lo = np.concatenate([lo[keep], new_lo])
+        hi = np.concatenate([hi[keep], new_hi])
+        cells = np.concatenate([cells[keep], new_cells])
+        vals = np.concatenate([vals[keep], new_vals])
+        errs = np.concatenate([errs[keep], new_errs])
 
 
 def integrate(
@@ -58,34 +132,8 @@ def integrate(
     max_subdiv: int = 10_000,
 ) -> float:
     """Integrate f over [a, b] to the requested relative tolerance."""
-    if b <= a:
-        return 0.0
-    lo = np.array([a], dtype=float)
-    hi = np.array([b], dtype=float)
-    vals, errs = _panels(f, lo, hi)
-    while True:
-        total = float(vals.sum())
-        err = float(errs.sum())
-        budget = max(abs_tol, rel_tol * abs(total))
-        if err <= budget or err == 0.0:
-            return total
-        if len(lo) >= max_subdiv:
-            raise QuadratureCapError(
-                f"quadrature did not reach tolerance within {max_subdiv} panels"
-            )
-        # Split every panel holding more than its prorated share of the budget.
-        split = errs > budget / (2.0 * len(lo))
-        if not split.any():
-            split[np.argmax(errs)] = True
-        mid = 0.5 * (lo[split] + hi[split])
-        new_lo = np.concatenate([lo[~split], lo[split], mid])
-        new_hi = np.concatenate([hi[~split], mid, hi[split]])
-        keep_vals, keep_errs = vals[~split], errs[~split]
-        add_vals, add_errs = _panels(f, np.concatenate([lo[split], mid]),
-                                     np.concatenate([mid, hi[split]]))
-        lo, hi = new_lo, new_hi
-        vals = np.concatenate([keep_vals, add_vals])
-        errs = np.concatenate([keep_errs, add_errs])
+    return float(integrate_cells(lambda ts, cells: f(ts.ravel()).reshape(ts.shape), [a], [b],
+                                 rel_tol=rel_tol, abs_tol=abs_tol, max_subdiv=max_subdiv)[0])
 
 
 def integrate_to_infinity(

@@ -26,17 +26,22 @@ def distribution(x: StepFunction, lam: float) -> float:
     return sum(t1 - t0 for t0, t1, v in x.pieces if abs(v) > lam)
 
 
+def _by_magnitude(x: StepFunction) -> list[tuple[float, float, float]]:
+    """Nonzero pieces of |x|, largest value first, ties in source order."""
+    nonzero = [(t0, t1, abs(v)) for t0, t1, v in x.pieces if v != 0.0]
+    nonzero.sort(key=lambda p: (-p[2], p[0]))
+    return nonzero
+
+
 def rearrange(x: StepFunction) -> StepFunction:
     """Decreasing rearrangement x*: nonincreasing, nonnegative, left-packed.
 
     Ties between equal values are broken by source order; the result does not
     depend on the tie-break because only values and lengths matter.
     """
-    nonzero = [(t0, t1, abs(v)) for t0, t1, v in x.pieces if v != 0.0]
-    nonzero.sort(key=lambda p: (-p[2], p[0]))
     out = []
     cursor = 0.0
-    for t0, t1, v in nonzero:
+    for t0, t1, v in _by_magnitude(x):
         length = t1 - t0
         out.append((cursor, cursor + length, v))
         cursor += length
@@ -145,11 +150,9 @@ def ryff_transport(x: StepFunction) -> TransportMap:
 
     The zero function has empty support and yields the empty map.
     """
-    nonzero = [(t0, t1, abs(v)) for t0, t1, v in x.pieces if v != 0.0]
-    nonzero.sort(key=lambda p: (-p[2], p[0]))
     pairs = []
     cursor = 0.0
-    for t0, t1, _ in nonzero:
+    for t0, t1, _ in _by_magnitude(x):
         length = t1 - t0
         pairs.append(((t0, t1), (cursor, cursor + length)))
         cursor += length

@@ -15,7 +15,9 @@ and equal adjacent values.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -25,6 +27,8 @@ from .errors import SchemaError
 MERGE_TOL = 1e-12
 
 Piece = tuple[float, float, float]  # (t0, t1, value)
+
+_start = itemgetter(0)
 
 
 def _close(a: float, b: float) -> bool:
@@ -108,16 +112,21 @@ class StepFunction:
         return max((abs(v) for _, _, v in self.pieces), default=0.0)
 
     def value_at(self, t: float) -> float:
-        for t0, t1, v in self.pieces:
-            if t0 <= t < t1:
-                return v
+        # Canonical pieces are sorted and disjoint: only the last piece
+        # starting at or before t can hold it.
+        i = bisect_right(self.pieces, t, key=_start) - 1
+        if i >= 0 and t < self.pieces[i][1]:
+            return self.pieces[i][2]
         return 0.0
 
     def values(self, ts: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(np.asarray(ts, dtype=float))
-        for t0, t1, v in self.pieces:
-            out[(ts >= t0) & (ts < t1)] = v
-        return out
+        """``value_at`` at every entry of ``ts``, by the same sorted-start lookup."""
+        ts = np.asarray(ts, dtype=float)
+        if not self.pieces:
+            return np.zeros_like(ts)
+        t0, t1, v = np.array(self.pieces).T
+        i = np.maximum(np.searchsorted(t0, ts, side="right") - 1, 0)
+        return np.where((ts >= t0[i]) & (ts < t1[i]), v[i], 0.0)
 
     def breakpoints(self) -> list[float]:
         bps: list[float] = []

@@ -6,6 +6,7 @@ version of the dual-pairing supremum, which is an independent lower bound.
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -217,6 +218,23 @@ def test_orlicz_norm_beyond_last_table_point():
     # (1 + psi(5k))/k is 1/k + 5 on (0, 0.2], 10 on [0.2, 0.4], inf beyond.
     psi = OrliczSpec.table([(1.0, 1.0), (2.0, 3.0)], inf_beyond=True)
     assert orlicz_norm(indicator(0, 1, 5.0), psi) == pytest.approx(10.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-30, 1e30, 1e200])
+def test_norms_scale_with_extreme_values(scale):
+    # Both norms are homogeneous: c * chi_[0,1) has c times the norm of chi_[0,1),
+    # min_s (1 + psi(s)) / s in the Amemiya form (2, e and 2 below) and the
+    # Luxemburg norm of the power family (1 and 2^(-1/3)), with no overflow
+    # warning on the way.
+    x = indicator(0, 1, scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for psi, amemiya in ((OrliczSpec.power(2), 2.0), (OrliczSpec.exp_minus_one(), math.e),
+                             (OrliczSpec.table([(1.0, 1.0), (2.0, 3.0)], inf_beyond=True), 2.0)):
+            assert orlicz_norm(x, psi) == pytest.approx(amemiya * scale, rel=1e-9, abs=0.0)
+        assert luxemburg_norm(x, OrliczSpec.power(2)) == pytest.approx(scale, rel=1e-12, abs=0.0)
+        assert luxemburg_norm(x, OrliczSpec.power(3, 2.0)) == pytest.approx(
+            2.0 ** (1.0 / 3.0) * scale, rel=1e-12, abs=0.0)
 
 
 def _dual_sup_oracle(x, psi, grid_max, n_grid):

@@ -2,10 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from rifs import SchemaError, StepFunction, absolute, add, combine, indicator, maximum, minimum, scale
+from rifs.step import MERGE_TOL
 
 
 def test_canonical_sorts_merges_and_drops_zeros():
@@ -118,3 +120,68 @@ def test_abs_idempotent_and_nonnegative(raw):
     ax = absolute(x)
     assert all(v >= 0 for _, _, v in ax.pieces)
     assert absolute(ax) == ax
+
+
+# ------------------------------------------- binary operations, pointwise
+
+values = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
+# Offsets that put breakpoints of y within MERGE_TOL of those of x, or just past it.
+nudges = st.sampled_from([0.0, 3e-13, 1e-12, 5e-12, 1e-6])
+
+
+@st.composite
+def step_pairs(draw):
+    """Two step functions whose breakpoints are independent, or shrunken copies
+    of each other's so that they nearly coincide."""
+    x = _disjointify(draw(piece_lists))
+    if draw(st.booleans()):
+        return x, _disjointify(draw(piece_lists))
+    y = []
+    for t0, t1, _ in x:
+        a, b = t0 + draw(nudges), t1 - draw(nudges)
+        if b > a and draw(st.booleans()):
+            y.append((a, b, draw(values)))
+    return x, y
+
+
+def _scan(x, t):
+    """Value of x at t by a scan over all pieces."""
+    for t0, t1, v in x.pieces:
+        if t0 <= t < t1:
+            return v
+    return 0.0
+
+
+def _scan_reference(op, x, y):
+    """The binary operation as built from a per-piece scan at each cell midpoint."""
+    bps = sorted(set(x.breakpoints()) | set(y.breakpoints()))
+    merged = []
+    for t in bps:
+        if not merged or abs(t - merged[-1]) > MERGE_TOL * max(1.0, abs(t), abs(merged[-1])):
+            merged.append(t)
+    return StepFunction.make(
+        [(a, b, op(_scan(x, 0.5 * (a + b)), _scan(y, 0.5 * (a + b))))
+         for a, b in zip(merged, merged[1:])], x.alpha)
+
+
+@given(step_pairs())
+def test_binary_ops_match_pointwise_and_scan_reference(pair):
+    x, y = (StepFunction.make(p) for p in pair)
+    for fn, op in ((add, lambda a, b: a + b), (maximum, max), (minimum, min)):
+        out = fn(x, y)
+        assert out.pieces == _scan_reference(op, x, y).pieces
+        edges = sorted(set(x.breakpoints()) | set(y.breakpoints()))
+        # Away from the breakpoints the result is the pointwise operation.
+        for a, b in zip(edges, edges[1:]):
+            if b - a > 1e-9:
+                t = 0.5 * (a + b)
+                assert _scan(out, t) == op(_scan(x, t), _scan(y, t))
+
+
+@given(piece_lists, st.lists(st.floats(min_value=-1.0, max_value=60.0), max_size=20))
+def test_value_lookups_match_scan(raw, ts):
+    x = StepFunction.make(_disjointify(raw))
+    ts = ts + [t0 for t0, _, _ in x.pieces] + [t1 for _, t1, _ in x.pieces]
+    want = [_scan(x, t) for t in ts]
+    assert [x.value_at(t) for t in ts] == want
+    assert x.values(np.array(ts)).tolist() == want
