@@ -10,18 +10,20 @@ checks exact rather than sampled.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
 from .errors import SchemaError
-from .step import MERGE_TOL, StepFunction
+from .step import ARRAY_MIN_PIECES, MERGE_TOL, StepFunction, _settle, _settle_array
 
 
 def distribution(x: StepFunction, lam: float) -> float:
     """Measure of ``{ |x| > lam }``; nonincreasing and right-continuous in lam."""
-    if lam < 0:
+    if not lam >= 0:
         raise SchemaError("distribution requires lam >= 0")
     return sum(t1 - t0 for t0, t1, v in x.pieces if abs(v) > lam)
 
@@ -39,13 +41,22 @@ def rearrange(x: StepFunction) -> StepFunction:
     Ties between equal values are broken by source order; the result does not
     depend on the tie-break because only values and lengths matter.
     """
-    out = []
-    cursor = 0.0
-    for t0, t1, v in _by_magnitude(x):
-        length = t1 - t0
-        out.append((cursor, cursor + length, v))
-        cursor += length
-    return StepFunction.make(out, x.alpha)
+    if len(x.pieces) < ARRAY_MIN_PIECES:
+        cells = []
+        cursor = 0.0
+        for t0, t1, v in _by_magnitude(x):
+            length = t1 - t0
+            cells.append((cursor, cursor + length, v))
+            cursor += length
+        return StepFunction(x.alpha, _settle(cells, x.alpha))
+    t0, t1, v = x._columns
+    size = np.abs(v)
+    # Pieces are in source order, so a stable sort keeps it among ties.
+    order = np.argsort(-size, kind="stable")
+    # A sequential cumulative sum: the same bits as ``cursor += length``.
+    ends = np.cumsum((t1 - t0)[order])
+    starts = np.concatenate(([0.0], ends[:-1]))
+    return StepFunction(x.alpha, _settle_array(starts, ends, size[order], x.alpha))
 
 
 @dataclass(frozen=True)
@@ -71,6 +82,12 @@ class MaximalCurve:
         """Integral of x* over the whole domain."""
         return self.coeffs[-1][0]
 
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Breakpoints, A and B as float arrays, built once."""
+        coeffs = np.fromiter(chain.from_iterable(self.coeffs), float, 2 * len(self.coeffs))
+        return np.array(self.breakpoints), coeffs[0::2], coeffs[1::2]
+
     def eval(self, t: float) -> float:
         if t <= 0:
             raise SchemaError("x** is defined for t > 0")
@@ -81,15 +98,17 @@ class MaximalCurve:
 
     def eval_many(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
-        ks = np.clip(np.searchsorted(self.breakpoints, ts, side="left") - 1, 0, len(self.coeffs) - 1)
-        arr = np.asarray(self.coeffs, dtype=float)
-        return arr[ks, 1] + arr[ks, 0] / ts
+        breakpoints, a, b = self._arrays
+        ks = np.clip(np.searchsorted(breakpoints, ts, side="left") - 1, 0, len(a) - 1)
+        return b[ks] + a[ks] / ts
 
 
 def maximal_curve(x: StepFunction) -> MaximalCurve:
     star = rearrange(x)
     if star.is_zero:
         return MaximalCurve((0.0,), ((0.0, 0.0),))
+    # A plain loop at every size: x* arrives as tuples, and at 1000 pieces
+    # converting them to arrays for a cumulative sum and back costs more.
     breakpoints = [0.0]
     coeffs = []
     acc = 0.0  # integral of x* up to the current breakpoint
@@ -112,15 +131,26 @@ def hlp_dominates(x: StepFunction, y: StepFunction, tol: float | None = None) ->
     cx, cy = maximal_curve(x), maximal_curve(y)
     if tol is None:
         tol = 1e-12 * max(1.0, cy.value_at_zero)
-    if tol < 0:
+    if not tol >= 0:
         raise SchemaError("tol must be >= 0")
     if cx.value_at_zero > cy.value_at_zero + tol:  # limit at t -> 0+
         return False
-    points = sorted({t for t in cx.breakpoints + cy.breakpoints if t > 0.0})
-    for t in points:
-        if cx.eval(t) > cy.eval(t) + tol:
-            return False
     # t -> inf: the difference tends to 0, dominated by tol >= 0.
+    if len(cx.coeffs) + len(cy.coeffs) >= ARRAY_MIN_PIECES:
+        ts = np.concatenate((cx._arrays[0][1:], cy._arrays[0][1:]))
+        return not (cx.eval_many(ts) > cy.eval_many(ts) + tol).any()
+    # One pass over the merged breakpoints: i and j count the breakpoints of
+    # each curve below t, which is where ``eval`` would bisect to.
+    sx, sy = cx.breakpoints, cy.breakpoints
+    i = j = 0
+    for t in sorted(sx[1:] + sy[1:]):
+        while i < len(sx) and sx[i] < t:
+            i += 1
+        while j < len(sy) and sy[j] < t:
+            j += 1
+        (ax, bx), (ay, by) = cx.coeffs[i - 1], cy.coeffs[j - 1]
+        if bx + ax / t > by + ay / t + tol:
+            return False
     return True
 
 
@@ -163,13 +193,22 @@ def transport_pullback(tmap: TransportMap, g: StepFunction) -> StepFunction:
     """Compose ``g`` with the transport: returns ``g o sigma`` on the source side.
 
     With ``g = x*`` and ``sigma = ryff_transport(x)`` this reproduces ``|x|``
-    exactly, which is the verification contract of the transport.
+    exactly, which is the verification contract of the transport.  The walk
+    over g for each target interval starts, by bisection, at the first piece
+    of g ending after the interval starts, so n pairs and m pieces of g cost
+    O((n+m) log m).
     """
+    pieces = g.pieces
+    ends = [t1 for _, t1, _ in pieces]
     out = []
     for (s0, s1), (d0, d1) in tmap.pairs:
         shift = s0 - d0
-        for t0, t1, v in g.pieces:
+        for k in range(bisect_right(ends, d0), len(pieces)):
+            t0, t1, v = pieces[k]
+            if t0 >= d1:
+                break
             lo, hi = max(t0, d0), min(t1, d1)
             if hi - lo > MERGE_TOL * max(1.0, abs(hi)):
                 out.append((lo + shift, hi + shift, v))
+    # The cells come in source order, not sorted: the full canonical form.
     return StepFunction.make(out, tmap.alpha)

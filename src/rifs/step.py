@@ -7,17 +7,27 @@ constant value, implicit value 0 elsewhere.  The support always has finite
 measure, so every integral below is finite and ``x*(inf) = 0`` holds by
 construction.
 
-All arithmetic works on the common breakpoint refinement and is exact up to
-the canonicalization tolerance ``MERGE_TOL`` used when merging breakpoints
-and equal adjacent values.
+Canonicalization happens at the boundary: :meth:`StepFunction.make` and
+:meth:`StepFunction.from_json` validate, sort and settle outside input.
+Internal results (``add``, ``maximum``, ``minimum``, ``scale``, ``absolute``
+and the rearrangement) are already sorted and disjoint, so they skip
+validation and sorting but go through the same settling rules: breakpoints
+snap within the tolerance ``MERGE_TOL``, and adjacent pieces merge only when
+their values are exactly equal.  A binary operation on n and m pieces is one
+merged sweep over both breakpoint lists and costs O((n+m) log(n+m)).
+Inputs with at least ``ARRAY_MIN_PIECES`` pieces take the same steps on numpy
+arrays; smaller ones stay on plain lists, where array set-up costs more than
+it saves.  Both paths give bit-identical pieces.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
-from operator import itemgetter
+from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -26,51 +36,104 @@ from .errors import SchemaError
 
 MERGE_TOL = 1e-12
 
+# Piece count (of both operands together, for binary operations) from which
+# an operation runs on arrays.  Best of 15 timings on a shared 2-vCPU VM,
+# list vs array path: ``add`` of 16 + 16 pieces 67 vs 80 us, of 32 + 32
+# 132 vs 88 us; ``scale`` of 32 pieces 30 vs 34 us, of 64 58 vs 44 us;
+# ``rearrange`` of 48 pieces 36 vs 44 us, of 64 52 vs 46 us.  One threshold
+# near the crossovers, so that 1-5 piece inputs never pay for array set-up.
+ARRAY_MIN_PIECES = 64
+
 Piece = tuple[float, float, float]  # (t0, t1, value)
 
-_start = itemgetter(0)
+_start = operator.itemgetter(0)
 
 
 def _close(a: float, b: float) -> bool:
     return abs(a - b) <= MERGE_TOL * max(1.0, abs(a), abs(b))
 
 
-def _canonical(pieces: Iterable[Sequence[float]], alpha: float) -> tuple[Piece, ...]:
-    cleaned: list[list[float]] = []
-    for t0, t1, v in pieces:
-        t0, t1, v = float(t0), float(t1), float(v)
-        if not (math.isfinite(t0) and math.isfinite(t1) and math.isfinite(v)):
+def _within_tol(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``hi - lo <= MERGE_TOL * max(1, hi)`` elementwise: the width test of
+    :func:`_settle`, and for ``0 <= lo <= hi`` the same floating-point
+    operations as ``_close(lo, hi)``."""
+    return hi - lo <= MERGE_TOL * np.maximum(hi, 1.0)
+
+
+def _settle(cells: Iterable[Piece], alpha: float) -> tuple[Piece, ...]:
+    """Canonical pieces from float cells ``(t0, t1, v)`` sorted by t0.
+
+    A non-finite value or end raises.  An end past a finite alpha snaps to it
+    within ``MERGE_TOL`` and raises beyond.  Cells of value 0 or of width at
+    most ``MERGE_TOL * max(1, |t1|)`` are dropped.  A start within
+    ``MERGE_TOL`` of the previous end snaps to it; one further left raises.
+    """
+    out: list[Piece] = []
+    for t0, t1, v in cells:
+        if not (math.isfinite(v) and math.isfinite(t1)):
             raise SchemaError("piece endpoints and values must be finite")
-        if t0 < 0 and _close(t0, 0.0):
-            t0 = 0.0
-        if t0 < 0:
-            raise SchemaError(f"piece starts before 0: {t0}")
-        if math.isfinite(alpha) and t1 > alpha:
+        if t1 > alpha:
             if not _close(t1, alpha):
                 raise SchemaError(f"piece ends beyond alpha={alpha}: {t1}")
             t1 = alpha
-        if t1 - t0 <= MERGE_TOL * max(1.0, abs(t1)):
+        if v == 0.0 or t1 - t0 <= MERGE_TOL * max(1.0, abs(t1)):
             continue
-        if v == 0.0:
-            continue
-        cleaned.append([t0, t1, v])
-    cleaned.sort(key=lambda p: p[0])
-    merged: list[list[float]] = []
-    for t0, t1, v in cleaned:
-        if merged:
-            pt0, pt1, pv = merged[-1]
-            if t0 < pt1 and not _close(t0, pt1):
-                raise SchemaError(f"pieces overlap near t={t0}")
-            if _close(t0, pt1):
+        if out:
+            pt0, pt1, pv = out[-1]
+            if t0 == pt1 or _close(t0, pt1):
                 t0 = pt1
                 # Merging requires exactly equal values: merging nearly equal
                 # ones would shift the distribution function at levels in
                 # between, breaking exact equimeasurability.
                 if v == pv:
-                    merged[-1][1] = t1
+                    out[-1] = (pt0, t1, v)
                     continue
-        merged.append([t0, t1, v])
-    return tuple((p[0], p[1], p[2]) for p in merged)
+            elif t0 < pt1:
+                raise SchemaError(f"pieces overlap near t={t0}")
+        out.append((t0, t1, v))
+    return tuple(out)
+
+
+def _settle_array(t0: np.ndarray, t1: np.ndarray, v: np.ndarray, alpha: float) -> tuple[Piece, ...]:
+    """:func:`_settle` on arrays of cells that start at or after 0 and do not
+    overlap, so that t1 is nondecreasing and ``_close`` is :func:`_within_tol`."""
+    if not (math.isfinite(t1[-1]) and np.isfinite(v).all()):
+        raise SchemaError("piece endpoints and values must be finite")
+    if t1[-1] > alpha:
+        over = t1 > alpha
+        if not _within_tol(alpha, t1[over]).all():
+            raise SchemaError(f"piece ends beyond alpha={alpha}: {t1[-1]}")
+        t1 = np.where(over, alpha, t1)
+    keep = (v != 0.0) & ~_within_tol(t0, t1)
+    if not keep.all():
+        t0, t1, v = t0[keep], t1[keep], v[keep]
+        if not len(v):
+            return ()
+    snap = _within_tol(t1[:-1], t0[1:])
+    t0 = np.concatenate((t0[:1], np.where(snap, t1[:-1], t0[1:])))
+    new = v[1:] != v[:-1]
+    new |= ~snap
+    if not new.all():
+        first = np.flatnonzero(np.concatenate(([True], new)))
+        last = np.concatenate((first[1:], [len(v)])) - 1
+        t0, t1, v = t0[first], t1[last], v[first]
+    return tuple(zip(t0.tolist(), t1.tolist(), v.tolist()))
+
+
+def _canonical(pieces: Iterable[Sequence[float]], alpha: float) -> tuple[Piece, ...]:
+    """Validate and sort pieces from outside the library, then settle them."""
+    cells: list[Piece] = []
+    for t0, t1, v in pieces:
+        t0, t1, v = float(t0), float(t1), float(v)
+        if not (math.isfinite(t0) and math.isfinite(t1)):
+            raise SchemaError("piece endpoints and values must be finite")
+        if t0 < 0 and _close(t0, 0.0):
+            t0 = 0.0
+        if t0 < 0:
+            raise SchemaError(f"piece starts before 0: {t0}")
+        cells.append((t0, t1, v))
+    cells.sort(key=_start)
+    return _settle(cells, alpha)
 
 
 @dataclass(frozen=True)
@@ -111,6 +174,14 @@ class StepFunction:
     def sup_abs(self) -> float:
         return max((abs(v) for _, _, v in self.pieces), default=0.0)
 
+    @cached_property
+    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The pieces as read-only float arrays (t0, t1, v), built once."""
+        flat = np.fromiter(chain.from_iterable(self.pieces), float, 3 * len(self.pieces))
+        flat.flags.writeable = False
+        t0, t1, v = flat.reshape(-1, 3).T
+        return t0, t1, v
+
     def value_at(self, t: float) -> float:
         # Canonical pieces are sorted and disjoint: only the last piece
         # starting at or before t can hold it.
@@ -124,7 +195,7 @@ class StepFunction:
         ts = np.asarray(ts, dtype=float)
         if not self.pieces:
             return np.zeros_like(ts)
-        t0, t1, v = np.array(self.pieces).T
+        t0, t1, v = self._columns
         i = np.maximum(np.searchsorted(t0, ts, side="right") - 1, 0)
         return np.where((ts >= t0[i]) & (ts < t1[i]), v[i], 0.0)
 
@@ -165,54 +236,94 @@ def indicator(t0: float, t1: float, value: float = 1.0, alpha: float = math.inf)
     return StepFunction.make([(t0, t1, value)], alpha)
 
 
-def _common_cells(x: StepFunction, y: StepFunction) -> list[tuple[float, float, float, float]]:
-    """Cells (a, b, x-value, y-value) of the common breakpoint refinement."""
-    bps = sorted(set(x.breakpoints()) | set(y.breakpoints()))
-    dedup: list[float] = []
-    for t in bps:
-        if not dedup or not _close(dedup[-1], t):
-            dedup.append(t)
-    cells = []
-    for a, b in zip(dedup, dedup[1:]):
-        m = 0.5 * (a + b)
-        cells.append((a, b, x.value_at(m), y.value_at(m)))
-    return cells
+def _walk(pieces: Sequence[Piece], ts: Iterable[float]) -> list[float]:
+    """Values at the nondecreasing points ts, by one forward pass over the pieces.
+
+    The first piece ending after t is the only one that can hold it, which
+    gives the same value as ``value_at``.
+    """
+    out = []
+    i, n = 0, len(pieces)
+    for t in ts:
+        while i < n and pieces[i][1] <= t:
+            i += 1
+        out.append(pieces[i][2] if i < n and pieces[i][0] <= t else 0.0)
+    return out
 
 
-def _check_same_domain(x: StepFunction, y: StepFunction) -> None:
+def _distinct_cuts(ts: np.ndarray) -> np.ndarray:
+    """Sorted ts >= 0 less each entry within ``MERGE_TOL`` of the last one kept."""
+    ts = ts[np.concatenate(([True], ts[1:] != ts[:-1]))]
+    near = np.flatnonzero(_within_tol(ts[:-1], ts[1:])) + 1
+    if len(near):
+        # Only an entry close to its predecessor can go; whether it does
+        # depends on the last entry kept, so these few are decided in order.
+        keep = np.ones(len(ts), dtype=bool)
+        for i in near.tolist():
+            j = i - 1
+            while not keep[j]:
+                j -= 1
+            keep[i] = not _close(float(ts[j]), float(ts[i]))
+        ts = ts[keep]
+    return ts
+
+
+def _pointwise(x: StepFunction, y: StepFunction, op, op_array) -> StepFunction:
+    """``op`` of x and y on each cell of their common breakpoint refinement.
+
+    One merged sweep: both breakpoint lists are merged (a stable merge, so x
+    comes first on ties), each breakpoint within ``MERGE_TOL`` of the last
+    kept one is dropped, and each operand is read at the cell midpoints.
+    """
     if x.alpha != y.alpha:
         raise SchemaError("operands live on different domains")
+    if len(x.pieces) + len(y.pieces) < ARRAY_MIN_PIECES:
+        cuts: list[float] = []
+        for t in sorted([t for f in (x, y) for p in f.pieces for t in p[:2]]):
+            if not cuts or not _close(cuts[-1], t):
+                cuts.append(t)
+        mids = [0.5 * (a + b) for a, b in zip(cuts, cuts[1:])]
+        vals = map(op, _walk(x.pieces, mids), _walk(y.pieces, mids))
+        return StepFunction(x.alpha, _settle(zip(cuts, cuts[1:], vals), x.alpha))
+    edges = [np.stack(f._columns[:2], axis=1).ravel() for f in (x, y)]
+    cuts = _distinct_cuts(np.sort(np.concatenate(edges), kind="stable"))
+    lo, hi = cuts[:-1], cuts[1:]
+    mids = 0.5 * (lo + hi)
+    with np.errstate(over="ignore"):
+        vals = op_array(x.values(mids), y.values(mids))
+    return StepFunction(x.alpha, _settle_array(lo, hi, vals, x.alpha))
+
+
+def _map_values(x: StepFunction, fn) -> StepFunction:
+    """x with each value v replaced by ``fn(v)``; fn takes floats and arrays."""
+    if len(x.pieces) < ARRAY_MIN_PIECES:
+        return StepFunction(x.alpha, _settle([(t0, t1, fn(v)) for t0, t1, v in x.pieces], x.alpha))
+    t0, t1, v = x._columns
+    with np.errstate(over="ignore"):
+        vals = fn(v)
+    return StepFunction(x.alpha, _settle_array(t0, t1, vals, x.alpha))
 
 
 def add(x: StepFunction, y: StepFunction) -> StepFunction:
-    _check_same_domain(x, y)
-    return StepFunction.make(
-        [(a, b, vx + vy) for a, b, vx, vy in _common_cells(x, y)], x.alpha
-    )
+    return _pointwise(x, y, operator.add, np.add)
 
 
 def scale(x: StepFunction, factor: float) -> StepFunction:
     if not math.isfinite(factor):
         raise SchemaError("scale factor must be finite")
-    return StepFunction.make([(t0, t1, factor * v) for t0, t1, v in x.pieces], x.alpha)
+    return _map_values(x, lambda v: factor * v)
 
 
 def absolute(x: StepFunction) -> StepFunction:
-    return StepFunction.make([(t0, t1, abs(v)) for t0, t1, v in x.pieces], x.alpha)
+    return _map_values(x, abs)
 
 
 def maximum(x: StepFunction, y: StepFunction) -> StepFunction:
-    _check_same_domain(x, y)
-    return StepFunction.make(
-        [(a, b, max(vx, vy)) for a, b, vx, vy in _common_cells(x, y)], x.alpha
-    )
+    return _pointwise(x, y, max, np.maximum)
 
 
 def minimum(x: StepFunction, y: StepFunction) -> StepFunction:
-    _check_same_domain(x, y)
-    return StepFunction.make(
-        [(a, b, min(vx, vy)) for a, b, vx, vy in _common_cells(x, y)], x.alpha
-    )
+    return _pointwise(x, y, min, np.minimum)
 
 
 _COMBINE = {"add": add, "scale": scale, "abs": absolute, "max": maximum, "min": minimum}

@@ -5,6 +5,8 @@ refinement cells for x*, piecewise-linear interpolation of the running
 integral for x**, dense-grid comparison for domination.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -26,10 +28,59 @@ from rifs import (
     scale,
     transport_pullback,
 )
+from rifs.step import ARRAY_MIN_PIECES, MERGE_TOL
+
+# Piece counts reaching both sides of the list/array threshold.
+SIZES = (5, 2 * ARRAY_MIN_PIECES)
 
 
 def two_block():
     return StepFunction.make([(1, 2, 3.0), (4, 6, 1.0)])
+
+
+def _rearrange_reference(x):
+    """x* by the per-piece loop: sort by (-|v|, t0), lay the pieces end to end
+    from 0, canonicalize."""
+    out, cursor = [], 0.0
+    for t0, t1, v in sorted(x.pieces, key=lambda p: (-abs(p[2]), p[0])):
+        length = t1 - t0
+        out.append((cursor, cursor + length, abs(v)))
+        cursor += length
+    return StepFunction.make(out, x.alpha)
+
+
+def _curve_reference(x):
+    """(breakpoints, coeffs) of x** by the running-integral loop over x*."""
+    star = _rearrange_reference(x)
+    if star.is_zero:
+        return (0.0,), ((0.0, 0.0),)
+    breakpoints, coeffs, acc = [0.0], [], 0.0
+    for t0, t1, v in star.pieces:
+        coeffs.append((acc - v * t0, v))
+        acc += v * (t1 - t0)
+        breakpoints.append(t1)
+    coeffs.append((acc, 0.0))
+    return tuple(breakpoints), tuple(coeffs)
+
+
+def _hlp_reference(x, y, tol):
+    """The domination verdict by bisection ``eval`` at every breakpoint."""
+    cx, cy = maximal_curve(x), maximal_curve(y)
+    points = sorted({t for t in cx.breakpoints + cy.breakpoints if t > 0.0})
+    return (cx.value_at_zero <= cy.value_at_zero + tol
+            and all(cx.eval(t) <= cy.eval(t) + tol for t in points))
+
+
+def _pullback_reference(tmap, g):
+    """g o sigma by the nested loop over every (pair, piece of g)."""
+    out = []
+    for (s0, s1), (d0, d1) in tmap.pairs:
+        shift = s0 - d0
+        for t0, t1, v in g.pieces:
+            lo, hi = max(t0, d0), min(t1, d1)
+            if hi - lo > MERGE_TOL * max(1.0, abs(hi)):
+                out.append((lo + shift, hi + shift, v))
+    return StepFunction.make(out, tmap.alpha)
 
 
 # ---------------------------------------------------------------- distribution
@@ -50,8 +101,9 @@ def test_distribution_two_block():
 
 
 def test_distribution_rejects_negative_lambda():
-    with pytest.raises(SchemaError):
-        distribution(indicator(0, 1), -0.1)
+    for lam in (-0.1, math.nan):
+        with pytest.raises(SchemaError):
+            distribution(indicator(0, 1), lam)
 
 
 def test_distribution_nonincreasing_and_matches_rearrangement():
@@ -85,15 +137,33 @@ def test_rearrange_of_negative_piece():
 
 def test_rearrange_matches_descending_sort_oracle():
     rng = np.random.default_rng(5)
-    for _ in range(100):
-        n = int(rng.integers(1, 9))
-        values = rng.uniform(-4, 4, n)
+    for trial in range(100):
+        n = int(rng.integers(1, 9 if trial % 2 else 2 * ARRAY_MIN_PIECES))
+        # Half the trials draw from a few levels, so that values tie.
+        values = rng.uniform(-4, 4, n) if trial % 4 < 2 else rng.choice([-2.0, -0.5, 0.5, 3.0], n)
         h = float(rng.uniform(0.2, 1.5))
         x = StepFunction.make([(i * h, (i + 1) * h, v) for i, v in enumerate(values) if v != 0])
         expected_vals = sorted(np.abs(values[values != 0]), reverse=True)
         expected = StepFunction.make(
             [(i * h, (i + 1) * h, v) for i, v in enumerate(expected_vals)])
         assert rearrange(x).approx_equal(expected)
+        assert rearrange(x).pieces == _rearrange_reference(x).pieces
+
+
+@pytest.mark.parametrize("n", [9, 100])
+def test_rearrange_snaps_drift_past_alpha_one(n):
+    # Pieces [i/n, (i+1)/n) with increasing values: x* lays them end to end in
+    # reverse, and for these n the float cursor ends just past 1.  One n is
+    # on each side of the list/array threshold.
+    assert 9 < ARRAY_MIN_PIECES <= 100
+    x = StepFunction.make([(i / n, (i + 1) / n, i + 1.0) for i in range(n)], alpha=1.0)
+    cursor = 0.0
+    for t0, t1, _ in reversed(x.pieces):
+        cursor += t1 - t0
+    assert cursor > 1.0
+    star = rearrange(x)
+    assert star.pieces[-1][1] == 1.0
+    assert star.pieces == _rearrange_reference(x).pieces
 
 
 # ---------------------------------------------------------------- maximal curve
@@ -129,12 +199,14 @@ def _starstar_oracle(x, ts):
 
 
 def test_maximal_matches_integral_oracle():
-    cfg = TrialConfig(seed=21, trials=60)
-    for trial in range(cfg.trials):
-        x = random_step(cfg, trial)
-        c = maximal_curve(x)
-        ts = np.geomspace(1e-3, 50.0, 200)
-        assert np.allclose(c.eval_many(ts), _starstar_oracle(x, ts), rtol=1e-12, atol=1e-12)
+    for max_pieces in SIZES:
+        cfg = TrialConfig(seed=21, trials=60, max_pieces=max_pieces)
+        for trial in range(cfg.trials):
+            x = random_step(cfg, trial)
+            c = maximal_curve(x)
+            ts = np.geomspace(1e-3, 50.0, 200)
+            assert np.allclose(c.eval_many(ts), _starstar_oracle(x, ts), rtol=1e-12, atol=1e-12)
+            assert (c.breakpoints, c.coeffs) == _curve_reference(x)
 
 
 def test_maximal_laws_star_below_monotone_continuous():
@@ -172,13 +244,23 @@ def test_hlp_rejects_smaller_mass():
 
 
 def test_hlp_agrees_with_dense_grid_oracle():
-    cfg = TrialConfig(seed=41, trials=150)
-    for trial in range(cfg.trials):
-        x = random_step(cfg, trial, stream=0)
-        y = random_step(cfg, trial, stream=1)
-        ts = np.geomspace(1e-4, 200.0, 4000)
-        gap = np.max(_starstar_oracle(x, ts) - _starstar_oracle(y, ts))
-        assert hlp_dominates(x, y, tol=1e-9) == (gap <= 1e-9)
+    for max_pieces in SIZES:
+        cfg = TrialConfig(seed=41, trials=150, max_pieces=max_pieces)
+        for trial in range(cfg.trials):
+            x = random_step(cfg, trial, stream=0)
+            y = random_step(cfg, trial, stream=1)
+            ts = np.geomspace(1e-4, 200.0, 4000)
+            gap = np.max(_starstar_oracle(x, ts) - _starstar_oracle(y, ts))
+            assert hlp_dominates(x, y, tol=1e-9) == (gap <= 1e-9)
+            for a, b in ((x, y), (y, x), (x, add(x, y))):
+                for tol in (0.0, 1e-9):
+                    assert hlp_dominates(a, b, tol=tol) == _hlp_reference(a, b, tol)
+
+
+def test_hlp_rejects_nan_tolerance():
+    x = indicator(0, 1, 1e308)
+    with pytest.raises(SchemaError):
+        hlp_dominates(x, scale(x, 1e-308), tol=math.nan)
 
 
 def test_hlp_transitive_on_constructed_chains():
@@ -238,13 +320,17 @@ def test_ryff_zero_function_empty_map():
 
 
 def test_ryff_roundtrip_reproduces_abs():
-    cfg = TrialConfig(seed=71, trials=120)
-    for trial in range(cfg.trials):
-        x = random_step(cfg, trial)
-        sigma = ryff_transport(x)
-        assert sigma.total_length == pytest.approx(x.support_measure, rel=1e-12)
-        pulled = transport_pullback(sigma, rearrange(x))
-        assert pulled.approx_equal(absolute(x))
+    for max_pieces in SIZES:
+        cfg = TrialConfig(seed=71, trials=120, max_pieces=max_pieces)
+        for trial in range(cfg.trials):
+            x = random_step(cfg, trial)
+            sigma = ryff_transport(x)
+            assert sigma.total_length == pytest.approx(x.support_measure, rel=1e-12)
+            pulled = transport_pullback(sigma, rearrange(x))
+            assert pulled.approx_equal(absolute(x))
+            assert pulled.pieces == _pullback_reference(sigma, rearrange(x)).pieces
+            y = random_step(cfg, trial, stream=1)
+            assert transport_pullback(sigma, y).pieces == _pullback_reference(sigma, y).pieces
 
 
 def test_sum_dominated_by_rearranged_sum():

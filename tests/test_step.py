@@ -1,13 +1,16 @@
 """Step-function arithmetic: canonical form, piecewise algebra, JSON round trip."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from rifs import SchemaError, StepFunction, absolute, add, combine, indicator, maximum, minimum, scale
-from rifs.step import MERGE_TOL
+from rifs.step import ARRAY_MIN_PIECES, MERGE_TOL
 
 
 def test_canonical_sorts_merges_and_drops_zeros():
@@ -40,6 +43,32 @@ def test_scale_by_zero_gives_zero_function():
 def test_scale_rejects_non_finite_factor():
     with pytest.raises(SchemaError):
         scale(indicator(0, 1), math.inf)
+
+
+@pytest.mark.parametrize("n", [1, ARRAY_MIN_PIECES])
+def test_overflow_to_inf_raises(n):
+    # n = 1 runs on lists, n = ARRAY_MIN_PIECES on arrays.
+    x = StepFunction.make([(2 * i, 2 * i + 1, 1e308) for i in range(n)])
+    with pytest.raises(SchemaError):
+        add(x, x)
+    with pytest.raises(SchemaError):
+        scale(x, 10.0)
+
+
+def test_array_path_leaves_numpy_ma_unloaded():
+    # np.unique and np.union1d import numpy.ma on first use, which adds to
+    # the resident memory of every caller; the step core must not need them.
+    code = (
+        "import sys\n"
+        "from rifs import StepFunction, add, rearrange\n"
+        "x = StepFunction.make([(2 * i, 2 * i + 1, (-1.0) ** i * (i % 7 + 1)) for i in range(1000)])\n"
+        "y = StepFunction.make([(3 * i, 3 * i + 2, i % 5 + 1.0) for i in range(1000)])\n"
+        "rearrange(add(x, y))\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "False"
 
 
 def test_absolute_example():
@@ -77,15 +106,16 @@ def test_json_alpha_encoding():
     assert indicator(0, 1, alpha=1.0).to_json()["alpha"] == "1"
 
 
-piece_lists = st.lists(
-    st.tuples(
-        st.floats(min_value=0.0, max_value=50.0),
-        st.floats(min_value=0.01, max_value=5.0),
-        st.floats(min_value=-10.0, max_value=10.0, allow_nan=False),
-    ),
-    min_size=0,
-    max_size=6,
+raw_pieces = st.tuples(
+    st.floats(min_value=0.0, max_value=50.0),
+    st.floats(min_value=0.01, max_value=5.0),
+    st.floats(min_value=-10.0, max_value=10.0, allow_nan=False),
 )
+piece_lists = st.lists(raw_pieces, min_size=0, max_size=6)
+# With each other, with a short list or with a shrunken copy, these reach
+# both sides of ARRAY_MIN_PIECES.
+long_piece_lists = st.lists(raw_pieces, min_size=ARRAY_MIN_PIECES // 2,
+                            max_size=ARRAY_MIN_PIECES + 8)
 
 
 def _disjointify(raw):
@@ -133,9 +163,10 @@ nudges = st.sampled_from([0.0, 3e-13, 1e-12, 5e-12, 1e-6])
 def step_pairs(draw):
     """Two step functions whose breakpoints are independent, or shrunken copies
     of each other's so that they nearly coincide."""
-    x = _disjointify(draw(piece_lists))
+    lists = st.one_of(piece_lists, long_piece_lists)
+    x = _disjointify(draw(lists))
     if draw(st.booleans()):
-        return x, _disjointify(draw(piece_lists))
+        return x, _disjointify(draw(lists))
     y = []
     for t0, t1, _ in x:
         a, b = t0 + draw(nudges), t1 - draw(nudges)
