@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -82,12 +80,6 @@ class MaximalCurve:
         """Integral of x* over the whole domain."""
         return self.coeffs[-1][0]
 
-    @cached_property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Breakpoints, A and B as float arrays, built once."""
-        coeffs = np.fromiter(chain.from_iterable(self.coeffs), float, 2 * len(self.coeffs))
-        return np.array(self.breakpoints), coeffs[0::2], coeffs[1::2]
-
     def eval(self, t: float) -> float:
         if t <= 0:
             raise SchemaError("x** is defined for t > 0")
@@ -98,9 +90,9 @@ class MaximalCurve:
 
     def eval_many(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
-        breakpoints, a, b = self._arrays
-        ks = np.clip(np.searchsorted(breakpoints, ts, side="left") - 1, 0, len(a) - 1)
-        return b[ks] + a[ks] / ts
+        ks = np.clip(np.searchsorted(self.breakpoints, ts, side="left") - 1, 0, len(self.coeffs) - 1)
+        arr = np.asarray(self.coeffs, dtype=float)
+        return arr[ks, 1] + arr[ks, 0] / ts
 
 
 def maximal_curve(x: StepFunction) -> MaximalCurve:
@@ -136,9 +128,6 @@ def hlp_dominates(x: StepFunction, y: StepFunction, tol: float | None = None) ->
     if cx.value_at_zero > cy.value_at_zero + tol:  # limit at t -> 0+
         return False
     # t -> inf: the difference tends to 0, dominated by tol >= 0.
-    if len(cx.coeffs) + len(cy.coeffs) >= ARRAY_MIN_PIECES:
-        ts = np.concatenate((cx._arrays[0][1:], cy._arrays[0][1:]))
-        return not (cx.eval_many(ts) > cy.eval_many(ts) + tol).any()
     # One pass over the merged breakpoints: i and j count the breakpoints of
     # each curve below t, which is where ``eval`` would bisect to.
     sx, sy = cx.breakpoints, cy.breakpoints

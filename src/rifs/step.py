@@ -15,9 +15,10 @@ validation and sorting but go through the same settling rules: breakpoints
 snap within the tolerance ``MERGE_TOL``, and adjacent pieces merge only when
 their values are exactly equal.  A binary operation on n and m pieces is one
 merged sweep over both breakpoint lists and costs O((n+m) log(n+m)).
-Inputs with at least ``ARRAY_MIN_PIECES`` pieces take the same steps on numpy
-arrays; smaller ones stay on plain lists, where array set-up costs more than
-it saves.  Both paths give bit-identical pieces.
+Binary operations and the rearrangement on at least ``ARRAY_MIN_PIECES``
+pieces take the same steps on numpy arrays; smaller ones stay on plain lists,
+where array set-up costs more than it saves.  Both paths give bit-identical
+pieces.
 """
 
 from __future__ import annotations
@@ -37,11 +38,11 @@ from .errors import SchemaError
 MERGE_TOL = 1e-12
 
 # Piece count (of both operands together, for binary operations) from which
-# an operation runs on arrays.  Best of 15 timings on a shared 2-vCPU VM,
-# list vs array path: ``add`` of 16 + 16 pieces 67 vs 80 us, of 32 + 32
-# 132 vs 88 us; ``scale`` of 32 pieces 30 vs 34 us, of 64 58 vs 44 us;
-# ``rearrange`` of 48 pieces 36 vs 44 us, of 64 52 vs 46 us.  One threshold
-# near the crossovers, so that 1-5 piece inputs never pay for array set-up.
+# the binary operations and the rearrangement run on arrays.  Best of 15
+# timings on a shared 2-vCPU VM, list vs array path: ``add`` of 16 + 16
+# pieces 67 vs 80 us, of 32 + 32 132 vs 88 us; ``rearrange`` of 48 pieces
+# 36 vs 44 us, of 64 52 vs 46 us.  One threshold near the crossovers, so that
+# 1-5 piece inputs never pay for array set-up.
 ARRAY_MIN_PIECES = 64
 
 Piece = tuple[float, float, float]  # (t0, t1, value)
@@ -294,16 +295,6 @@ def _pointwise(x: StepFunction, y: StepFunction, op, op_array) -> StepFunction:
     return StepFunction(x.alpha, _settle_array(lo, hi, vals, x.alpha))
 
 
-def _map_values(x: StepFunction, fn) -> StepFunction:
-    """x with each value v replaced by ``fn(v)``; fn takes floats and arrays."""
-    if len(x.pieces) < ARRAY_MIN_PIECES:
-        return StepFunction(x.alpha, _settle([(t0, t1, fn(v)) for t0, t1, v in x.pieces], x.alpha))
-    t0, t1, v = x._columns
-    with np.errstate(over="ignore"):
-        vals = fn(v)
-    return StepFunction(x.alpha, _settle_array(t0, t1, vals, x.alpha))
-
-
 def add(x: StepFunction, y: StepFunction) -> StepFunction:
     return _pointwise(x, y, operator.add, np.add)
 
@@ -311,11 +302,13 @@ def add(x: StepFunction, y: StepFunction) -> StepFunction:
 def scale(x: StepFunction, factor: float) -> StepFunction:
     if not math.isfinite(factor):
         raise SchemaError("scale factor must be finite")
-    return _map_values(x, lambda v: factor * v)
+    # float() as at make: a numpy factor would otherwise leave numpy scalars
+    # in the pieces, and a float32 one would carry float32 into later sums.
+    return StepFunction(x.alpha, _settle([(t0, t1, float(factor * v)) for t0, t1, v in x.pieces], x.alpha))
 
 
 def absolute(x: StepFunction) -> StepFunction:
-    return _map_values(x, abs)
+    return StepFunction(x.alpha, _settle([(t0, t1, abs(v)) for t0, t1, v in x.pieces], x.alpha))
 
 
 def maximum(x: StepFunction, y: StepFunction) -> StepFunction:

@@ -47,12 +47,26 @@ def test_scale_rejects_non_finite_factor():
 
 @pytest.mark.parametrize("n", [1, ARRAY_MIN_PIECES])
 def test_overflow_to_inf_raises(n):
-    # n = 1 runs on lists, n = ARRAY_MIN_PIECES on arrays.
+    # add runs on lists for n = 1 and on arrays for n = ARRAY_MIN_PIECES.
     x = StepFunction.make([(2 * i, 2 * i + 1, 1e308) for i in range(n)])
     with pytest.raises(SchemaError):
         add(x, x)
     with pytest.raises(SchemaError):
         scale(x, 10.0)
+
+
+@pytest.mark.parametrize("n", [1, ARRAY_MIN_PIECES])
+@pytest.mark.parametrize("factor", [np.float32(0.1), np.float64(-0.3)])
+def test_scale_by_numpy_factor_matches_make(n, factor):
+    # make turns each value into a Python float; scale must too, or numpy
+    # scalars (float32 ones included) would reach the pieces and later sums.
+    x = StepFunction.make([(2 * i, 2 * i + 1, 0.7 + i) for i in range(n)])
+    y = scale(x, factor)
+    assert y.pieces == StepFunction.make([(t0, t1, factor * v) for t0, t1, v in x.pieces]).pieces
+    assert all(type(v) is float for _, _, v in y.pieces)
+    z = add(y, y)
+    assert z.pieces == StepFunction.make([(t0, t1, v + v) for t0, t1, v in y.pieces]).pieces
+    assert all(type(v) is float for _, _, v in z.pieces)
 
 
 def test_array_path_leaves_numpy_ma_unloaded():
