@@ -68,26 +68,3 @@ from .step import StepFunction, absolute, add, combine, indicator, maximum, mini
 from .weights import WeightSpec, in_D_p, weight_W, weight_W_infinity, weight_Wp
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CandidateSet", "ExperimentReport", "ProjectionResult",
-    "dominated_projection_experiment", "k_upper_bound_check",
-    "minimizing_sequence", "project_finite", "project_hull",
-    "Verdict", "a_psi", "a_psi_vs_phi_infty", "embeds_in_L1",
-    "gamma_approx_compact_decider", "gamma_dual_weight",
-    "gamma_reflexive_decider", "is_N_at_zero", "is_delta2",
-    "lambda_associate_weight", "orlicz_koc_decider", "rbp_check",
-    "DivergentIntegralError", "HypothesisNotMetError", "NonConvergenceError",
-    "QuadratureCapError", "RifsError", "SchemaError", "WeightDomainError",
-    "ProbeReport", "TrialConfig", "dukm_sequence_run", "fundamental_limits",
-    "random_step", "rotundity_probe", "run_core_suite", "run_kmono_suite",
-    "skm_probe",
-    "OrliczSpec", "luxemburg_norm", "modular", "orlicz_norm", "young_conjugate",
-    "MaximalCurve", "TransportMap", "distribution", "equimeasurable",
-    "hlp_dominates", "maximal_curve", "rearrange", "ryff_transport",
-    "transport_pullback",
-    "SpaceHandle", "fundamental_function", "gamma_norm", "lambda_norm", "norm",
-    "StepFunction", "absolute", "add", "combine", "indicator", "maximum",
-    "minimum", "scale",
-    "WeightSpec", "in_D_p", "weight_W", "weight_W_infinity", "weight_Wp",
-]

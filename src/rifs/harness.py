@@ -19,7 +19,7 @@ import numpy as np
 from .deciders import embeds_in_L1, l1_embedding_limit, phi_infinity
 from .errors import SchemaError
 from .orlicz import OrliczSpec
-from .rearrange import equimeasurable, hlp_dominates, maximal_curve, rearrange
+from .rearrange import distribution, equimeasurable, hlp_dominates, maximal_curve, rearrange
 from .spaces import LORENTZ_GAMMA, SpaceHandle, fundamental_function, norm
 from .step import StepFunction, add, indicator, scale
 from .weights import WeightSpec
@@ -144,6 +144,7 @@ def run_core_suite(cfg: TrialConfig,
         x = random_step(cfg, trial, stream=0)
         y = random_step(cfg, trial, stream=1)
         y2 = random_step(cfg, trial, stream=2)
+        xs, ys, y2s = rearrange(x), rearrange(y), rearrange(y2)
 
         star = rr(x)
         vals = [v for _, _, v in star.pieces]
@@ -152,16 +153,14 @@ def run_core_suite(cfg: TrialConfig,
         lam_grid = sorted({abs(v) for _, _, v in x.pieces} | {0.0})
         lam_grid += [0.5 * (a + b) for a, b in zip(lam_grid, lam_grid[1:])]
         for lam in lam_grid:
-            dx = sum(t1 - t0 for t0, t1, v in x.pieces if abs(v) > lam)
-            ds = sum(t1 - t0 for t0, t1, v in star.pieces if abs(v) > lam)
+            dx, ds = distribution(x, lam), distribution(star, lam)
             if abs(dx - ds) > 1e-12 * max(1.0, dx):
                 record(trial, "distribution-preserved", {"lam": lam, "dx": dx, "ds": ds}, x)
                 break
 
         curve = maximal_curve(x)
-        star_true = rearrange(x)
         for s in curve.breakpoints[1:]:
-            if star_true.value_at(s) > curve.eval(s) + tol:
+            if xs.value_at(s) > curve.eval(s) + tol:
                 record(trial, "star-below-starstar", {"t": s}, x)
                 break
         if any(a < -tol for a, _ in curve.coeffs):
@@ -181,9 +180,9 @@ def run_core_suite(cfg: TrialConfig,
                 record(trial, "starstar-subadditive", {"t": t}, x)
                 break
 
-        lhs = add(add(x, y), y2)
-        rhs = add(add(rearrange(x), rearrange(y)), rearrange(y2))
-        if not hlp_dominates(lhs, rhs, tol=tol):
+        b = add(xs, ys)
+        c = add(b, y2s)
+        if not hlp_dominates(add(add(x, y), y2), c, tol=tol):
             record(trial, "sum-dominated-by-star-sum", {}, x)
 
         partner = _shuffled_partner(cfg, trial, x)
@@ -198,11 +197,7 @@ def run_core_suite(cfg: TrialConfig,
 
         if not hlp_dominates(x, x):
             record(trial, "hlp-reflexive", {}, x)
-        bump1, bump2 = rearrange(y), rearrange(y2)
-        a = rearrange(x)
-        b = add(a, bump1)
-        c = add(b, bump2)
-        if hlp_dominates(a, b) and hlp_dominates(b, c) and not hlp_dominates(a, c, tol=tol):
+        if hlp_dominates(xs, b) and hlp_dominates(b, c) and not hlp_dominates(xs, c, tol=tol):
             record(trial, "hlp-transitive", {}, x)
 
     return ProbeReport("core-suite", cfg.trials, tuple(violations))

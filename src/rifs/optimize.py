@@ -6,6 +6,8 @@ import math
 from typing import Callable
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_MAX_ITER = 400
+_BISECT_REL_WIDTH = 1e-13
 
 
 def golden_section_min(
@@ -13,14 +15,13 @@ def golden_section_min(
     lo: float,
     hi: float,
     tol: float = 1e-10,
-    max_iter: int = 400,
 ) -> tuple[float, float]:
     """Minimize a unimodal f on [lo, hi]; returns (argmin, min)."""
     a, b = float(lo), float(hi)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if b - a <= tol * max(1.0, abs(a), abs(b)):
             break
         if fc <= fd:
@@ -36,25 +37,19 @@ def golden_section_min(
     return d, fd
 
 
-def bisect_level(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    level: float = 1.0,
-    tol: float = 1e-10,
-    max_iter: int = 400,
-) -> float:
-    """Smallest argument with ``f <= level`` for a nonincreasing f.
+def bisect_level(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Smallest argument with ``f <= 1`` for a nonincreasing f on 0 < lo < hi.
 
-    Requires ``f(lo) > level >= f(hi)``.  Returns the upper bracket, so for a
-    map with a jump the result lands in the closed sublevel set.
+    Requires ``f(lo) > 1 >= f(hi)`` and stops at a bracket width of 1e-13
+    relative to its upper end.  Returns the upper bracket, so for a map with a
+    jump the result lands in the closed sublevel set.
     """
     a, b = float(lo), float(hi)
-    for _ in range(max_iter):
-        if b - a <= tol:
+    for _ in range(_MAX_ITER):
+        if b - a <= _BISECT_REL_WIDTH * b:
             break
         m = 0.5 * (a + b)
-        if f(m) <= level:
+        if f(m) <= 1.0:
             b = m
         else:
             a = m

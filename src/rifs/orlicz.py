@@ -164,7 +164,8 @@ class OrliczSpec:
 
 
 def young_conjugate(psi: OrliczSpec, u: float) -> float:
-    """``sup_(v>0) { |u| v - psi(v) }``; inf when the supremum diverges."""
+    """``sup_(v>0) { |u| v - psi(v) }``, in closed form per family; inf when
+    the supremum diverges."""
     u = abs(u)
     if u == 0.0:
         return 0.0
@@ -174,27 +175,19 @@ def young_conjugate(psi: OrliczSpec, u: float) -> float:
         # stationarity: u = coef * p * v^(p-1)
         v = (u / (psi.coef * psi.p)) ** (1.0 / (psi.p - 1.0))
         return u * v - psi.coef * v ** psi.p
-
-    def neg_obj(v: float) -> float:
-        val = psi.psi(v)
-        return math.inf if math.isinf(val) else -(u * v - val)
-
-    if psi.family == "table" and psi.inf_beyond:
-        upper = psi.points[-1][0]  # psi jumps to inf here; sup lives on [0, T]
-    else:
-        # Expand until the concave objective starts decreasing (or psi hits inf).
-        hi = 1.0
-        for _ in range(80):
-            if neg_obj(2.0 * hi) >= neg_obj(hi):
-                break
-            hi *= 2.0
-        else:
-            return math.inf
-        upper = 2.0 * hi
-    _, neg = golden_section_min(neg_obj, 0.0, upper, tol=1e-10)
-    # The boundary itself can carry the sup when psi jumps to inf beyond it.
-    boundary = u * upper - psi.psi(upper)
-    return max(0.0, -neg, boundary if math.isfinite(boundary) else 0.0)
+    if psi.family == "shifted_power":
+        # v = a carries a*u; beyond it the power part adds its own conjugate.
+        if psi.p == 1.0:
+            return psi.shift * u if u <= 1.0 else math.inf
+        return psi.shift * u + (psi.p - 1.0) * (u / psi.p) ** (psi.p / (psi.p - 1.0))
+    if psi.family == "exp_minus_one":
+        return u * math.log(u) - u + 1.0 if u > 1.0 else 0.0
+    # A piecewise-linear psi attains the sup at a breakpoint, unless it is
+    # linear to infinity with a slope below u.
+    ts, vs, last_slope = psi._table
+    if psi.finite_valued and u > last_slope:
+        return math.inf
+    return float(np.max(u * ts - vs))
 
 
 def _cells(x: StepFunction) -> tuple[np.ndarray, np.ndarray]:
@@ -214,9 +207,10 @@ def _norm_on_cells(widths: np.ndarray, mags: np.ndarray, psi: OrliczSpec,
     ``widths[i]``; 0 for the zero function.
 
     Luxemburg: ``inf { lam > 0 : rho(x / lam) <= 1 }``, in closed form for the
-    power family and by bisection otherwise.  The map lam -> rho(x/lam) is
-    nonincreasing; at a modular jump (non-finite psi) the upper bracket is
-    returned, i.e. the inf over the closed sublevel set.
+    power family and otherwise by bisection in sigma = lam / sup|x|, to a
+    relative width of 1e-13.  The map lam -> rho(x/lam) is nonincreasing; at
+    a modular jump (non-finite psi) the upper bracket is returned, i.e. the
+    inf over the closed sublevel set.
 
     Amemiya: ``inf_(k>0) (1 + rho(k x)) / k``.  The objective is unimodal in k
     (rho is convex with rho(0) = 0), so an expanding bracket plus golden
@@ -239,11 +233,14 @@ def _norm_on_cells(widths: np.ndarray, mags: np.ndarray, psi: OrliczSpec,
     if not mags.any():
         return 0.0
     top = float(mags.max())
+    unit = mags / top
     if flavor == "luxemburg":
-        def rho(lam: float) -> float:
-            return _modular(widths, mags / lam, psi)
+        # Homogeneity: ||x|| = top * sigma with rho(unit / sigma) = 1, so the
+        # search and its stopping rule are relative to sup|x|.
+        def rho(sigma: float) -> float:
+            return _modular(widths, unit / sigma, psi)
 
-        hi = max(top, 1e-12)
+        hi = 1.0
         for _ in range(200):
             if rho(hi) <= 1.0:
                 break
@@ -255,9 +252,7 @@ def _norm_on_cells(widths: np.ndarray, mags: np.ndarray, psi: OrliczSpec,
             lo /= 2.0
             if lo < 1e-150:
                 return 0.0  # modular stays below 1 for every positive scale
-        return bisect_level(rho, lo / 2.0, hi, level=1.0, tol=1e-10)
-
-    unit = mags / top
+        return top * bisect_level(rho, lo / 2.0, hi)
 
     def h(s: float) -> float:  # the Amemiya objective at k = s / top, over top
         if s <= 0:

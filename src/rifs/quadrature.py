@@ -58,7 +58,6 @@ def integrate_cells(
     lo,
     hi,
     rel_tol: float = 1e-9,
-    abs_tol: float = 0.0,
     max_subdiv: int = 10_000,
 ) -> np.ndarray:
     """Integrate f over every cell [lo_i, hi_i] to the requested relative tolerance.
@@ -85,7 +84,9 @@ def integrate_cells(
         counts = np.bincount(cells, minlength=n)
         totals = np.bincount(cells, vals, n)
         err = np.bincount(cells, errs, n)
-        budget = np.fmax(abs_tol, rel_tol * np.abs(totals))
+        # fmax gives a cell with a NaN total a zero budget rather than a NaN
+        # one, so each of its panels with a positive estimate splits.
+        budget = np.fmax(0.0, rel_tol * np.abs(totals))
         done = (err <= budget) | (err == 0.0)
         np.copyto(out, totals, where=done & (counts > 0))
         open_ = ~done
@@ -128,20 +129,17 @@ def integrate(
     a: float,
     b: float,
     rel_tol: float = 1e-9,
-    abs_tol: float = 0.0,
     max_subdiv: int = 10_000,
 ) -> float:
     """Integrate f over [a, b] to the requested relative tolerance."""
     return float(integrate_cells(lambda ts, cells: f(ts.ravel()).reshape(ts.shape), [a], [b],
-                                 rel_tol=rel_tol, abs_tol=abs_tol, max_subdiv=max_subdiv)[0])
+                                 rel_tol=rel_tol, max_subdiv=max_subdiv)[0])
 
 
 def integrate_to_infinity(
     f: Callable[[np.ndarray], np.ndarray],
     a: float,
     rel_tol: float = 1e-9,
-    abs_tol: float = 0.0,
-    max_subdiv: int = 10_000,
 ) -> float:
     """Integrate f over [a, inf) via the substitution u = 1/t.
 
@@ -155,5 +153,4 @@ def integrate_to_infinity(
         ts = 1.0 / us
         return f(ts) * ts * ts
 
-    return integrate(g, 0.0, 1.0 / a, rel_tol=rel_tol, abs_tol=abs_tol,
-                     max_subdiv=max_subdiv)
+    return integrate(g, 0.0, 1.0 / a, rel_tol=rel_tol)

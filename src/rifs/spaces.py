@@ -50,7 +50,7 @@ def lambda_norm(x: StepFunction, p: float, w: WeightSpec) -> float:
         return 0.0
     total = 0.0
     for t0, t1, v in star.pieces:
-        inc = w.W(t1) - w.W(t0)
+        inc = w.integral(t0, t1)
         if math.isinf(inc):
             raise DivergentIntegralError("weight is not locally integrable near 0")
         total += v ** p * inc

@@ -171,10 +171,6 @@ class StepFunction:
     def support_end(self) -> float:
         return self.pieces[-1][1] if self.pieces else 0.0
 
-    @property
-    def sup_abs(self) -> float:
-        return max((abs(v) for _, _, v in self.pieces), default=0.0)
-
     @cached_property
     def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The pieces as read-only float arrays (t0, t1, v), built once."""

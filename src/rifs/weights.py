@@ -23,6 +23,8 @@ from .errors import DivergentIntegralError, SchemaError, WeightDomainError
 from .quadrature import integrate, integrate_to_infinity
 
 _EDGE_TOL = 1e-12
+# Relative tolerance of the quadrature behind every b != 0 piece integral.
+_REL_TOL = 1e-10
 
 
 def tail_integral_diverges(a: float, b: float) -> bool:
@@ -35,8 +37,7 @@ def origin_integral_diverges(a: float) -> bool:
     return a <= -1.0
 
 
-def power_log_integral(c: float, a: float, b: float, lo: float, hi: float,
-                       rel_tol: float = 1e-10) -> float:
+def power_log_integral(c: float, a: float, b: float, lo: float, hi: float) -> float:
     """``integral_lo^hi c t^a log(e+t)^b dt``; hi may be inf.  Returns inf on divergence."""
     if c == 0.0 or hi <= lo:
         return 0.0
@@ -62,14 +63,14 @@ def power_log_integral(c: float, a: float, b: float, lo: float, hi: float,
         def remainder(ts: np.ndarray) -> np.ndarray:
             return np.log(np.e + ts) ** b * math.e / (ts * (math.e + ts))
 
-        return c * (leading + integrate_to_infinity(remainder, lo, rel_tol=rel_tol))
+        return c * (leading + integrate_to_infinity(remainder, lo, rel_tol=_REL_TOL))
 
     def f(ts: np.ndarray) -> np.ndarray:
         return c * ts ** a * np.log(np.e + ts) ** b
 
     if math.isinf(hi):
-        return integrate_to_infinity(f, lo, rel_tol=rel_tol)
-    return integrate(f, lo, hi, rel_tol=rel_tol)
+        return integrate_to_infinity(f, lo, rel_tol=_REL_TOL)
+    return integrate(f, lo, hi, rel_tol=_REL_TOL)
 
 
 @dataclass(frozen=True)
@@ -138,42 +139,35 @@ class WeightSpec:
                 out[mask] = p.c * tm ** p.a * np.log(np.e + tm) ** p.b
         return out
 
-    def W(self, t: float, rel_tol: float = 1e-10) -> float:
-        """``W(t) = integral_0^t w``; inf when w is not integrable at 0."""
+    def integral(self, lo: float, hi: float, p: float = 0.0) -> float:
+        """``integral_lo^hi t^(-p) w(t) dt`` over the pieces meeting (lo, hi);
+        inf when it diverges."""
         total = 0.0
-        for p in self.pieces:
-            if p.t0 >= t:
+        for pc in self.pieces:
+            if pc.t0 >= hi:
                 break
-            part = power_log_integral(p.c, p.a, p.b, p.t0, min(t, p.t1), rel_tol)
-            if math.isinf(part):
-                return math.inf
-            total += part
-        return total
-
-    def W_infinity(self, rel_tol: float = 1e-10) -> float:
-        total = 0.0
-        for p in self.pieces:
-            part = power_log_integral(p.c, p.a, p.b, p.t0, p.t1, rel_tol)
-            if math.isinf(part):
-                return math.inf
-            total += part
-        return total
-
-    def wp_tail_integral(self, p_exp: float, s: float, rel_tol: float = 1e-10) -> float:
-        """``integral_s^end t^(-p) w(t) dt``; inf when the tail diverges."""
-        total = 0.0
-        for p in self.pieces:
-            if p.t1 <= s:
+            if pc.t1 <= lo:
                 continue
-            part = power_log_integral(p.c, p.a - p_exp, p.b, max(s, p.t0), p.t1, rel_tol)
+            part = power_log_integral(pc.c, pc.a - p, pc.b, max(lo, pc.t0), min(hi, pc.t1))
             if math.isinf(part):
                 return math.inf
             total += part
         return total
 
-    def Wp(self, p_exp: float, s: float, rel_tol: float = 1e-10) -> float:
+    def W(self, t: float) -> float:
+        """``W(t) = integral_0^t w``; inf when w is not integrable at 0."""
+        return self.integral(0.0, t)
+
+    def W_infinity(self) -> float:
+        return self.integral(0.0, self.domain_end)
+
+    def wp_tail_integral(self, p_exp: float, s: float) -> float:
+        """``integral_s^end t^(-p) w(t) dt``; inf when the tail diverges."""
+        return self.integral(s, self.domain_end, p_exp)
+
+    def Wp(self, p_exp: float, s: float) -> float:
         """``W_p(s) = s^p * integral_s^end t^(-p) w``; inf when divergent."""
-        tail = self.wp_tail_integral(p_exp, s, rel_tol)
+        tail = self.wp_tail_integral(p_exp, s)
         return math.inf if math.isinf(tail) else s ** p_exp * tail
 
     def origin_wp_diverges(self, p_exp: float) -> bool:

@@ -55,6 +55,13 @@ def test_exp_fundamental_function_unbounded():
     assert fundamental_limits(space)["phi_infinity_infinite"]
 
 
+def test_phi_infinity_is_one_over_a_psi_in_both_flavors():
+    # phi_Amemiya(t) <= 1/a_psi at k = a_psi and tends to it, as phi_Lux does.
+    for psi, limit in ((OrliczSpec.table([(0.5, 0.0), (1.0, 1.0)]), 2.0), (SHIFTED, 1.0)):
+        for flavor in ("luxemburg", "orlicz"):
+            assert phi_infinity(SpaceHandle.orlicz_space(psi, flavor)) == limit
+
+
 def test_a_psi_positive_iff_vanishing_region():
     for psi in (POWER1, POWER2, EXP):
         assert a_psi(psi) <= 1e-12

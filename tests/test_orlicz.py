@@ -113,6 +113,23 @@ def test_young_exp_closed_form():
         assert young_conjugate(psi, u) == pytest.approx(u * math.log(u) - u + 1.0, rel=1e-8)
 
 
+@pytest.mark.parametrize("psi,u,exact", [
+    (OrliczSpec.table([(1.0, 1.0), (2.0, 3.0)]), 1.5, 0.5),
+    (OrliczSpec.table([(1.0, 1.0), (2.0, 3.0)]), 2.0, 1.0),
+    (OrliczSpec.table([(1.0, 1.0), (2.0, 3.0)]), 2.5, math.inf),
+    (OrliczSpec.table([(1.0, 1.0), (2.0, 3.0)], inf_beyond=True), 5.0, 7.0),
+    (OrliczSpec.shifted_power(1.0, 2.0), 3.0, 5.25),
+    (OrliczSpec.shifted_power(1.0, 1.0), 0.5, 0.5),
+    (OrliczSpec.shifted_power(1.0, 1.0), 2.0, math.inf),
+    (OrliczSpec.exp_minus_one(), math.e, 1.0),
+    (OrliczSpec.exp_minus_one(), 0.5, 0.0),
+])
+def test_young_conjugate_exact_values(psi, u, exact):
+    # The sup of u v - psi(v) sits at a table breakpoint, at v = a + (u/p)^(1/(p-1))
+    # for the shifted power and at v = log u for exp - 1.
+    assert young_conjugate(psi, u) == exact
+
+
 def test_young_numeric_matches_grid_sup():
     psi = OrliczSpec.shifted_power(1.0, 2.0)
     vs = np.linspace(0.0, 50.0, 200001)
@@ -223,9 +240,10 @@ def test_orlicz_norm_beyond_last_table_point():
 @pytest.mark.parametrize("scale", [1e-200, 1e-30, 1e30, 1e200])
 def test_norms_scale_with_extreme_values(scale):
     # Both norms are homogeneous: c * chi_[0,1) has c times the norm of chi_[0,1),
-    # min_s (1 + psi(s)) / s in the Amemiya form (2, e and 2 below) and the
-    # Luxemburg norm of the power family (1 and 2^(-1/3)), with no overflow
-    # warning on the way.
+    # min_s (1 + psi(s)) / s in the Amemiya form (2, e and 2 below) and
+    # 1 / psi^(-1)(1) in the Luxemburg form (1 and 2^(1/3) for the powers,
+    # 1 / ln 2 for exp - 1, 1 for the table), with no overflow warning on the
+    # way.
     x = indicator(0, 1, scale)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -235,6 +253,10 @@ def test_norms_scale_with_extreme_values(scale):
         assert luxemburg_norm(x, OrliczSpec.power(2)) == pytest.approx(scale, rel=1e-12, abs=0.0)
         assert luxemburg_norm(x, OrliczSpec.power(3, 2.0)) == pytest.approx(
             2.0 ** (1.0 / 3.0) * scale, rel=1e-12, abs=0.0)
+        assert luxemburg_norm(x, OrliczSpec.exp_minus_one()) == pytest.approx(
+            scale / math.log(2.0), rel=1e-12, abs=0.0)
+        assert luxemburg_norm(x, OrliczSpec.table([(1.0, 1.0), (2.0, 3.0)], inf_beyond=True)) \
+            == pytest.approx(scale, rel=1e-12, abs=0.0)
 
 
 def _dual_sup_oracle(x, psi, grid_max, n_grid):

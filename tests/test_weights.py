@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from rifs import (
@@ -19,6 +20,7 @@ from rifs import (
     weight_W_infinity,
     weight_Wp,
 )
+from rifs.weights import power_log_integral
 
 INF = math.inf
 
@@ -164,3 +166,72 @@ def test_weight_json_round_trip():
     w = WeightSpec.make([(0, 1, 2.0, -0.5, 0), (1, INF, 1.0, -2.0, 1.0)])
     again = WeightSpec.from_json(w.to_json())
     assert again == w
+
+
+# ------------------------------------------- one interval integral, by reference
+
+def _W_reference(w, t):
+    total = 0.0
+    for p in w.pieces:
+        if p.t0 >= t:
+            break
+        part = power_log_integral(p.c, p.a, p.b, p.t0, min(t, p.t1))
+        if math.isinf(part):
+            return math.inf
+        total += part
+    return total
+
+
+def _W_infinity_reference(w):
+    total = 0.0
+    for p in w.pieces:
+        part = power_log_integral(p.c, p.a, p.b, p.t0, p.t1)
+        if math.isinf(part):
+            return math.inf
+        total += part
+    return total
+
+
+def _wp_tail_reference(w, p_exp, s):
+    total = 0.0
+    for p in w.pieces:
+        if p.t1 <= s:
+            continue
+        part = power_log_integral(p.c, p.a - p_exp, p.b, max(s, p.t0), p.t1)
+        if math.isinf(part):
+            return math.inf
+        total += part
+    return total
+
+
+@st.composite
+def weights_and_points(draw):
+    """A weight of 1-5 pieces on (0, 1) or (0, inf), with c = 0 pieces, log
+    pieces and a = -1 among the draws, plus points inside its domain."""
+    end = draw(st.sampled_from([1.0, INF]))
+    n = draw(st.integers(1, 5))
+    top = 1.0 if end == 1.0 else 10.0
+    cuts = draw(st.lists(st.floats(0.01, 0.99 * top), min_size=n - 1, max_size=n - 1,
+                         unique=True))
+    edges = [0.0] + sorted(cuts) + [end]
+    pieces = [(t0, t1,
+               draw(st.sampled_from([0.0, 0.5, 1.0, 2.5])),
+               draw(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.7, 1.5])),
+               draw(st.sampled_from([0.0, 0.0, -2.0, -1.0, 1.0])))
+              for t0, t1 in zip(edges, edges[1:])]
+    points = draw(st.lists(st.floats(1e-3, top), min_size=1, max_size=4)) + edges[1:-1]
+    return WeightSpec.make(pieces), points
+
+
+@settings(deadline=None, max_examples=60)
+@given(weights_and_points(), st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+def test_weight_integrals_match_per_loop_reference(drawn, p):
+    # W, W_infinity and W_p all run through WeightSpec.integral; each must give
+    # the bits of its own loop over the pieces.
+    w, points = drawn
+    assert w.W_infinity() == _W_infinity_reference(w)
+    for t in points:
+        assert w.W(t) == _W_reference(w, t)
+        tail = _wp_tail_reference(w, p, t)
+        assert w.wp_tail_integral(p, t) == tail
+        assert w.Wp(p, t) == (math.inf if math.isinf(tail) else t ** p * tail)
