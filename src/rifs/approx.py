@@ -164,6 +164,8 @@ def project_hull(x: StepFunction, A: CandidateSet, space: SpaceHandle,
     is convex (a norm composed with an affine map), so passes terminate when
     no pair improves by more than tol.
     """
+    if not tol > 0:
+        raise SchemaError("project_hull requires tol > 0")
     members = A.members
     n = len(members)
     if n > 12:

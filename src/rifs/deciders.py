@@ -22,12 +22,7 @@ import numpy as np
 from .errors import HypothesisNotMetError, SchemaError
 from .orlicz import OrliczSpec
 from .spaces import LORENTZ_GAMMA, LORENTZ_LAMBDA, ORLICZ, SpaceHandle, fundamental_function
-from .weights import (
-    WeightSpec,
-    origin_integral_diverges,
-    require_D_p,
-    tail_integral_diverges,
-)
+from .weights import WeightSpec, require_D_p, tail_integral_diverges
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -83,16 +78,16 @@ def a_psi(psi: OrliczSpec) -> float:
     return 0.0  # power and exp_minus_one are positive on (0, inf)
 
 
-def is_delta2(psi: OrliczSpec, u_range: tuple[float, float] = (1e-8, 1e8)) -> Verdict:
+def is_delta2(psi: OrliczSpec) -> Verdict:
     """Does ``psi(2u) <= K psi(u)`` hold for some K and all u?
 
-    Analytic for the named families.  For the table family only a grid scan
-    is available, and finite evidence cannot certify the universal statement,
-    so a clean scan reports ``inconclusive`` with the observed ratio bound.
+    Analytic for every family.  A table fails when psi vanishes near 0 or is
+    inf beyond its last breakpoint T.  Otherwise psi(u) and psi(2u) are both
+    linear between consecutive points of {t_i} and {t_i / 2}, so the ratio is
+    monotone there; it equals 2 near 0 and tends to 2 at infinity.  At t_i / 2
+    only psi(2u) bends, upward, so the ratio's slope jumps up and no maximum
+    sits there: K = max(2, max_i psi(2 t_i) / psi(t_i)) is exact.
     """
-    u_min, u_max = u_range
-    if not (0.0 < u_min < u_max):
-        raise SchemaError("is_delta2 needs 0 < u_min < u_max")
     if psi.family == "power":
         return Verdict(HOLDS, witness={"K": 2.0 ** psi.p},
                        probe_log={"analytic": "psi(2u) = 2^p psi(u)"})
@@ -106,22 +101,17 @@ def is_delta2(psi: OrliczSpec, u_range: tuple[float, float] = (1e-8, 1e8)) -> Ve
         ratio = psi.psi(2.0 * u) / psi.psi(u)
         return Verdict(FAILS, witness={"u": u, "ratio": ratio},
                        probe_log={"analytic": "ratio ~ exp(u) is unbounded"})
-    # table: scan
-    grid = np.geomspace(u_min, u_max, 17 * max(1, int(math.log10(u_max / u_min))) + 1)
-    observed = 0.0
-    for u, lo_val, hi_val in zip(grid, psi.psi_many(grid), psi.psi_many(2.0 * grid)):
-        if lo_val == 0.0 and hi_val > 0.0:
-            return Verdict(FAILS, witness={"u": float(u), "ratio": math.inf},
-                           probe_log={"grid": [u_min, u_max]})
-        if math.isinf(hi_val) and math.isfinite(lo_val) and lo_val > 0.0:
-            return Verdict(FAILS, witness={"u": float(u), "ratio": math.inf},
-                           probe_log={"grid": [u_min, u_max]})
-        if lo_val > 0.0 and math.isfinite(hi_val):
-            observed = max(observed, hi_val / lo_val)
-    return Verdict(INCONCLUSIVE, probe_log={
-        "observed_K": observed,
-        "exhausted": f"grid scan over [{u_min}, {u_max}]; finite evidence cannot certify",
-    })
+    a = a_psi(psi)
+    if a > 0.0:
+        return Verdict(FAILS, witness={"u": 0.75 * a, "ratio": math.inf},
+                       probe_log={"analytic": "psi(u) = 0 < psi(2u) for a_psi / 2 < u <= a_psi"})
+    ts = np.array(psi.points[1:])[:, 0]
+    if psi.inf_beyond:
+        return Verdict(FAILS, witness={"u": float(ts[-1]), "ratio": math.inf},
+                       probe_log={"analytic": "psi(2T) = inf > psi(T) at the last breakpoint T"})
+    K = max(2.0, float(np.max(psi.psi_many(2.0 * ts) / psi.psi_many(ts))))
+    return Verdict(HOLDS, witness={"K": K},
+                   probe_log={"analytic": "max of 2 and psi(2 t_i) / psi(t_i) at the t_i"})
 
 
 def is_N_at_zero(psi: OrliczSpec) -> Verdict:
@@ -140,8 +130,6 @@ def orlicz_koc_decider(psi: OrliczSpec, alpha: float) -> Verdict:
     log = {"delta2": d2.to_dict()}
     if d2.status == FAILS:
         return Verdict(FAILS, witness={"reason": "delta2", **(d2.witness or {})}, probe_log=log)
-    if d2.status == INCONCLUSIVE:
-        return Verdict(INCONCLUSIVE, probe_log={**log, "exhausted": "delta2 scan inconclusive"})
     if math.isinf(alpha):
         nz = is_N_at_zero(psi)
         log["N_at_zero"] = nz.to_dict()
@@ -157,9 +145,7 @@ def a_psi_vs_phi_infty(psi: OrliczSpec) -> Verdict:
     phi is sampled on t = 10^0 .. 10^8; a plateau is certified only when it
     reaches the analytic bound 1/a_psi, divergence only on sustained growth.
     """
-    space = SpaceHandle.orlicz_space(psi, "luxemburg", math.inf)
-    ts = [10.0 ** k for k in range(9)]
-    phis = [fundamental_function(space, t) for t in ts]
+    ts, phis = phi_decades(SpaceHandle.orlicz_space(psi, "luxemburg", math.inf))
     a = a_psi(psi)
     log = {"a_psi": a, "grid": list(zip(ts, phis))}
     if a == 0.0:
@@ -180,6 +166,12 @@ def a_psi_vs_phi_infty(psi: OrliczSpec) -> Verdict:
 
 # ---------------------------------------------------------------------------
 # L^1 embedding via the fundamental function
+
+
+def phi_decades(space: SpaceHandle) -> tuple[list[float], list[float]]:
+    """``t = 10^0 .. 10^8`` and ``phi(t)`` there: the one phi sample of the probes."""
+    ts = [10.0 ** k for k in range(9)]
+    return ts, [fundamental_function(space, t) for t in ts]
 
 
 def l1_embedding_limit(space: SpaceHandle) -> float:
@@ -217,9 +209,11 @@ def embeds_in_L1(space: SpaceHandle) -> Verdict:
     """
     if not math.isinf(space.alpha):
         raise SchemaError("embeds_in_L1 applies to alpha = inf")
-    d = l1_embedding_limit(space)
-    ts = [10.0 ** k for k in range(9)]
-    phis = [fundamental_function(space, t) for t in ts]
+    return _embedding_verdict(l1_embedding_limit(space), *phi_decades(space))
+
+
+def _embedding_verdict(d: float, ts: list[float], phis: list[float]) -> Verdict:
+    """The L^1 embedding verdict from d and a sample (ts, phis) of phi."""
     log = {
         "d_limit": d,
         "phi_over_t": [(t, phi / t) for t, phi in zip(ts, phis)],
@@ -392,7 +386,7 @@ def lambda_associate_weight(p: float, w: WeightSpec) -> WeightSpec:
     Wvals = [w.W(float(t)) for t in probe]
     if any(val == 0.0 for val in Wvals):
         raise HypothesisNotMetError("W vanishes on part of (0, inf); doubling fails")
-    doubling = max(w.W(float(2 * t)) / w.W(float(t)) for t in probe)
+    doubling = max(w.W(float(2 * t)) / val for t, val in zip(probe, Wvals))
     if not math.isfinite(doubling):
         raise HypothesisNotMetError("W(2t)/W(t) unbounded on the probe grid")
     if not math.isinf(w.W_infinity()):
@@ -447,8 +441,8 @@ def rbp_check(p: float, w: WeightSpec) -> Verdict:
         ratio = w.W(t) / denom
         if ratio > sup_ratio:
             sup_ratio, sup_t = ratio, t
-    first = w.pieces[0]
-    if first.c > 0 and origin_integral_diverges(first.a - p):
+    if w.origin_wp_diverges(p):
+        first = w.pieces[0]
         log["origin_limit"] = (p - first.a - 1.0) / (first.a + 1.0)
     A = max(sup_ratio, log.get("tail_limit", 0.0), log.get("origin_limit", 0.0))
     log["grid_sup"] = {"ratio": sup_ratio, "t": sup_t}

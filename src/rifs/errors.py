@@ -6,6 +6,8 @@ stable error JSON on stderr.
 
 from __future__ import annotations
 
+import math
+
 
 class RifsError(Exception):
     """Base class for all domain errors raised by this package."""
@@ -51,3 +53,9 @@ class HypothesisNotMetError(RifsError):
     """An operation's mathematical hypotheses fail for the given input."""
 
     code = "hypothesis-not-met"
+
+
+def require_exponent(name: str, p: float) -> None:
+    """Raise SchemaError unless 0 < p < inf (the chained test is False for NaN)."""
+    if not 0 < p < math.inf:
+        raise SchemaError(f"{name} requires 0 < p < inf")

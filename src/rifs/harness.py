@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .deciders import embeds_in_L1, l1_embedding_limit, phi_infinity
+from .deciders import _embedding_verdict, l1_embedding_limit, phi_decades, phi_infinity
 from .errors import SchemaError
 from .orlicz import OrliczSpec
 from .rearrange import distribution, equimeasurable, hlp_dominates, maximal_curve, rearrange
@@ -132,7 +132,6 @@ def run_core_suite(cfg: TrialConfig,
     ``rearrange_fn`` exists for harness self-tests: injecting a corrupted
     rearrangement must surface as a violation with a replayable witness.
     """
-    rr = rearrange_fn or rearrange
     tol = cfg.tolerance
     violations = []
 
@@ -146,7 +145,7 @@ def run_core_suite(cfg: TrialConfig,
         y2 = random_step(cfg, trial, stream=2)
         xs, ys, y2s = rearrange(x), rearrange(y), rearrange(y2)
 
-        star = rr(x)
+        star = xs if rearrange_fn is None else rearrange_fn(x)
         vals = [v for _, _, v in star.pieces]
         if any(v < 0 for v in vals) or any(a < b for a, b in zip(vals, vals[1:])):
             record(trial, "rearrange-monotone-nonneg", {"star": star.to_json()}, x)
@@ -226,10 +225,9 @@ def dukm_sequence_run(space: SpaceHandle, n_max: int) -> list[dict]:
     if not math.isinf(space.alpha):
         raise SchemaError("the chain construction needs alpha = inf")
     rows = []
-    for n in range(1, n_max + 1):
-        x_n = indicator(0.0, 2.0 * n, 1.0 / (2.0 * n))
+    chain = [indicator(0.0, 2.0 * n, 1.0 / (2.0 * n)) for n in range(1, n_max + 2)]
+    for n, (x_n, x_next) in enumerate(zip(chain, chain[1:]), start=1):
         y_n = indicator(0.0, float(n), 1.0 / n)
-        x_next = indicator(0.0, 2.0 * (n + 1), 1.0 / (2.0 * (n + 1)))
         diff = add(y_n, scale(x_n, -1.0))
         norm_diff = norm(space, diff)
         phi_ratio = fundamental_function(space, 2.0 * n) / (2.0 * n)
@@ -249,8 +247,7 @@ def fundamental_limits(space: SpaceHandle) -> dict:
     """Divergence verdicts for phi(inf) and lim phi(t)/t on [0, inf)."""
     if not math.isinf(space.alpha):
         raise SchemaError("fundamental_limits applies to alpha = inf")
-    ts = [10.0 ** k for k in range(9)]
-    phis = [fundamental_function(space, t) for t in ts]
+    ts, phis = phi_decades(space)
     pinf = phi_infinity(space)
     d = l1_embedding_limit(space)
     return {
@@ -258,7 +255,7 @@ def fundamental_limits(space: SpaceHandle) -> dict:
         "phi_infinity": pinf,
         "phi_infinity_infinite": math.isinf(pinf),
         "d_limit": d,
-        "embeds_L1": embeds_in_L1(space).to_dict(),
+        "embeds_L1": _embedding_verdict(d, ts, phis).to_dict(),
         "grid": [(t, phi, phi / t) for t, phi in zip(ts, phis)],
     }
 
@@ -284,19 +281,20 @@ def rotundity_probe(space: SpaceHandle, dim_grid: int, cfg: TrialConfig) -> Prob
     tol = cfg.tolerance
     violations = []
 
-    def try_pair(u: np.ndarray, v: np.ndarray, origin: str) -> bool:
+    def flat_pair(u: np.ndarray, v: np.ndarray):
+        """``(||u/||u|| + v/||v|| ||, u/||u||, v/||v||)``, or None when a norm is
+        0 or inf or the normalized pair is too close to count as x != y."""
         nu, nv = nrm(u), nrm(v)
         if nu <= 0 or nv <= 0 or math.isinf(nu) or math.isinf(nv):
-            return False
+            return None
         un, vn = u / nu, v / nv
         if np.max(np.abs(un - vn)) < 0.05:
-            return False
-        s = nrm(un + vn)
-        if s >= 2.0 - tol:
-            violations.append({"origin": origin, "x": un.tolist(), "y": vn.tolist(),
-                               "sum_norm": s, "seed": cfg.seed})
-            return True
-        return False
+            return None
+        return nrm(un + vn), un, vn
+
+    def record(origin: str, s: float, un: np.ndarray, vn: np.ndarray) -> None:
+        violations.append({"origin": origin, "x": un.tolist(), "y": vn.tolist(),
+                           "sum_norm": s, "seed": cfg.seed})
 
     e = np.eye(dim_grid)
     seeds = [
@@ -305,47 +303,37 @@ def rotundity_probe(space: SpaceHandle, dim_grid: int, cfg: TrialConfig) -> Prob
         (np.ones(dim_grid), e[0], "seed-full-vs-cell"),
     ]
     for u, v, tag in seeds:
-        try_pair(u, v, tag)
+        pair = flat_pair(u, v)
+        if pair is not None and pair[0] >= 2.0 - tol:
+            record(tag, *pair)
 
     best = None
     for trial in range(cfg.trials):
         if violations:
             break
         rng = _rng(cfg, trial, stream=11)
-        u = rng.uniform(-1.0, 1.0, dim_grid)
-        v = rng.uniform(-1.0, 1.0, dim_grid)
-        nu, nv = nrm(u), nrm(v)
-        if nu <= 0 or nv <= 0:
+        pair = flat_pair(rng.uniform(-1.0, 1.0, dim_grid), rng.uniform(-1.0, 1.0, dim_grid))
+        if pair is None:
             continue
-        un, vn = u / nu, v / nv
-        if np.max(np.abs(un - vn)) < 0.05:
-            continue
-        s = nrm(un + vn)
-        if s >= 2.0 - tol:
-            try_pair(u, v, f"random-trial-{trial}")
+        if pair[0] >= 2.0 - tol:
+            record(f"random-trial-{trial}", *pair)
             break
-        if best is None or s > best[0]:
-            best = (s, un, vn)
+        if best is None or pair[0] > best[0]:
+            best = pair
 
     if not violations and best is not None:
         rng = _rng(cfg, 0, stream=13)
         s, un, vn = best
         for step in range(200):
             scale_step = 0.3 * 0.98 ** step
-            cand_u = un + rng.normal(0.0, scale_step, dim_grid)
-            cand_v = vn + rng.normal(0.0, scale_step, dim_grid)
-            nu, nv = nrm(cand_u), nrm(cand_v)
-            if nu <= 0 or nv <= 0:
+            pair = flat_pair(un + rng.normal(0.0, scale_step, dim_grid),
+                             vn + rng.normal(0.0, scale_step, dim_grid))
+            if pair is None:
                 continue
-            cu, cv = cand_u / nu, cand_v / nv
-            if np.max(np.abs(cu - cv)) < 0.05:
-                continue
-            s2 = nrm(cu + cv)
-            if s2 > s:
-                s, un, vn = s2, cu, cv
+            if pair[0] > s:
+                s, un, vn = pair
             if s >= 2.0 - tol:
-                violations.append({"origin": "hill-climb", "x": un.tolist(),
-                                   "y": vn.tolist(), "sum_norm": s, "seed": cfg.seed})
+                record("hill-climb", s, un, vn)
                 break
 
     log = {"dim_grid": dim_grid, "cell_length": h,

@@ -48,16 +48,16 @@ class OrliczSpec:
 
     @classmethod
     def power(cls, p: float, coef: float = 1.0) -> "OrliczSpec":
-        if p < 1:
-            raise SchemaError("power family needs p >= 1 for convexity")
-        if coef <= 0:
-            raise SchemaError("power family needs coef > 0")
+        if not 1 <= p < math.inf:
+            raise SchemaError("power family needs 1 <= p < inf (convexity)")
+        if not 0 < coef < math.inf:
+            raise SchemaError("power family needs 0 < coef < inf")
         return cls("power", p=float(p), coef=float(coef))
 
     @classmethod
     def shifted_power(cls, shift: float, p: float) -> "OrliczSpec":
-        if shift <= 0 or p < 1:
-            raise SchemaError("shifted_power needs shift > 0 and p >= 1")
+        if not (0 < shift < math.inf and 1 <= p < math.inf):
+            raise SchemaError("shifted_power needs 0 < shift < inf and 1 <= p < inf")
         return cls("shifted_power", p=float(p), shift=float(shift))
 
     @classmethod
@@ -83,10 +83,10 @@ class OrliczSpec:
             raise SchemaError("table needs a point with t > 0")
         ts = [t for t, _ in pts]
         vs = [v for _, v in pts]
-        if any(t1 <= t0 for t0, t1 in zip(ts, ts[1:])):
-            raise SchemaError("table points must have strictly increasing t")
-        if any(v < 0 for v in vs):
-            raise SchemaError("table values must be nonnegative")
+        if not all(t0 < t1 < math.inf for t0, t1 in zip(ts, ts[1:])):
+            raise SchemaError("table points must have finite, strictly increasing t")
+        if not all(0 <= v < math.inf for v in vs):
+            raise SchemaError("table values must be finite and nonnegative")
         slopes = [(v1 - v0) / (t1 - t0) for (t0, v0), (t1, v1) in zip(pts, pts[1:])]
         if any(s1 < s0 - 1e-12 for s0, s1 in zip(slopes, slopes[1:])):
             raise SchemaError("table must be convex (nondecreasing slopes)")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergentIntegralError, SchemaError
+from .errors import DivergentIntegralError, SchemaError, require_exponent
 from .orlicz import OrliczSpec, luxemburg_norm, orlicz_norm
 from .quadrature import integrate_cells
 from .rearrange import maximal_curve, rearrange
@@ -42,8 +42,7 @@ def _require_weight_domain(w: WeightSpec, alpha: float) -> None:
 
 def lambda_norm(x: StepFunction, p: float, w: WeightSpec) -> float:
     """``( integral (x*)^p w )^(1/p)``, exact per piece of x*."""
-    if p <= 0:
-        raise SchemaError("lambda_norm requires p > 0")
+    require_exponent("lambda_norm", p)
     _require_weight_domain(w, x.alpha)
     star = rearrange(x)
     if star.is_zero:
@@ -82,8 +81,7 @@ def gamma_norm(x: StepFunction, p: float, w: WeightSpec, method: str = "auto") -
     ``method="quadrature"`` forces the adaptive path on every cell (used to
     cross-check the closed forms).
     """
-    if p <= 0:
-        raise SchemaError("gamma_norm requires p > 0")
+    require_exponent("gamma_norm", p)
     _require_weight_domain(w, x.alpha)
     require_D_p(w, p, x.alpha)
     curve = maximal_curve(x)
@@ -136,11 +134,13 @@ class SpaceHandle:
 
     @classmethod
     def lorentz_lambda(cls, p: float, w: WeightSpec, alpha: float = math.inf) -> "SpaceHandle":
+        require_exponent("lorentz_lambda", p)
         _require_weight_domain(w, alpha)
         return cls(LORENTZ_LAMBDA, float(alpha), p=float(p), weight=w)
 
     @classmethod
     def lorentz_gamma(cls, p: float, w: WeightSpec, alpha: float = math.inf) -> "SpaceHandle":
+        require_exponent("lorentz_gamma", p)
         _require_weight_domain(w, alpha)
         require_D_p(w, p, alpha)
         return cls(LORENTZ_GAMMA, float(alpha), p=float(p), weight=w)

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DivergentIntegralError, SchemaError, WeightDomainError
+from .errors import DivergentIntegralError, SchemaError, WeightDomainError, require_exponent
 from .quadrature import integrate, integrate_to_infinity
 
 _EDGE_TOL = 1e-12
@@ -95,12 +95,14 @@ class WeightSpec:
         for t0, t1, c, a, b in pieces:
             t0, c, a, b = float(t0), float(c), float(a), float(b)
             t1 = math.inf if t1 in ("inf", math.inf) else float(t1)
-            if abs(t0 - cursor) > _EDGE_TOL * max(1.0, cursor):
+            if not abs(t0 - cursor) <= _EDGE_TOL * max(1.0, cursor):
                 raise SchemaError("weight pieces must partition (0, end) contiguously")
-            if t1 <= t0:
+            if not t0 < t1:
                 raise SchemaError("weight piece must have t1 > t0")
-            if c < 0:
-                raise SchemaError("weight pieces must be nonnegative (c >= 0)")
+            if not 0 <= c < math.inf:
+                raise SchemaError("weight pieces need a finite c >= 0")
+            if not (math.isfinite(a) and math.isfinite(b)):
+                raise SchemaError("weight exponents a and b must be finite")
             built.append(WeightPiece(cursor, t1, c, a, b))
             cursor = t1
         if not built:
@@ -219,8 +221,7 @@ def weight_W_infinity(w: WeightSpec) -> float:
 
 def weight_Wp(w: WeightSpec, p: float, s: float) -> float:
     """W_p(s); raises DivergentIntegralError when the defining integral diverges."""
-    if p <= 0:
-        raise SchemaError("weight_Wp requires p > 0")
+    require_exponent("weight_Wp", p)
     if not (0.0 < s < w.domain_end) and not (s == w.domain_end == 1.0):
         raise SchemaError(f"s={s} outside weight domain (0, {w.domain_end})")
     out = w.Wp(p, s)
@@ -233,8 +234,7 @@ def weight_Wp(w: WeightSpec, p: float, s: float) -> float:
 
 def in_D_p(w: WeightSpec, p: float, alpha: float) -> bool:
     """Class D_p: W(s) and W_p(s) finite on (0, 1] if alpha = 1, on (0, inf) otherwise."""
-    if p <= 0:
-        raise SchemaError("in_D_p requires p > 0")
+    require_exponent("in_D_p", p)
     first = w.pieces[0]
     if first.c > 0 and origin_integral_diverges(first.a):
         return False

@@ -16,6 +16,7 @@ from rifs import (
     SpaceHandle,
     StepFunction,
     TrialConfig,
+    WeightSpec,
     add,
     dominated_projection_experiment,
     indicator,
@@ -136,7 +137,9 @@ def test_hull_matches_grid_search_oracle():
                                 indicator(0.5, 1.5, 1.0)]),
     ]
     spaces = [L2, SpaceHandle.orlicz_space(OrliczSpec.exp_minus_one()),
-              SpaceHandle.orlicz_space(OrliczSpec.power(3), flavor="orlicz")]
+              SpaceHandle.orlicz_space(OrliczSpec.power(3), flavor="orlicz"),
+              SpaceHandle.lorentz_lambda(2.0, WeightSpec.power(-0.5)),
+              SpaceHandle.lorentz_gamma(2.0, WeightSpec.power(-0.5))]
     for space in spaces:
         for x, members in instances:
             r = project_hull(x, _members(*members, hull=True), space)

@@ -191,6 +191,14 @@ def test_distinct_error_code_for_weight_domain(runner):
     assert json.loads(res.stderr)["error"] == "weight-domain"
 
 
+def test_nan_exponent_is_a_schema_error(runner):
+    space = json.dumps({"kind": "lorentz_gamma", "alpha": "inf", "p": math.nan,
+                        "weight": json.loads(W_HALF)})
+    res = runner.invoke(main, ["norm", "--space", space, "--in", CHI01])
+    assert res.exit_code == 1
+    assert json.loads(res.stderr)["error"] == "schema"
+
+
 def test_usage_error_exit_code(runner):
     assert runner.invoke(main, ["check", "nonsense"]).exit_code == 2
     assert runner.invoke(main, ["norm"]).exit_code == 2

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rifs import (
     HypothesisNotMetError,
@@ -87,11 +88,50 @@ def test_delta2_shifted_power_fails_near_zero_set():
     assert v.status == "fails" and v.witness["ratio"] > 1e6
 
 
-def test_delta2_table_never_unqualified_holds():
-    v = is_delta2(OrliczSpec.table([(1.0, 1.0), (10.0, 30.0)]), u_range=(0.1, 10.0))
-    assert v.status == "inconclusive"
-    assert v.probe_log["observed_K"] >= 2.0
-    assert "exhausted" in v.probe_log
+def test_delta2_table_holds_with_exact_K():
+    # psi(2u)/psi(u) peaks at u = 1: psi(2) = 1 + 29/9.
+    v = is_delta2(OrliczSpec.table([(1.0, 1.0), (10.0, 30.0)]))
+    assert v.status == "holds"
+    assert v.witness["K"] == pytest.approx(38.0 / 9.0, rel=1e-12)
+
+
+# Dyadic gaps and slopes keep every breakpoint value exact, so the table's
+# own convexity check sees the slopes that were drawn.
+convex_tables = st.tuples(
+    st.lists(st.integers(1, 1600).map(lambda k: k / 16), min_size=1, max_size=6),  # gaps
+    st.integers(1, 1600).map(lambda k: k / 16),                                # first slope
+    st.lists(st.integers(0, 40).map(lambda k: k / 4), min_size=5, max_size=5),  # increments
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(convex_tables)
+def test_delta2_table_K_is_the_dense_grid_supremum(spec):
+    gaps, slope, increments = spec
+    points, t, v = [], 0.0, 0.0
+    for gap, inc in zip(gaps, [0.0] + increments):
+        slope += inc
+        t, v = t + gap, v + slope * gap
+        points.append((t, v))
+    psi = OrliczSpec.table(points)
+    K = is_delta2(psi).witness["K"]
+    grid = np.geomspace(1e-6, 1e6, 200_001)
+    ts = np.array([t for t, _ in points])
+    candidates = np.concatenate([ts, 0.5 * ts])
+    grid_ratio = psi.psi_many(2.0 * grid) / psi.psi_many(grid)
+    cand_ratio = psi.psi_many(2.0 * candidates) / psi.psi_many(candidates)
+    assert K >= grid_ratio.max() * (1.0 - 1e-12)
+    assert K == pytest.approx(max(grid_ratio.max(), cand_ratio.max()), rel=1e-12)
+
+
+@pytest.mark.parametrize("psi, u", [
+    (OrliczSpec.table([(1.0, 0.0), (2.0, 5.0)]), 0.75),  # 0.75 a_psi
+    (OrliczSpec.table([(1.0, 1.0), (2.0, 3.0), (4.0, 10.0)], inf_beyond=True), 4.0),  # T
+])
+def test_delta2_table_failure_witness(psi, u):
+    v = is_delta2(psi)
+    assert v.status == "fails"
+    assert v.witness == {"u": u, "ratio": INF}
 
 
 def test_delta2_table_with_zero_region_fails():
@@ -140,9 +180,9 @@ def test_koc_shifted_fails_via_delta2():
     assert v.status == "fails" and v.witness["reason"] == "delta2"
 
 
-def test_koc_inconclusive_propagates_from_table():
+def test_koc_decided_for_table():
     v = orlicz_koc_decider(OrliczSpec.table([(1.0, 1.0), (5.0, 9.0)]), 1.0)
-    assert v.status == "inconclusive"
+    assert v.status == "holds"
 
 
 # -------------------------------------------------------- a_psi vs phi(inf)
