@@ -64,18 +64,8 @@ class Verdict:
 
 
 def a_psi(psi: OrliczSpec) -> float:
-    """``sup { t > 0 : psi(t) = 0 }``; analytic for every family."""
-    if psi.family == "shifted_power":
-        return psi.shift
-    if psi.family == "table":
-        last_zero = 0.0
-        for t, v in psi.points:
-            if v == 0.0:
-                last_zero = t
-            else:
-                break
-        return last_zero
-    return 0.0  # power and exp_minus_one are positive on (0, inf)
+    """``sup { t > 0 : psi(t) = 0 }``, which is psi^-1(0)."""
+    return float(psi.psi_inverse_many(0.0))
 
 
 def is_delta2(psi: OrliczSpec) -> Verdict:

@@ -59,3 +59,9 @@ def require_exponent(name: str, p: float) -> None:
     """Raise SchemaError unless 0 < p < inf (the chained test is False for NaN)."""
     if not 0 < p < math.inf:
         raise SchemaError(f"{name} requires 0 < p < inf")
+
+
+def require_alpha(alpha: float) -> None:
+    """Raise SchemaError unless the domain end alpha is 1 or inf."""
+    if alpha not in (1.0, math.inf):
+        raise SchemaError("alpha must be 1 or inf")

@@ -37,10 +37,12 @@ class TrialConfig:
     def __post_init__(self):
         if self.trials < 1 or self.max_pieces < 1:
             raise SchemaError("trials and max_pieces must be >= 1")
-        if not (0 < self.value_range[0] < self.value_range[1]):
-            raise SchemaError("value_range must be a positive interval")
-        if not (0 < self.length_range[0] < self.length_range[1]):
-            raise SchemaError("length_range must be a positive interval")
+        if not (0 < self.value_range[0] < self.value_range[1] < math.inf):
+            raise SchemaError("value_range must be a finite positive interval")
+        if not (0 < self.length_range[0] < self.length_range[1] < math.inf):
+            raise SchemaError("length_range must be a finite positive interval")
+        if not 0 <= self.tolerance < math.inf:
+            raise SchemaError("tolerance must be finite and nonnegative")
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,10 @@ Every family is even, convex, continuous, vanishes at zero and tends to
 infinity; construction validates this on the parameters.
 
 ``OrliczSpec.psi_many`` is the one implementation of psi (the scalar ``psi``
-calls it), and ``OrliczSpec.slope_at_zero`` gives lim psi(s)/s at 0.  The
-modular and both norms reduce a step function to its cells, a pair of arrays
-(widths, |values|), and evaluate there.
+calls it), ``psi_inverse_many`` the one of its level sets, and
+``slope_at_zero`` gives lim psi(s)/s at 0.  The modular and both norms
+reduce a step function to its cells, a pair of arrays (widths, |values|),
+and evaluate there.
 """
 
 from __future__ import annotations
@@ -71,10 +72,11 @@ class OrliczSpec:
 
         (0, 0) is prepended unless given, and at least one point with t > 0
         must follow it. The t must be strictly increasing, the values
-        nonnegative, and the slopes nondecreasing (convexity; `inf_beyond`
-        does not lift this). A table whose final slope is not positive (under
-        convexity, only an all-zero table) does not tend to infinity and
-        needs `inf_beyond`. Any breach raises `SchemaError`.
+        nonnegative, and the slopes nondecreasing up to a relative 1e-9
+        (convexity; `inf_beyond` does not lift this). A table whose final
+        slope is not positive (under convexity, only an all-zero table) does
+        not tend to infinity and needs `inf_beyond`. Any breach raises
+        `SchemaError`.
         """
         pts = tuple((float(t), float(v)) for t, v in points)
         if not pts or pts[0] != (0.0, 0.0):
@@ -88,7 +90,8 @@ class OrliczSpec:
         if not all(0 <= v < math.inf for v in vs):
             raise SchemaError("table values must be finite and nonnegative")
         slopes = [(v1 - v0) / (t1 - t0) for (t0, v0), (t1, v1) in zip(pts, pts[1:])]
-        if any(s1 < s0 - 1e-12 for s0, s1 in zip(slopes, slopes[1:])):
+        # Relative: a slope recomputed from rounded points errs with its scale.
+        if any(s1 < s0 - 1e-9 * s0 for s0, s1 in zip(slopes, slopes[1:])):
             raise SchemaError("table must be convex (nondecreasing slopes)")
         if not inf_beyond and slopes[-1] <= 0:
             raise SchemaError(
@@ -134,6 +137,23 @@ class OrliczSpec:
             beyond = math.inf if self.inf_beyond else vs[-1] + last_slope * (us - ts[-1])
             return np.where(us <= ts[-1], np.interp(us, ts, vs), beyond)
 
+    def psi_inverse_many(self, us: np.ndarray) -> np.ndarray:
+        """``sup { t >= 0 : psi(t) <= u }`` for every u >= 0 in ``us``: psi^-1(0)
+        is a_psi, psi^-1(inf) is T for an inf_beyond table, else inf."""
+        us = np.asarray(us, dtype=float)
+        with np.errstate(over="ignore"):
+            if self.family == "power":
+                return (us / self.coef) ** (1.0 / self.p)
+            if self.family == "shifted_power":
+                return self.shift + us ** (1.0 / self.p)
+            if self.family == "exp_minus_one":
+                return np.log1p(us)
+            # psi is strictly increasing from its last zero point on.
+            ts, vs, last_slope = self._table
+            k = int(np.flatnonzero(vs == 0.0)[-1])
+            beyond = ts[-1] if self.inf_beyond else ts[-1] + (us - vs[-1]) / last_slope
+            return np.where(us <= vs[-1], np.interp(us, vs[k:], ts[k:]), beyond)
+
     def to_json(self) -> dict:
         params: dict = {}
         if self.family == "power":
@@ -165,8 +185,10 @@ class OrliczSpec:
 
 def young_conjugate(psi: OrliczSpec, u: float) -> float:
     """``sup_(v>0) { |u| v - psi(v) }``, in closed form per family; inf when
-    the supremum diverges."""
+    the supremum diverges.  u must be finite."""
     u = abs(u)
+    if not u < math.inf:
+        raise SchemaError("young_conjugate needs a finite u")
     if u == 0.0:
         return 0.0
     if psi.family == "power":
@@ -207,16 +229,16 @@ def _norm_on_cells(widths: np.ndarray, mags: np.ndarray, psi: OrliczSpec,
     ``widths[i]``; 0 for the zero function.
 
     Luxemburg: ``inf { lam > 0 : rho(x / lam) <= 1 }``, in closed form for the
-    power family and otherwise by bisection in sigma = lam / sup|x|, to a
-    relative width of 1e-13.  The map lam -> rho(x/lam) is nonincreasing; at
-    a modular jump (non-finite psi) the upper bracket is returned, i.e. the
-    inf over the closed sublevel set.
+    power family and otherwise by one bisection in sigma = lam / sup|x| on a
+    bracket from psi^-1, to a relative width of 1e-13; exact (a point bracket)
+    when |x| takes one value.  At a modular jump (non-finite psi) the upper
+    bracket is returned, i.e. the inf over the closed sublevel set.
 
     Amemiya: ``inf_(k>0) (1 + rho(k x)) / k``.  The objective is unimodal in k
     (rho is convex with rho(0) = 0), so an expanding bracket plus golden
     section converges; tolerance 1e-9.  The search runs in s = k sup|x|, so
     the bracket starts at k = 1 / sup|x| whatever the scale of x, clamped to
-    psi's effective domain (s <= T when psi = inf beyond T).
+    psi's finite domain, s <= psi^-1(inf).
     """
     if flavor == "luxemburg" and psi.family == "power":
         # Inline rather than through psi_many: its errstate guard costs as much
@@ -235,31 +257,20 @@ def _norm_on_cells(widths: np.ndarray, mags: np.ndarray, psi: OrliczSpec,
     top = float(mags.max())
     unit = mags / top
     if flavor == "luxemburg":
-        # Homogeneity: ||x|| = top * sigma with rho(unit / sigma) = 1, so the
-        # search and its stopping rule are relative to sup|x|.
+        # Homogeneity: ||x|| = top * sigma with rho(unit / sigma) = 1.  As
+        # w_peak psi(1/sigma) <= rho(unit / sigma) <= w_total psi(1/sigma),
+        # sigma lies in [1 / psi^-1(1 / w_peak), 1 / psi^-1(1 / w_total)].
         def rho(sigma: float) -> float:
             return _modular(widths, unit / sigma, psi)
 
-        hi = 1.0
-        for _ in range(200):
-            if rho(hi) <= 1.0:
-                break
-            hi *= 2.0
-        else:
-            raise SchemaError("luxemburg norm: modular never drops to 1")
-        lo = hi
-        while rho(lo / 2.0) <= 1.0:
-            lo /= 2.0
-            if lo < 1e-150:
-                return 0.0  # modular stays below 1 for every positive scale
-        return top * bisect_level(rho, lo / 2.0, hi)
+        levels = np.array([1.0 / widths[unit == 1.0].sum(), 1.0 / widths.sum()])
+        lo, hi = 1.0 / psi.psi_inverse_many(levels)
+        return top * bisect_level(rho, lo, hi)
 
     def h(s: float) -> float:  # the Amemiya objective at k = s / top, over top
-        if s <= 0:
-            return math.inf
         return (1.0 + _modular(widths, s * unit, psi)) / s
 
-    s_lo = s_hi = 1.0 if psi.finite_valued else min(1.0, psi.points[-1][0])
+    s_lo = s_hi = min(1.0, float(psi.psi_inverse_many(math.inf)))
     for _ in range(80):
         if h(s_lo / 2.0) >= h(s_lo):
             break

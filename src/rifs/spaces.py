@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergentIntegralError, SchemaError, require_exponent
+from .errors import DivergentIntegralError, SchemaError, require_alpha, require_exponent
 from .orlicz import OrliczSpec, luxemburg_norm, orlicz_norm
 from .quadrature import integrate_cells
 from .rearrange import maximal_curve, rearrange
@@ -131,6 +131,9 @@ class SpaceHandle:
     weight: WeightSpec | None = None
     orlicz: OrliczSpec | None = None
     flavor: str | None = None
+
+    def __post_init__(self):
+        require_alpha(self.alpha)
 
     @classmethod
     def lorentz_lambda(cls, p: float, w: WeightSpec, alpha: float = math.inf) -> "SpaceHandle":

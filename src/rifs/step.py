@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import SchemaError, require_alpha
 
 MERGE_TOL = 1e-12
 
@@ -151,8 +151,7 @@ class StepFunction:
     @classmethod
     def make(cls, pieces: Iterable[Sequence[float]], alpha: float = math.inf) -> "StepFunction":
         alpha = float(alpha)
-        if alpha not in (1.0, math.inf):
-            raise SchemaError("alpha must be 1 or inf")
+        require_alpha(alpha)
         return cls(alpha, _canonical(pieces, alpha))
 
     @classmethod

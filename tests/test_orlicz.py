@@ -7,15 +7,19 @@ version of the dual-pairing supremum, which is an independent lower bound.
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rifs import (
     OrliczSpec,
     SchemaError,
+    SpaceHandle,
     StepFunction,
     TrialConfig,
+    fundamental_function,
     indicator,
     luxemburg_norm,
     modular,
@@ -49,6 +53,17 @@ def test_table_must_tend_to_infinity():
     # inf_beyond does not lift the convexity check: slopes 1 then 0.
     with pytest.raises(SchemaError, match="convex"):
         OrliczSpec.table([(1.0, 1.0), (2.0, 1.0)], inf_beyond=True)
+
+
+def test_table_convexity_check_is_relative_to_the_slopes():
+    # Slope 3 on both segments; recomputed from the rounded points the second
+    # is 3 - 1.4e-12, below an absolute 1e-12 but not a relative 1e-9.
+    psi = OrliczSpec.table([(64.0, 192.0), (64.01, 192.03)])
+    assert psi.psi(32.0) == 96.0
+    with pytest.raises(SchemaError, match="convex"):
+        OrliczSpec.table([(64.0, 192.0), (64.01, 192.0299)])  # slope 2.99
+    with pytest.raises(SchemaError, match="convex"):
+        OrliczSpec.table([(1e-6, 1e-6), (2e-6, 1.9e-6)])  # slopes 1 then 0.9
 
 
 def test_table_needs_a_point_beyond_the_origin():
@@ -300,3 +315,176 @@ def test_orlicz_json_round_trip():
                 OrliczSpec.exp_minus_one(),
                 OrliczSpec.table([(1.0, 0.0), (2.0, 1.0)], inf_beyond=True)):
         assert OrliczSpec.from_json(psi.to_json()) == psi
+
+
+# ------------------------------------------------------------------ psi^-1
+
+@st.composite
+def dyadic_tables(draw):
+    """Convex dyadic table points, possibly with a zero region, and inf_beyond.
+
+    Returns (points, inf_beyond).  Dyadic gaps and slopes keep every value
+    exact; an all-zero table comes with inf_beyond, as the constructor needs.
+    """
+    gaps = draw(st.lists(st.integers(1, 64).map(lambda k: k / 8), min_size=1, max_size=5))
+    inf_beyond = draw(st.booleans())
+    zeros = draw(st.integers(0, len(gaps) if inf_beyond else len(gaps) - 1))
+    slope = draw(st.integers(1, 64).map(lambda k: k / 8))
+    points, t, v = [], 0.0, 0.0
+    for i, gap in enumerate(gaps):
+        if i > zeros:
+            slope += draw(st.integers(0, 32).map(lambda k: k / 4))
+        t, v = t + gap, v + (slope * gap if i >= zeros else 0.0)
+        points.append((t, v))
+    return points, inf_beyond
+
+
+orlicz_specs = st.one_of(
+    st.builds(OrliczSpec.power, st.floats(1.0, 6.0), st.floats(0.1, 10.0)),
+    st.builds(OrliczSpec.shifted_power, st.floats(0.1, 5.0), st.floats(1.0, 6.0)),
+    st.just(OrliczSpec.exp_minus_one()),
+    dyadic_tables().map(lambda spec: OrliczSpec.table(*spec)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(orlicz_specs, st.one_of(st.just(0.0), st.floats(0.0, 1e6, allow_subnormal=False)))
+def test_psi_inverse_is_the_top_of_the_sublevel_set(psi, u):
+    t = float(psi.psi_inverse_many(u))
+    # psi(t) <= u up to the rounding of t, and psi exceeds u just above t.
+    assert psi.psi(t * (1.0 - 1e-12)) <= u
+    assert psi.psi(t * (1.0 + 1e-12) if t > 0.0 else 1e-12) > u
+
+
+@settings(max_examples=100, deadline=None)
+@given(dyadic_tables())
+def test_psi_inverse_at_zero_and_infinity_for_tables(spec):
+    points, inf_beyond = spec
+    psi = OrliczSpec.table(points, inf_beyond)
+    last_zero = max([0.0] + [t for t, v in points if v == 0.0])
+    assert psi.psi_inverse_many(0.0) == last_zero
+    assert psi.psi_inverse_many(math.inf) == (points[-1][0] if inf_beyond else math.inf)
+
+
+def test_psi_inverse_at_zero_and_infinity_per_family():
+    assert OrliczSpec.power(2).psi_inverse_many(0.0) == 0.0
+    assert OrliczSpec.shifted_power(1.0, 2.0).psi_inverse_many(0.0) == 1.0
+    assert OrliczSpec.exp_minus_one().psi_inverse_many(0.0) == 0.0
+    assert OrliczSpec.table([(1.0, 0.0), (2.0, 0.0), (3.0, 1.0)]).psi_inverse_many(0.0) == 2.0
+    for psi in (OrliczSpec.power(2), OrliczSpec.shifted_power(1.0, 2.0),
+                OrliczSpec.exp_minus_one(), OrliczSpec.table([(1.0, 1.0)])):
+        assert psi.psi_inverse_many(math.inf) == math.inf
+    assert OrliczSpec.table([(1.0, 1.0), (4.0, 10.0)], inf_beyond=True).psi_inverse_many(math.inf) == 4.0
+
+
+BISECTED_FAMILIES = {
+    "shifted_power": OrliczSpec.shifted_power(1.0, 2.0),
+    "exp_minus_one": OrliczSpec.exp_minus_one(),
+    "table": OrliczSpec.table([(1.0, 1.0), (2.0, 3.0), (4.0, 10.0)]),
+    "table-zero-region": OrliczSpec.table([(1.0, 0.0), (2.0, 0.0), (3.0, 1.0), (5.0, 6.0)]),
+    "table-inf-beyond": OrliczSpec.table([(1.0, 1.0), (2.0, 3.0), (4.0, 10.0)], inf_beyond=True),
+    "table-all-zero": OrliczSpec.table([(2.0, 0.0)], inf_beyond=True),
+}
+
+
+@pytest.mark.parametrize("t", [10.0 ** k for k in range(-3, 9)])
+@pytest.mark.parametrize("psi", BISECTED_FAMILIES.values(), ids=BISECTED_FAMILIES.keys())
+def test_luxemburg_fundamental_function_is_exactly_one_over_psi_inverse(psi, t):
+    # One magnitude closes the bracket: no bisection step, no rounding beyond
+    # that of 1 / psi^-1(1/t).
+    phi = fundamental_function(SpaceHandle.orlicz_space(psi), t)
+    assert phi == 1.0 / float(psi.psi_inverse_many(1.0 / t))
+
+
+def test_luxemburg_fundamental_function_exp_at_one_is_one_over_log_two():
+    phi = fundamental_function(SpaceHandle.orlicz_space(OrliczSpec.exp_minus_one()), 1.0)
+    assert phi == 1.0 / math.log(2.0)
+
+
+# ------------------------------------------------- rational Luxemburg oracle
+
+def _rational_luxemburg(points, inf_beyond, cells) -> Fraction:
+    """Exact Luxemburg norm of a step function with cells (width, |value|).
+
+    The floats are exact rationals and rho(s |x|) = sum w psi(s m) is
+    piecewise linear in s with kinks at t_j / m, so 1 / sup { s : rho <= 1 }
+    is found on the segment between kinks where rho crosses 1.
+    """
+    pts = [(Fraction(0), Fraction(0))] + [(Fraction(t), Fraction(v)) for t, v in points]
+    big_t = pts[-1][0]
+    last_slope = (pts[-1][1] - pts[-2][1]) / (pts[-1][0] - pts[-2][0])
+    cells = [(Fraction(w), Fraction(m)) for w, m in cells]
+
+    def psi(u):
+        if u > big_t:
+            return pts[-1][1] + last_slope * (u - big_t)
+        for (t0, v0), (t1, v1) in zip(pts, pts[1:]):
+            if u <= t1:
+                return v0 + (v1 - v0) * (u - t0) / (t1 - t0)
+
+    def rho(s):
+        return sum(w * psi(s * m) for w, m in cells)
+
+    s_end = big_t / max(m for _, m in cells)  # rho = inf beyond it if inf_beyond
+    kinks = sorted({t / m for t, _ in pts[1:] for _, m in cells} | {s_end})
+    if inf_beyond:
+        kinks = [s for s in kinks if s <= s_end]
+    else:  # linear beyond the last kink: extend until rho passes 1
+        while rho(kinks[-1]) < 1:
+            kinks.append(2 * kinks[-1])
+    s0, r0 = Fraction(0), Fraction(0)
+    for s1 in kinks:
+        r1 = rho(s1)
+        if r1 >= 1:
+            return 1 / (s0 + (1 - r0) * (s1 - s0) / (r1 - r0))
+        s0, r0 = s1, r1
+    return 1 / s0  # inf_beyond and rho(s_end) < 1: the sup-norm constraint binds
+
+
+dyadic_cells = st.lists(st.tuples(st.integers(1, 32).map(lambda k: k / 8),
+                                  st.integers(-32, 32).filter(bool).map(lambda k: k / 8)),
+                        min_size=1, max_size=8)
+
+
+def _contiguous(cells) -> StepFunction:
+    pieces, t = [], 0.0
+    for width, value in cells:
+        pieces.append((t, t + width, value))
+        t += width
+    return StepFunction.make(pieces)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dyadic_tables(), dyadic_cells)
+def test_luxemburg_table_matches_rational_oracle(spec, cells):
+    points, inf_beyond = spec
+    psi = OrliczSpec.table(points, inf_beyond)
+    exact = _rational_luxemburg(points, inf_beyond, [(w, abs(v)) for w, v in cells])
+    got = luxemburg_norm(_contiguous(cells), psi)
+    assert abs(Fraction(got) - exact) <= Fraction(1e-12) * exact
+
+
+@settings(max_examples=200, deadline=None)
+@given(dyadic_tables(), dyadic_cells, st.integers(1, 32).map(lambda k: k / 8))
+def test_luxemburg_table_one_magnitude_is_the_closed_form(spec, cells, m):
+    # |x| = m on the whole support: the bracket is a point, so the norm is
+    # m / psi^-1(1 / width) with no bisection, within a few ulps of the oracle.
+    points, inf_beyond = spec
+    psi = OrliczSpec.table(points, inf_beyond)
+    width = sum(w for w, _ in cells)
+    exact = _rational_luxemburg(points, inf_beyond, [(width, m)])
+    got = luxemburg_norm(_contiguous([(w, math.copysign(m, v)) for w, v in cells]), psi)
+    assert got == m * (1.0 / float(psi.psi_inverse_many(1.0 / width)))
+    assert abs(Fraction(got) - exact) <= Fraction(2.0 ** -50) * exact
+
+
+@pytest.mark.parametrize("points, inf_beyond, m, width", [
+    ([(1.0, 1.0), (2.0, 4.0), (4.0, 16.0)], False, 3.0, 1.0),     # psi^-1(1) = 1
+    ([(1.0, 1.0), (2.0, 4.0), (4.0, 16.0)], False, 3.0, 0.25),    # psi^-1(4) = 2
+    ([(1.0, 1.0), (2.0, 4.0), (4.0, 16.0)], False, 5.0, 0.0625),  # psi^-1(16) = 4
+    ([(1.0, 1.0), (2.0, 4.0), (4.0, 16.0)], True, 5.0, 0.03125),  # capped at T = 4
+    ([(1.0, 0.0), (2.0, 1.0)], False, 0.75, 1.0),                 # psi^-1(1) = 2
+])
+def test_luxemburg_table_one_magnitude_matches_oracle_exactly(points, inf_beyond, m, width):
+    got = luxemburg_norm(indicator(0.0, width, m), OrliczSpec.table(points, inf_beyond))
+    assert Fraction(got) == _rational_luxemburg(points, inf_beyond, [(width, m)])

@@ -1,6 +1,7 @@
-"""Parameter validation: a NaN or infinite parameter raises SchemaError where
-it enters (constructors and raw-parameter entry points), instead of becoming
-a silent NaN or inf result or a non-rifs exception."""
+"""Parameter validation: a NaN, infinite or out-of-range parameter raises
+SchemaError where it enters (constructors and raw-parameter entry points),
+instead of becoming a silent NaN or inf result, a probe that finds nothing,
+or a non-rifs exception."""
 
 import math
 
@@ -12,6 +13,7 @@ from rifs import (
     SchemaError,
     SpaceHandle,
     StepFunction,
+    TrialConfig,
     WeightSpec,
     gamma_norm,
     in_D_p,
@@ -21,6 +23,7 @@ from rifs import (
     norm,
     project_hull,
     weight_Wp,
+    young_conjugate,
 )
 
 NAN, INF = math.nan, math.inf
@@ -46,6 +49,16 @@ ROWS = {
         StepFunction.zero(),
         CandidateSet.make([indicator(0, 1), indicator(1, 2)], hull=True),
         SpaceHandle.orlicz_space(OrliczSpec.power(2)), tol=NAN),
+    "trial-tolerance-nan": lambda: TrialConfig(tolerance=NAN),
+    "trial-tolerance-negative": lambda: TrialConfig(tolerance=-1.0),
+    "trial-value-range-inf": lambda: TrialConfig(value_range=(0.1, INF)),
+    "trial-length-range-inf": lambda: TrialConfig(length_range=(0.05, INF)),
+    "orlicz-space-alpha-nan": lambda: SpaceHandle.orlicz_space(OrliczSpec.power(2), alpha=NAN),
+    "orlicz-space-alpha-2": lambda: SpaceHandle.orlicz_space(OrliczSpec.power(2), alpha=2.0),
+    "lambda-space-alpha-2": lambda: SpaceHandle.lorentz_lambda(
+        2, WeightSpec.make([(0, 2, 1, -0.5, 0)]), alpha=2.0),
+    "young-conjugate-nan-power": lambda: young_conjugate(OrliczSpec.power(2), NAN),
+    "young-conjugate-nan-table": lambda: young_conjugate(OrliczSpec.table([(1, 1), (2, 3)]), NAN),
 }
 
 
