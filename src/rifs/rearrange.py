@@ -81,7 +81,7 @@ class MaximalCurve:
         return self.coeffs[-1][0]
 
     def eval(self, t: float) -> float:
-        if t <= 0:
+        if not t > 0:
             raise SchemaError("x** is defined for t > 0")
         k = bisect_left(self.breakpoints, t) - 1
         k = min(max(k, 0), len(self.coeffs) - 1)

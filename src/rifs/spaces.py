@@ -1,20 +1,23 @@
 """Norm evaluators for the Lorentz spaces built from x* and x**, Orlicz norms,
 and fundamental functions, all behind a tagged :class:`SpaceHandle`.
 
-The Lorentz norm over x* is exact: the integrand is a constant power times
-the weight on each piece, so the analytic antiderivatives of the weight
-algebra apply.  The norm over x** integrates ``(B + A/t)^p w(t)`` per
-refinement cell: in closed form for integer p with pure-power pieces, by
-adaptive quadrature (relative tolerance 1e-9 per cell, all cells of one norm
-in one batched ``integrate_cells`` call) otherwise, plus the analytic
-tail ``A^p integral t^(-p) w`` beyond the support, convergent exactly when
-the weight lies in D_p.
+Both Lorentz norms come from one forward walk over the pieces of x* and the
+weight pieces.  On each piece of x* the integrand is ``(B + A/t)^p w(t)``:
+A = 0, B = 1 over x* (the result is then scaled by (x*)^p), and
+``x** = B + A/t`` over x**.  A piece is cut into cells at the weight-piece
+starts inside it.  On a pure-power weight piece a cell is exact when A = 0,
+or for integer p up to 12 through the binomial expansion; each antiderivative
+``c t^e / e`` (``c log t`` for e = 0) is evaluated once per cut and is the
+next cell's lower value.  A log piece with A = 0 is one ``power_log_integral``
+call.  Every other cell goes to one batched ``integrate_cells`` call at
+relative tolerance 1e-9 per cell.  Beyond the support the norm over x** adds
+the analytic tail ``A^p integral t^(-p) w``, convergent exactly when the
+weight lies in D_p.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,11 +25,14 @@ import numpy as np
 from .errors import DivergentIntegralError, SchemaError, require_alpha, require_exponent
 from .orlicz import OrliczSpec, luxemburg_norm, orlicz_norm
 from .quadrature import integrate_cells
-from .rearrange import maximal_curve, rearrange
+from .rearrange import rearrange
 from .step import StepFunction, indicator
 from .weights import WeightSpec, power_log_integral, require_D_p
 
 GAMMA_REL_TOL = 1e-9
+# The terms (C(n, j), n - j, j) of the binomial expansion of (B + A/t)^n for
+# each integer exponent n up to 12, those taken in closed form.
+_BINOMIAL = {n: [(math.comb(n, j), n - j, j) for j in range(n + 1)] for n in range(1, 13)}
 
 LORENTZ_LAMBDA = "lorentz_lambda"
 LORENTZ_GAMMA = "lorentz_gamma"
@@ -40,39 +46,112 @@ def _require_weight_domain(w: WeightSpec, alpha: float) -> None:
         )
 
 
+def _lorentz_integral(star, w: WeightSpec, p: float, over_curve: bool,
+                      quadrature: bool = False) -> tuple[float, float]:
+    """``integral (x*)^p w`` (with ``over_curve``, ``integral (x**)^p w``)
+    over the support of x*, from the pieces ``star`` of x*, and the mass of x*.
+
+    Each piece (t0, t1, v) of x* gives one segment where the integrand is
+    ``(B + A/t)^p w(t)``.  Over x* the segment is (t0, t1) with A = 0, B = 1,
+    and the integrals of its cells add up to its weight integral, scaled by
+    v^p.  Over x** it runs from the previous piece's end to t1 with B = v and
+    A = (mass before the piece) - v t0, as in ``maximal_curve``, and all cells
+    add up in order.  ``quadrature`` sends every cell to quadrature.
+    """
+    expansion = _BINOMIAL.get(p)
+    pieces = iter(w.pieces)
+    nxt = 0.0  # end of the current weight piece
+    # On a pure-power weight piece, ``low`` holds the antiderivative terms at
+    # the cut ``at``: c t^e / e for the exponent e = a - j + 1 of each term j
+    # used (log t where e = 0; its differences are scaled by c).  A cell
+    # computes them at its upper end, which is the next cell's lower end.
+    at = low = None
+    total = mass = end = 0.0
+    parts: list[float] = []  # the cells over x**, in order
+    quad = []  # (index in parts, lo, hi, A, B, c, a, b) of each cell left to quadrature
+    for t0, t1, v in star:
+        if over_curve:
+            lo, A, B = end, mass - v * t0, v
+            mass += v * (t1 - t0)
+        else:
+            lo, A, B = t0, 0.0, 1.0
+        end = t1
+        inc = 0.0
+        while True:
+            while nxt <= lo:
+                pc = next(pieces)
+                nxt, c = pc.t1, pc.c
+                exact = not quadrature and c != 0.0 and pc.b == 0.0  # closed forms apply
+                e0, terms = pc.a + 1.0, None
+                at = None
+            hi = nxt if nxt < end else end
+            if exact and A == 0.0:
+                if at == lo:
+                    bottom = low[0]
+                elif lo == 0.0:  # the limit at 0
+                    bottom = 0.0 if e0 > 0.0 else -math.inf
+                else:
+                    bottom = c * lo ** e0 / e0 if e0 else math.log(lo)
+                u = c * hi ** e0 / e0 if e0 else math.log(hi)
+                part = B ** p * (u - bottom if e0 else c * (u - bottom))
+                at, low = hi, [u]
+            elif exact and expansion:
+                if terms is None:
+                    terms = [(cb, nj, j, (pc.a - j) + 1.0) for cb, nj, j in expansion]
+                if at != lo or len(low) < len(terms):
+                    low = ([0.0 if e > 0.0 else -math.inf for _, _, _, e in terms]
+                           if lo == 0.0 else
+                           [c * lo ** e / e if e else math.log(lo) for _, _, _, e in terms])
+                part = 0.0
+                high = []
+                for cb, nj, j, e in terms:
+                    coef = cb * B ** nj * A ** j
+                    if e:
+                        u = c * hi ** e / e
+                        part += coef * (u - low[j])
+                    else:
+                        u = math.log(hi)
+                        part += coef * (c * (u - low[j]))
+                    high.append(u)
+                at, low = hi, high
+            elif not quadrature and c == 0.0:
+                part = 0.0
+            elif not quadrature and A == 0.0:  # a log piece
+                part = B ** p * power_log_integral(c, pc.a, pc.b, lo, hi)
+            else:
+                quad.append((len(parts), lo, hi, A, B, c, pc.a, pc.b))
+                part = 0.0
+            if over_curve:
+                parts.append(part)
+            else:
+                inc += part
+            if hi == end:
+                break
+            lo = hi
+        if not over_curve:
+            if math.isinf(inc):
+                raise DivergentIntegralError("weight is not locally integrable near 0")
+            total += v ** p * inc
+    if quad:
+        idx, *cols = zip(*quad)
+        lo, hi, A, B, c, a, b = (np.array(col) for col in cols)
+
+        def f(ts: np.ndarray, k: np.ndarray) -> np.ndarray:
+            return (B[k] + A[k] / ts) ** p * c[k] * ts ** a[k] * np.log(np.e + ts) ** b[k]
+
+        for i, part in zip(idx, integrate_cells(f, lo, hi, rel_tol=GAMMA_REL_TOL).tolist()):
+            parts[i] = part
+    for part in parts:
+        total += part
+    return total, mass
+
+
 def lambda_norm(x: StepFunction, p: float, w: WeightSpec) -> float:
     """``( integral (x*)^p w )^(1/p)``, exact per piece of x*."""
     require_exponent("lambda_norm", p)
     _require_weight_domain(w, x.alpha)
-    star = rearrange(x)
-    if star.is_zero:
-        return 0.0
-    total = 0.0
-    for t0, t1, v in star.pieces:
-        inc = w.integral(t0, t1)
-        if math.isinf(inc):
-            raise DivergentIntegralError("weight is not locally integrable near 0")
-        total += v ** p * inc
+    total, _ = _lorentz_integral(rearrange(x).pieces, w, p, over_curve=False)
     return total ** (1.0 / p)
-
-
-def _closed_form_cell(A: float, B: float, p: float, piece, lo: float, hi: float) -> float | None:
-    """``integral_lo^hi (B + A/t)^p w(t) dt`` over one refinement cell in
-    closed form, or None when the cell needs quadrature."""
-    if piece.c == 0.0 or hi <= lo:
-        return 0.0
-    if A == 0.0:
-        return B ** p * power_log_integral(piece.c, piece.a, piece.b, lo, hi)
-    if piece.b == 0.0 and p == round(p) and 1 <= p <= 12:
-        n = int(round(p))
-        total = 0.0
-        for j in range(n + 1):
-            total += (
-                math.comb(n, j) * B ** (n - j) * A ** j
-                * power_log_integral(piece.c, piece.a - j, 0.0, lo, hi)
-            )
-        return total
-    return None
 
 
 def gamma_norm(x: StepFunction, p: float, w: WeightSpec, method: str = "auto") -> float:
@@ -84,37 +163,14 @@ def gamma_norm(x: StepFunction, p: float, w: WeightSpec, method: str = "auto") -
     require_exponent("gamma_norm", p)
     _require_weight_domain(w, x.alpha)
     require_D_p(w, p, x.alpha)
-    curve = maximal_curve(x)
-    if curve.total_integral == 0.0:
+    star = rearrange(x).pieces
+    # The mass of x* is 0 exactly when every piece's is (they are >= 0).
+    if not any(v * (t1 - t0) for t0, t1, v in star):
         return 0.0
-    support_end = curve.breakpoints[-1]
-    starts = [pc.t0 for pc in w.pieces]
-    cuts = sorted(set(curve.breakpoints) | {t for t in starts if 0.0 < t < support_end})
-    last = len(curve.coeffs) - 1
-    parts: list[float] = []
-    quad = []  # (index in parts, lo, hi, A, B, c, a, b) of each cell left to quadrature
-    for lo, hi in zip(cuts, cuts[1:]):
-        A, B = curve.coeffs[min(bisect_right(curve.breakpoints, lo) - 1, last)]
-        pc = w.pieces[bisect_right(starts, lo) - 1]
-        part = None if method == "quadrature" else _closed_form_cell(A, B, p, pc, lo, hi)
-        if part is None:
-            quad.append((len(parts), lo, hi, A, B, pc.c, pc.a, pc.b))
-            part = 0.0
-        parts.append(part)
-    if quad:
-        idx, lo, hi, A, B, c, a, b = (np.array(col) for col in zip(*quad))
-
-        def f(ts: np.ndarray, k: np.ndarray) -> np.ndarray:
-            return (B[k] + A[k] / ts) ** p * c[k] * ts ** a[k] * np.log(np.e + ts) ** b[k]
-
-        for i, part in zip(idx, integrate_cells(f, lo, hi, rel_tol=GAMMA_REL_TOL)):
-            parts[i] = float(part)
-    total = 0.0
-    for part in parts:
-        total += part
+    total, mass = _lorentz_integral(star, w, p, over_curve=True,
+                                    quadrature=method == "quadrature")
     # Beyond the support x** = (total mass)/t.
-    mass = curve.total_integral
-    tail = w.wp_tail_integral(p, support_end)
+    tail = w.wp_tail_integral(p, star[-1][1])
     if math.isinf(tail):
         raise DivergentIntegralError("gamma tail integral diverges (D_p violation)")
     total += mass ** p * tail

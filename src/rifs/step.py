@@ -179,6 +179,8 @@ class StepFunction:
         return t0, t1, v
 
     def value_at(self, t: float) -> float:
+        if math.isnan(t):
+            raise SchemaError("value_at needs a point t, got nan")
         # Canonical pieces are sorted and disjoint: only the last piece
         # starting at or before t can hold it.
         i = bisect_right(self.pieces, t, key=_start) - 1

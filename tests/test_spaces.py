@@ -5,14 +5,17 @@ entirely separate path from the piece-integral machinery.
 """
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from rifs import (
     DivergentIntegralError,
     OrliczSpec,
+    QuadratureCapError,
     SchemaError,
     SpaceHandle,
     StepFunction,
@@ -23,6 +26,7 @@ from rifs import (
     fundamental_function,
     gamma_norm,
     hlp_dominates,
+    in_D_p,
     indicator,
     lambda_norm,
     maximal_curve,
@@ -31,6 +35,8 @@ from rifs import (
     rearrange,
     scale,
 )
+from rifs.quadrature import integrate_cells
+from rifs.weights import power_log_integral
 
 INF = math.inf
 W_CONST = WeightSpec.constant()
@@ -116,6 +122,37 @@ def test_gamma_closed_form_agrees_with_forced_quadrature():
         # the quadrature path itself carries rel_tol 1e-9 per cell
         assert gamma_norm(x, 2.0, W_HALF) == pytest.approx(
             gamma_norm(x, 2.0, W_HALF, method="quadrature"), rel=5e-9)
+
+
+W_ZERO_MIDDLE = WeightSpec.make([(0, 0.6, 1.0, -0.5, 0), (0.6, 1.7, 0.0, 0, 0),
+                                 (1.7, INF, 2.0, -0.5, 0)])
+
+
+@pytest.mark.parametrize("w, p, alpha", [
+    # The binomial term j with e = a - j + 1 = 0 integrates to c*log(hi/lo):
+    # j = 1 for a constant weight, j = 2 for a t^1 piece.
+    (W_CONST, 2.0, INF),
+    (WeightSpec.power(1.0, end=1.0), 2.0, 1.0),
+    (W_ZERO_MIDDLE, 2.0, INF),
+    (W_ZERO_MIDDLE, 3.0, INF),
+])
+def test_gamma_closed_form_branches_agree_with_forced_quadrature(w, p, alpha):
+    cfg = TrialConfig(seed=53, trials=15)
+    for trial in range(cfg.trials):
+        x = random_step(cfg, trial, alpha=alpha)
+        assert gamma_norm(x, p, w) == pytest.approx(
+            gamma_norm(x, p, w, method="quadrature"), rel=5e-9)
+
+
+def test_gamma_closed_form_with_weight_start_inside_a_piece_agrees_with_forced_quadrature():
+    # x* is 3 on (0, 1.5) and 1 on (1.5, 4): the weight starts 0.4 and 2.2
+    # fall inside its pieces, so each piece of x** is cut into cells.
+    w = WeightSpec.make([(0, 0.4, 1.0, -0.5, 0), (0.4, 2.2, 0.5, 0.0, 0), (2.2, INF, 1.0, -1.5, 0)])
+    x = StepFunction.make([(0, 2.5, 1.0), (3, 4.5, -3.0)])
+    assert [t1 for _, t1, _ in rearrange(x).pieces] == [1.5, 4.0]
+    for p in (1.0, 2.0, 3.0):
+        assert gamma_norm(x, p, w) == pytest.approx(
+            gamma_norm(x, p, w, method="quadrature"), rel=5e-9)
 
 
 def test_gamma_norm_with_log_weight_piece():
@@ -245,3 +282,124 @@ def test_fundamental_matches_norm_of_indicator(battery):
         for t in (0.5, 2.0, 7.0):
             assert fundamental_function(space, t) == pytest.approx(
                 norm(space, indicator(0, t)), rel=1e-9)
+
+
+# ----------------------------------------- one cell walk, by per-cell reference
+
+def _lambda_reference(x, p, w):
+    """One weight integral per piece of x*."""
+    star = rearrange(x)
+    if star.is_zero:
+        return 0.0
+    total = 0.0
+    for t0, t1, v in star.pieces:
+        inc = w.integral(t0, t1)
+        if math.isinf(inc):
+            raise DivergentIntegralError("weight is not locally integrable near 0")
+        total += v ** p * inc
+    return total ** (1.0 / p)
+
+
+def _closed_form_cell_reference(A, B, p, piece, lo, hi):
+    """One cell of x** in closed form, or None when it needs quadrature."""
+    if piece.c == 0.0 or hi <= lo:
+        return 0.0
+    if A == 0.0:
+        return B ** p * power_log_integral(piece.c, piece.a, piece.b, lo, hi)
+    if piece.b == 0.0 and p == round(p) and 1 <= p <= 12:
+        n = int(round(p))
+        total = 0.0
+        for j in range(n + 1):
+            total += (
+                math.comb(n, j) * B ** (n - j) * A ** j
+                * power_log_integral(piece.c, piece.a - j, 0.0, lo, hi)
+            )
+        return total
+    return None
+
+
+def _gamma_reference(x, p, w, method="auto"):
+    """Each cell of x** on its own, bisected into the curve and the weight."""
+    if not in_D_p(w, p, x.alpha):
+        raise WeightDomainError("weight is not in class D_p")
+    curve = maximal_curve(x)
+    if curve.total_integral == 0.0:
+        return 0.0
+    support_end = curve.breakpoints[-1]
+    starts = [pc.t0 for pc in w.pieces]
+    cuts = sorted(set(curve.breakpoints) | {t for t in starts if 0.0 < t < support_end})
+    last = len(curve.coeffs) - 1
+    parts = []
+    cells = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        A, B = curve.coeffs[min(bisect_right(curve.breakpoints, lo) - 1, last)]
+        pc = w.pieces[bisect_right(starts, lo) - 1]
+        part = None if method == "quadrature" else _closed_form_cell_reference(A, B, p, pc, lo, hi)
+        if part is None:
+            cells.append((len(parts), lo, hi, A, B, pc.c, pc.a, pc.b))
+            part = 0.0
+        parts.append(part)
+    if cells:
+        idx, lo, hi, A, B, c, a, b = (np.array(col) for col in zip(*cells))
+
+        def f(ts, k):
+            return (B[k] + A[k] / ts) ** p * c[k] * ts ** a[k] * np.log(np.e + ts) ** b[k]
+
+        for i, part in zip(idx, integrate_cells(f, lo, hi, rel_tol=1e-9)):
+            parts[i] = float(part)
+    total = 0.0
+    for part in parts:
+        total += part
+    tail = w.wp_tail_integral(p, support_end)
+    if math.isinf(tail):
+        raise DivergentIntegralError("gamma tail integral diverges (D_p violation)")
+    total += curve.total_integral ** p * tail
+    return total ** (1.0 / p)
+
+
+def _outcome(norm_fn, *args):
+    """The result's bits, or the error raised."""
+    try:
+        return norm_fn(*args).hex()
+    except (DivergentIntegralError, WeightDomainError, QuadratureCapError) as exc:
+        return type(exc).__name__
+
+
+@st.composite
+def functions_and_weights(draw):
+    """x of 1-6 pieces on (0, 1) or (0, inf) and a weight of 1-4 pieces, with
+    c = 0 pieces, log pieces, a = -1 and starts that fall on breakpoints of
+    x* or inside its pieces."""
+    alpha = draw(st.sampled_from([1.0, INF]))
+    top, unit = (0.97, 0.06) if alpha == 1.0 else (10.0, 1.0)
+    pieces = []
+    cursor = 0.0
+    for _ in range(draw(st.integers(1, 6))):
+        cursor += unit * draw(st.sampled_from([0.0, 0.0, 0.3, 1.0]))
+        length = unit * draw(st.floats(0.05, 1.5))
+        value = draw(st.sampled_from([0.0, 0.25, -0.5, 1.0, 1.5, -2.0, 3.0]))
+        pieces.append((cursor, cursor + length, value))
+        cursor += length
+    x = StepFunction.make(pieces, alpha)
+    star_ends = [t1 for _, t1, _ in rearrange(x).pieces][:-1]
+    starts = st.floats(0.01, top)
+    if star_ends:
+        starts = st.one_of(starts, st.sampled_from(star_ends))
+    cuts = sorted(draw(st.lists(starts, max_size=3, unique=True)))
+    bounds = [0.0] + cuts + [alpha]
+    pieces = [(t0, t1,
+               draw(st.sampled_from([0.0, 0.5, 1.0, 2.5])),
+               draw(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 1.0, 1.5])),
+               draw(st.sampled_from([0.0, 0.0, 0.0, -2.0, 1.0])))
+              for t0, t1 in zip(bounds, bounds[1:])]
+    return x, WeightSpec.make(pieces)
+
+
+@settings(deadline=None, max_examples=120)
+@given(functions_and_weights(), st.sampled_from([1.0, 1.5, 2.0, 3.0, 7.0]))
+def test_lorentz_norms_match_per_cell_reference(drawn, p):
+    # The cell walk must give the bits of the per-cell loops it replaced.
+    x, w = drawn
+    assert _outcome(lambda_norm, x, p, w) == _outcome(_lambda_reference, x, p, w)
+    for method in ("auto", "quadrature"):
+        assert _outcome(gamma_norm, x, p, w, method) == _outcome(_gamma_reference, x, p, w, method)

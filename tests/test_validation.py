@@ -20,6 +20,7 @@ from rifs import (
     indicator,
     lambda_norm,
     luxemburg_norm,
+    maximal_curve,
     norm,
     project_hull,
     weight_Wp,
@@ -59,6 +60,8 @@ ROWS = {
         2, WeightSpec.make([(0, 2, 1, -0.5, 0)]), alpha=2.0),
     "young-conjugate-nan-power": lambda: young_conjugate(OrliczSpec.power(2), NAN),
     "young-conjugate-nan-table": lambda: young_conjugate(OrliczSpec.table([(1, 1), (2, 3)]), NAN),
+    "value-at-nan": lambda: X.value_at(NAN),
+    "maximal-curve-eval-nan": lambda: maximal_curve(X).eval(NAN),
 }
 
 
