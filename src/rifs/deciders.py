@@ -22,7 +22,7 @@ import numpy as np
 from .errors import HypothesisNotMetError, SchemaError
 from .orlicz import OrliczSpec
 from .spaces import LORENTZ_GAMMA, LORENTZ_LAMBDA, ORLICZ, SpaceHandle, fundamental_function
-from .weights import WeightSpec, require_D_p, tail_integral_diverges
+from .weights import WeightSpec, exponent_shift, require_D_p, tail_integral_diverges
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -464,7 +464,7 @@ def gamma_dual_weight(p: float, w: WeightSpec) -> WeightSpec:
         return g ** (-p / (p - 1.0)) * t ** (-p) * w.value(t) / (p - 1.0)
 
     first, tail = w.pieces[0], w.tail
-    if first.c > 0 and first.a - p < -1.0:
+    if first.c > 0 and exponent_shift(first.a, p) < -1.0:
         head_exp = -first.a / (p - 1.0)
     else:
         # Boundary case: fit the head exponent empirically from two samples.

@@ -174,7 +174,8 @@ def run_core_suite(cfg: TrialConfig,
                 record(trial, "starstar-continuous", {"s": s, "left": left, "right": right}, x)
                 break
 
-        cs, cx, cy = maximal_curve(add(x, y)), curve, maximal_curve(y)
+        xy = add(x, y)
+        cs, cx, cy = maximal_curve(xy), curve, maximal_curve(y)
         points = sorted({t for t in cs.breakpoints + cx.breakpoints + cy.breakpoints if t > 0})
         for t in points:
             if cs.eval(t) > cx.eval(t) + cy.eval(t) + tol:
@@ -183,7 +184,7 @@ def run_core_suite(cfg: TrialConfig,
 
         b = add(xs, ys)
         c = add(b, y2s)
-        if not hlp_dominates(add(add(x, y), y2), c, tol=tol):
+        if not hlp_dominates(add(xy, y2), c, tol=tol):
             record(trial, "sum-dominated-by-star-sum", {}, x)
 
         partner = _shuffled_partner(cfg, trial, x)

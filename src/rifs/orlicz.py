@@ -213,9 +213,9 @@ def young_conjugate(psi: OrliczSpec, u: float) -> float:
 
 
 def _cells(x: StepFunction) -> tuple[np.ndarray, np.ndarray]:
-    """(widths, |values|) of the pieces of x."""
-    pieces = np.array(x.pieces, dtype=float).reshape(-1, 3)
-    return pieces[:, 1] - pieces[:, 0], np.abs(pieces[:, 2])
+    """(widths, |values|) of the pieces of x, from its cached columns."""
+    t0, t1, v = x._columns
+    return t1 - t0, np.abs(v)
 
 
 def _modular(widths: np.ndarray, mags: np.ndarray, psi: OrliczSpec) -> float:

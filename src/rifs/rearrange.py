@@ -38,7 +38,19 @@ def rearrange(x: StepFunction) -> StepFunction:
 
     Ties between equal values are broken by source order; the result does not
     depend on the tie-break because only values and lengths matter.
+
+    x is immutable, so x* is computed once and kept on x: every later call
+    returns the same object, which all callers share and must not alter.
+    x* gets its own entry when it is rearranged in turn: laying its pieces
+    end to end from 0 need not give back its breakpoints bit for bit.
     """
+    star = x.__dict__.get("_star")
+    if star is None:
+        star = x.__dict__["_star"] = _rearranged(x)
+    return star
+
+
+def _rearranged(x: StepFunction) -> StepFunction:
     if len(x.pieces) < ARRAY_MIN_PIECES:
         cells = []
         cursor = 0.0
@@ -96,6 +108,15 @@ class MaximalCurve:
 
 
 def maximal_curve(x: StepFunction) -> MaximalCurve:
+    """x** of x.  Like x*, it is computed once and kept on x: every later call
+    returns the same curve, which all callers share and must not alter."""
+    curve = x.__dict__.get("_curve")
+    if curve is None:
+        curve = x.__dict__["_curve"] = _maximal(x)
+    return curve
+
+
+def _maximal(x: StepFunction) -> MaximalCurve:
     star = rearrange(x)
     if star.is_zero:
         return MaximalCurve((0.0,), ((0.0, 0.0),))

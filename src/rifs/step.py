@@ -143,6 +143,9 @@ class StepFunction:
 
     Instances are immutable and canonical: pieces sorted, disjoint, nonzero,
     with adjacent equal values merged.  Construct through :meth:`make`.
+    What is derived from the pieces (``_columns``, and the x* and x** of the
+    rearrangement layer) is kept on the instance once computed; it takes no
+    part in ``==``, ``hash``, ``repr`` or pickling.
     """
 
     alpha: float
@@ -177,6 +180,9 @@ class StepFunction:
         flat.flags.writeable = False
         t0, t1, v = flat.reshape(-1, 3).T
         return t0, t1, v
+
+    def __getstate__(self) -> dict:
+        return {"alpha": self.alpha, "pieces": self.pieces}
 
     def value_at(self, t: float) -> float:
         if math.isnan(t):

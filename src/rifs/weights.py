@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -35,6 +36,21 @@ def tail_integral_diverges(a: float, b: float) -> bool:
 def origin_integral_diverges(a: float) -> bool:
     """Does ``integral_0 t^a log(e+t)^b dt`` diverge?  (b is irrelevant at 0.)"""
     return a <= -1.0
+
+
+def exponent_shift(a: float, p: float) -> float:
+    """The exponent ``a - p`` of ``t^a t^(-p)``.
+
+    Divergence switches at the integer -1, where float subtraction can land an
+    ulp off: ``1.14 - 2.14`` is -1.0000000000000002.  The binary a and p each
+    lie within half an ulp of the decimals they print as, so where the float
+    difference lies within two ulps of the larger operand of an integer
+    without being one, it is taken as the exact difference of those decimals.
+    """
+    d = a - p
+    if 0.0 < min(d % 1.0, -d % 1.0) <= 2.0 * math.ulp(max(abs(a), abs(p))):
+        return float(Fraction(repr(float(a))) - Fraction(repr(float(p))))
+    return d
 
 
 def power_log_integral(c: float, a: float, b: float, lo: float, hi: float) -> float:
@@ -150,7 +166,8 @@ class WeightSpec:
                 break
             if pc.t1 <= lo:
                 continue
-            part = power_log_integral(pc.c, pc.a - p, pc.b, max(lo, pc.t0), min(hi, pc.t1))
+            part = power_log_integral(pc.c, exponent_shift(pc.a, p), pc.b,
+                                      max(lo, pc.t0), min(hi, pc.t1))
             if math.isinf(part):
                 return math.inf
             total += part
@@ -175,7 +192,7 @@ class WeightSpec:
     def origin_wp_diverges(self, p_exp: float) -> bool:
         """Is ``integral_0^t w(s) s^(-p) ds`` infinite for every t > 0?"""
         first = self.pieces[0]
-        return first.c > 0 and origin_integral_diverges(first.a - p_exp)
+        return first.c > 0 and origin_integral_diverges(exponent_shift(first.a, p_exp))
 
     def strictly_increasing_W(self) -> bool:
         """W strictly increasing, i.e. no piece with c = 0."""
@@ -240,7 +257,8 @@ def in_D_p(w: WeightSpec, p: float, alpha: float) -> bool:
         return False
     if math.isinf(alpha):
         t = w.tail
-        if math.isinf(w.domain_end) and t.c > 0 and tail_integral_diverges(t.a - p, t.b):
+        if (math.isinf(w.domain_end) and t.c > 0
+                and tail_integral_diverges(exponent_shift(t.a, p), t.b)):
             return False
     return True
 

@@ -92,6 +92,9 @@ def test_core_suite_detects_planted_violation_with_replayable_witness():
     assert x.to_json() == wit["x"]
     again = run_core_suite(cfg, rearrange_fn=_corrupted_rearrange)
     assert again.violations[0] == wit
+    # x* is kept on each function: the stub's violations neither hide behind
+    # it nor carry over into a clean run of the same trials.
+    assert run_core_suite(cfg).verdict == "no-violation-found"
 
 
 # ----------------------------------------------------------------- kmono suite

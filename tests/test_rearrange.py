@@ -6,22 +6,29 @@ integral for x**, dense-grid comparison for domination.
 """
 
 import math
+import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rifs import (
+    OrliczSpec,
     SchemaError,
     StepFunction,
     TrialConfig,
+    WeightSpec,
     absolute,
     add,
     distribution,
     equimeasurable,
+    gamma_norm,
     hlp_dominates,
     indicator,
+    lambda_norm,
+    luxemburg_norm,
     maximal_curve,
+    orlicz_norm,
     random_step,
     rearrange,
     ryff_transport,
@@ -395,3 +402,78 @@ def test_fuzz_maximal_function_subadditive(x, y):
     cs, cx, cy = maximal_curve(add(x, y)), maximal_curve(x), maximal_curve(y)
     for t in {t for t in cs.breakpoints + cx.breakpoints + cy.breakpoints if t > 0}:
         assert cs.eval(t) <= cx.eval(t) + cy.eval(t) + 1e-9
+
+
+# ------------------------------------------------- x* and x** kept on x
+
+def _sized(n, seed):
+    """n pieces with gaps, tied and negative values, on (0, inf)."""
+    rng = np.random.default_rng(seed)
+    values = rng.choice([-2.0, -0.5, 0.5, 1.5, 3.0], n) if seed % 2 else rng.uniform(-4, 4, n)
+    pieces, cursor = [], 0.0
+    for v in values:
+        cursor += float(rng.choice([0.0, 0.3]))
+        length = float(rng.uniform(0.01, 1.5))
+        pieces.append((cursor, cursor + length, float(v)))
+        cursor += length
+    return StepFunction.make(pieces)
+
+
+sized_functions = st.builds(
+    _sized,
+    st.one_of(st.integers(1, 8), st.integers(ARRAY_MIN_PIECES, 2 * ARRAY_MIN_PIECES)),
+    st.integers(0, 2**32 - 1),
+)
+
+LOG_TAIL = WeightSpec.make([(0, 1, 1, -0.5, 0), (1, math.inf, 1, -0.5, 1)])
+DERIVED = {
+    "lambda log weight": lambda f: lambda_norm(f, 2.0, LOG_TAIL),
+    "gamma p=1.5": lambda f: gamma_norm(f, 1.5, WeightSpec.power(-0.5)),
+    "gamma log weight": lambda f: gamma_norm(f, 2.0, LOG_TAIL),
+    "luxemburg exp": lambda f: luxemburg_norm(f, OrliczSpec.exp_minus_one()),
+    "amemiya power 3": lambda f: orlicz_norm(f, OrliczSpec.power(3.0)),
+}
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_rearrange_and_maximal_curve_are_computed_once(n):
+    x = _sized(n, 3)
+    assert rearrange(x) is rearrange(x)
+    assert maximal_curve(x) is maximal_curve(x)
+    assert rearrange(rearrange(x)) is rearrange(rearrange(x))
+
+
+@settings(deadline=None, max_examples=40)
+@given(sized_functions, sized_functions)
+def test_memoized_results_match_a_fresh_computation_bit_for_bit(x, y):
+    def fresh(f):
+        return StepFunction(f.alpha, f.pieces)
+
+    star, curve = rearrange(x), maximal_curve(x)
+    star_again = rearrange(star)
+    maximal_curve(y)
+    # Every call below on x and y reads the kept x* and x**.
+    assert rearrange(x) is star and maximal_curve(x) is curve
+    assert star.pieces == rearrange(fresh(x)).pieces
+    assert curve == maximal_curve(fresh(x))
+    assert rearrange(star) is star_again
+    assert star_again.pieces == rearrange(fresh(rearrange(fresh(x)))).pieces
+    assert hlp_dominates(x, y) == hlp_dominates(fresh(x), fresh(y))
+    assert hlp_dominates(y, x) == hlp_dominates(fresh(y), fresh(x))
+    for name, value in DERIVED.items():
+        assert value(x).hex() == value(fresh(x)).hex(), name
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_kept_results_leave_equality_hash_repr_json_and_pickle_alone(n):
+    x = _sized(n, 8)
+    twin = StepFunction(x.alpha, x.pieces)
+    before = (hash(x), repr(x), x.to_json(), pickle.dumps(x))
+    rearrange(rearrange(x))
+    maximal_curve(x)
+    x._columns
+    assert x == twin and twin == x
+    assert (hash(x), repr(x), x.to_json(), pickle.dumps(x)) == before
+    back = pickle.loads(pickle.dumps(x))
+    assert back == x
+    assert rearrange(back) == rearrange(x) and maximal_curve(back) == maximal_curve(x)

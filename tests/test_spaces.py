@@ -403,3 +403,10 @@ def test_lorentz_norms_match_per_cell_reference(drawn, p):
     assert _outcome(lambda_norm, x, p, w) == _outcome(_lambda_reference, x, p, w)
     for method in ("auto", "quadrature"):
         assert _outcome(gamma_norm, x, p, w, method) == _outcome(_gamma_reference, x, p, w, method)
+
+
+def test_gamma_rejects_weight_on_the_exact_D_p_boundary():
+    # The tail exponent 1.14 - 2.14 is -1 exactly in decimals, so W_p diverges.
+    with pytest.raises(WeightDomainError):
+        gamma_norm(indicator(0, 1), 2.14, WeightSpec.power(1.14))
+

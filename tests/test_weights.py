@@ -68,6 +68,18 @@ def test_Wp_alpha_one_domain():
     assert weight_Wp(w, 2.0, 0.5) == pytest.approx(0.25, rel=1e-12)
 
 
+def test_D_p_boundary_decided_on_exact_exponents():
+    # a - p is exactly -1 in decimals, but 1.14 - 2.14 and 1.18 - 2.18 are
+    # -1 - 2^-52 in floats and 0.14 - 1.14 is -1 + 2^-53: the tail integral
+    # of t^(a-p) diverges and the origin one too.
+    assert not in_D_p(WeightSpec.power(1.14), 2.14, INF)
+    assert WeightSpec.power(0.14).origin_wp_diverges(1.14)
+    with pytest.raises(DivergentIntegralError):
+        weight_Wp(WeightSpec.power(1.18), 2.18, 1.0)
+    with pytest.raises(DivergentIntegralError):
+        weight_Wp(WeightSpec.make([(0, INF, 1, 1.14, 0.5)]), 2.14, 1.0)
+
+
 def test_in_D_p_examples():
     assert in_D_p(WeightSpec.constant(), 2.0, INF)
     assert not in_D_p(WeightSpec.power(-2.0), 2.0, INF)  # W blows up at 0
