@@ -5,8 +5,10 @@ with an actual projection.
 
 Desk-scale scope: candidate sets are finite lists of step functions; the
 hull case optimizes a convex objective over the probability simplex by
-coordinate-pair descent with golden-section line searches, which is globally
-convergent for a convex objective and certifiable against grid search.
+coordinate-pair descent, which is globally convergent for a convex objective
+and certifiable against grid search.  Each line search walks the residual
+along one simplex edge and minimizes with :func:`optimize.brent_min`, whose
+end probes return a boundary optimum exactly.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .deciders import orlicz_koc_decider
 from .errors import NonConvergenceError, SchemaError
-from .optimize import golden_section_min
+from .optimize import brent_min
 from .orlicz import OrliczSpec, _norm_on_cells
 from .rearrange import hlp_dominates, rearrange
 from .spaces import ORLICZ, SpaceHandle, norm
@@ -108,8 +110,9 @@ def _combination(members: tuple[StepFunction, ...], theta) -> StepFunction:
 
 class _HullObjective:
     """``theta -> || x - sum theta_i a_i ||`` over a precomputed common cell
-    decomposition, so line searches avoid repeated piecewise algebra; Orlicz
-    norms are evaluated on the cells directly."""
+    decomposition, so line searches avoid repeated piecewise algebra.  Every
+    evaluation goes through :meth:`residual_norm`: Orlicz norms are evaluated
+    on the cells directly, Lorentz norms on the step function they form."""
 
     def __init__(self, x: StepFunction, members: tuple[StepFunction, ...],
                  space: SpaceHandle):
@@ -129,14 +132,21 @@ class _HullObjective:
         self.member_vals = np.array([m.values(mids) for m in members]) \
             if len(mids) else np.zeros((len(members), 0))
 
-    def __call__(self, theta) -> float:
-        vals = self.xv - np.asarray(theta) @ self.member_vals
+    def residual(self, theta) -> np.ndarray:
+        """``x - sum theta_i a_i`` on the common cells."""
+        return self.xv - np.asarray(theta) @ self.member_vals
+
+    def residual_norm(self, vals: np.ndarray) -> float:
+        """Norm of the function with value ``vals[k]`` on cell k."""
         if self.space.kind == ORLICZ:
             return _norm_on_cells(self.widths, np.abs(vals), self.space.orlicz,
                                   self.space.flavor)
         pieces = tuple((float(a), float(b), float(v))
                        for a, b, v in zip(self.lo, self.hi, vals) if v != 0.0)
         return norm(self.space, StepFunction(self.alpha, pieces))
+
+    def __call__(self, theta) -> float:
+        return self.residual_norm(self.residual(theta))
 
 
 def project_finite(x: StepFunction, A: CandidateSet, space: SpaceHandle) -> ProjectionResult:
@@ -159,10 +169,17 @@ def project_hull(x: StepFunction, A: CandidateSet, space: SpaceHandle,
                  tol: float = 1e-6, max_line_searches: int = 100_000) -> ProjectionResult:
     """Minimize ``|| x - sum theta_i a_i ||`` over the probability simplex.
 
-    Coordinate-pair descent: each step moves mass between two coordinates
-    along the simplex edge with a golden-section line search.  The objective
-    is convex (a norm composed with an affine map), so passes terminate when
-    no pair improves by more than tol.
+    Coordinate-pair descent from the best vertex and from the barycenter,
+    keeping the better run.  Each step moves mass delta from a_j to a_i
+    along the simplex edge: the residual ``r0 = x - theta . M`` is formed
+    once, each trial is ``r0 - delta (a_i - a_j)``, and
+    :func:`optimize.brent_min` minimizes to a width of
+    ``min(1e-10, 1e-3 tol)``, reusing the known value at delta = 0.  The
+    objective is convex (a norm composed with an affine map), so when the
+    optimum along an edge is an end, the end probe returns it exactly, and a
+    coefficient driven to 0 is exactly 0.0.  Passes terminate when no pair
+    improves by more than tol; ``iterations`` counts every line search,
+    including those a probe ends.
     """
     if not tol > 0:
         raise SchemaError("project_hull requires tol > 0")
@@ -199,14 +216,11 @@ def project_hull(x: StepFunction, A: CandidateSet, space: SpaceHandle,
                     lo, hi = -theta[i], theta[j]
                     if hi - lo <= 1e-15:
                         continue
-
-                    def line(delta: float) -> float:
-                        trial = list(theta)
-                        trial[i] += delta
-                        trial[j] -= delta
-                        return objective(trial)
-
-                    delta, new_val = golden_section_min(line, lo, hi, tol=line_tol)
+                    r0 = objective.residual(theta)
+                    edge = objective.member_vals[i] - objective.member_vals[j]
+                    delta, new_val = brent_min(
+                        lambda t: objective.residual_norm(r0 - t * edge),
+                        lo, hi, tol=line_tol, known=(0.0, val))
                     searches += 1
                     if new_val < val - 1e-15:
                         theta[i] += delta

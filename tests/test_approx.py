@@ -7,6 +7,7 @@ Hull results are certified against exhaustive simplex grid search.
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from rifs import (
@@ -147,6 +148,59 @@ def test_hull_matches_grid_search_oracle():
                                           resolution=1e-3 if len(members) == 2 else 1e-2)
             assert r.distance <= oracle + 1e-9
             assert r.distance == pytest.approx(oracle, abs=1e-4 if len(members) == 2 else 1e-3)
+
+
+def _l2_qp_distance(x, members):
+    """min ||x - sum theta_i a_i||_2 over the simplex by SLSQP on the
+    cell-weighted quadratic, on cells built from the public piece lists."""
+    optimize = pytest.importorskip("scipy.optimize")
+    edges = sorted({t for f in (x, *members) for piece in f.pieces for t in piece[:2]})
+    mids = [0.5 * (a + b) for a, b in zip(edges, edges[1:])]
+    widths = np.diff(edges)
+    xv = np.array([x.value_at(t) for t in mids])
+    M = np.array([[m.value_at(t) for t in mids] for m in members])
+    G = (M * widths) @ M.T
+    g = (M * widths) @ xv
+    c = float(np.dot(widths * xv, xv))
+
+    def fun(theta):
+        return float(theta @ G @ theta - 2.0 * g @ theta + c)
+
+    def jac(theta):
+        return 2.0 * (G @ theta - g)
+
+    n = len(members)
+    res = optimize.minimize(
+        fun, np.full(n, 1.0 / n), jac=jac, method="SLSQP", bounds=[(0.0, 1.0)] * n,
+        constraints=[{"type": "eq", "fun": lambda t: t.sum() - 1.0,
+                      "jac": lambda t: np.ones(n)}],
+        options={"ftol": 1e-15, "maxiter": 1000})
+    # Status 8 ("positive directional derivative") is SLSQP stopping at
+    # rounding level, below what ftol = 1e-15 asks for.
+    assert res.status in (0, 8), res.message
+    assert res.x.min() >= -1e-12 and abs(res.x.sum() - 1.0) <= 1e-12
+    return math.sqrt(max(fun(res.x), 0.0))
+
+
+def test_l2_hull_matches_scipy_qp_oracle():
+    for seed in range(200):
+        cfg = TrialConfig(seed=seed, trials=1)
+        x = random_step(cfg, 0, stream=0)
+        members = [random_step(cfg, 0, stream=s) for s in range(1, 4 + seed % 4)]
+        r = project_hull(x, _members(*members, hull=True), L2)
+        d_qp = _l2_qp_distance(x, members)
+        assert d_qp - 1e-9 <= r.distance <= d_qp + 1e-6 * max(1.0, d_qp), seed
+
+
+def test_hull_optimum_on_a_face_gives_an_exact_zero_coefficient():
+    # Moving mass from a_0 to a_1 always lowers the cost on [0, 1), so the
+    # optimum has theta_0 = 0 and theta_1 = 0.04 / 1.04.
+    A = _members(indicator(0, 1, 3.0), indicator(0, 1), indicator(1, 2, 0.2), hull=True)
+    r = project_hull(StepFunction.zero(), A, L2)
+    theta = r.minimizers[0].coefficients
+    assert theta[0] == 0.0
+    assert theta[1] == pytest.approx(0.04 / 1.04, abs=1e-6)
+    assert r.distance == pytest.approx(0.2 / math.sqrt(1.04), abs=1e-9)
 
 
 def test_hull_respects_member_cap():
