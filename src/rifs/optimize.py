@@ -1,15 +1,18 @@
-"""Scalar search primitives: line minimization and monotone bisection.
+"""Scalar search primitives: line minimization and monotone root finding.
 
 :func:`brent_min` minimizes the convex hull objective along a simplex edge:
 golden section with parabolic interpolation (Brent, *Algorithms for
 Minimization without Derivatives*, 1973, ch. 5) after a probe at each end.
-:func:`golden_section_min` is the plain golden section; only the Amemiya norm
-uses it.  Brent's steps with the same tolerance stop elsewhere on the flat
-Amemiya minimum and raise its values (by up to 5e-11 relative for a table
-psi, and the overshoot of ``fundamental_function`` at t = 1e12 for
-``shifted_power(1, 2)`` from 4.7e-11 to 5.3e-11), so the Amemiya search
-keeps the golden section until a root solve replaces it.  Both stop at a
-bracket width of ``tol * max(1, |a|, |b|)``.
+:func:`newton_level` solves ``F(s) = 1`` for a nondecreasing F by Newton
+steps in log-log coordinates kept inside a bracket; the Luxemburg and Amemiya
+norms of a smooth psi use it.
+
+:func:`golden_section_min` (plain golden section) and :func:`bisect_level`
+(monotone bisection) have no caller in the library: every Orlicz norm is now
+a closed form, a walk over the kinks of a piecewise-linear psi, or one
+:func:`newton_level`.  They remain for the benchmark's tracer, which wraps
+them by name, and for the tests.  Both stop at a bracket width of
+``tol * max(1, |a|, |b|)`` and ``1e-13 * b`` respectively.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ from typing import Callable
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _CGOLD = 1.0 - _INVPHI  # golden-section step as a share of the longer side
 _MAX_ITER = 400
-_BISECT_REL_WIDTH = 1e-13
+_REL_WIDTH = 1e-13  # the stop of both bisect_level and newton_level
+_LEVEL_TOL = 1e-10
 
 
 def golden_section_min(
@@ -161,7 +165,7 @@ def bisect_level(f: Callable[[float], float], lo: float, hi: float) -> float:
     """
     a, b = float(lo), float(hi)
     for _ in range(_MAX_ITER):
-        if b - a <= _BISECT_REL_WIDTH * b:
+        if b - a <= _REL_WIDTH * b:
             break
         m = 0.5 * (a + b)
         if f(m) <= 1.0:
@@ -169,3 +173,60 @@ def bisect_level(f: Callable[[float], float], lo: float, hi: float) -> float:
         else:
             a = m
     return b
+
+
+def newton_level(
+    f: Callable[[float], tuple[float, float]],
+    origin: float,
+    lo: float,
+    hi: float,
+    start: float,
+) -> float:
+    """The s in ``[lo, hi]`` (hi may be inf) with ``F(s) = 1``, for a
+    nondecreasing F >= 0 that vanishes at ``origin <= lo``; ``f(s)`` returns
+    ``(F(s), F'(s))``.
+
+    Newton steps on log F against log(s - origin) from ``start``, so a power
+    of s - origin is solved in one step and a start orders of magnitude off
+    costs a few.  Each value narrows the bracket by its side of 1.  A step
+    that would leave the bracket, that is not half the step before last, or
+    that F = 0 forbids is replaced by the bracket's geometric midpoint about
+    origin, or by doubling while hi is inf (the safeguard of Numerical
+    Recipes' ``rtsafe``).  From above the level, an F convex in
+    log(s - origin), such as a sum of powers of s - origin with positive
+    coefficients, decreases monotonically onto it.  Stops when a step moves s
+    by at most 1e-13 of it, when F is within 1e-10 of 1 (after that final step
+    Newton's quadratic convergence leaves only rounding), or when the bracket
+    is 1e-13 of s narrow.
+    """
+    a, b, s = float(lo), float(hi), float(start)
+    last = before_last = math.inf  # the sizes of the last two steps
+    for _ in range(_MAX_ITER):
+        fs, slope = f(s)
+        if fs < 1.0:
+            a = s
+        elif fs == 1.0:
+            return s
+        else:  # above, or NaN from an overflow far above the level
+            b = s
+        y = s - origin
+        t = math.nan
+        if fs > 0.0 and y * slope > 0.0:
+            # The tangent of log F over log y; exp(709) is the float range.
+            t = origin + y * math.exp(min(-fs * math.log(fs) / (y * slope), 709.0))
+            if abs(t - s) <= _REL_WIDTH * s or abs(fs - 1.0) <= _LEVEL_TOL:
+                return t
+        # Bisect (in log y) when the step leaves the bracket or is not half the
+        # one before last, as where F is nearly a step and Newton cycles.
+        if not (a < t < b and abs(t - s) <= 0.5 * before_last):
+            if b == math.inf:
+                t = origin + 2.0 * y
+            elif a > origin:
+                t = origin + math.sqrt(a - origin) * math.sqrt(b - origin)
+            else:
+                t = origin + 0.5 * (b - origin)
+        if b - a <= _REL_WIDTH * a:
+            return t
+        last, before_last = abs(t - s), last
+        s = t
+    return s

@@ -32,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import SchemaError
-from .optimize import bisect_level, golden_section_min
+from .optimize import newton_level
 from .step import StepFunction
 
 _TINY = sys.float_info.min  # smallest normal float
@@ -107,6 +107,19 @@ class OrliczSpec:
         """Breakpoints, values and last slope of the table family."""
         ts, vs = np.array(self.points).T
         return ts, vs, float((vs[-1] - vs[-2]) / (ts[-1] - ts[-2]))
+
+    @cached_property
+    def _kinks(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Kinks t_k > 0 and slope increments d_k of a piecewise-linear psi, so
+        that ``psi(t) = slope_at_zero * t + sum_k d_k * max(0, t - t_k)`` for
+        t <= psi^-1(inf); None for a psi with curvature (the power family is
+        linear only at p = 1, and its norms are closed forms)."""
+        if self.family == "table":
+            ts, vs, _ = self._table
+            return ts[1:-1], np.diff(np.diff(vs) / np.diff(ts))
+        if self.family == "shifted_power" and self.p == 1.0:
+            return np.array([self.shift]), np.array([1.0])
+        return None
 
     @property
     def slope_at_zero(self) -> float:
@@ -228,17 +241,27 @@ def _norm_on_cells(widths: np.ndarray, mags: np.ndarray, psi: OrliczSpec,
     of the function with absolute value ``mags[i]`` on a cell of width
     ``widths[i]``; 0 for the zero function.
 
-    Luxemburg: ``inf { lam > 0 : rho(x / lam) <= 1 }``, in closed form for the
-    power family and otherwise by one bisection in sigma = lam / sup|x| on a
-    bracket from psi^-1, to a relative width of 1e-13; exact (a point bracket)
-    when |x| takes one value.  At a modular jump (non-finite psi) the upper
-    bracket is returned, i.e. the inf over the closed sublevel set.
+    Both norms are homogeneous, so they are computed for ``unit = mags / top``
+    (top = sup|x|) in the variable s and scaled back by top, whatever the
+    scale of x.  With ``rho(s) = rho_psi(s * unit)``:
 
-    Amemiya: ``inf_(k>0) (1 + rho(k x)) / k``.  The objective is unimodal in k
-    (rho is convex with rho(0) = 0), so an expanding bracket plus golden
-    section converges; tolerance 1e-9.  The search runs in s = k sup|x|, so
-    the bracket starts at k = 1 / sup|x| whatever the scale of x, clamped to
-    psi's finite domain, s <= psi^-1(inf).
+    Luxemburg: ``inf { lam > 0 : rho_psi(x / lam) <= 1 } = top / s`` for the
+    largest s with ``rho(s) <= 1``.  The power family is a closed form.
+    Otherwise s lies in ``[psi^-1(1 / w_total), psi^-1(1 / w_peak)]`` (w_peak:
+    the width where |x| = top), a point when |x| takes one value, and then
+    ``top / psi^-1(1 / w_total)`` is the answer.  A piecewise-linear psi is
+    solved exactly on the segment between kinks of rho where it crosses 1
+    (:func:`_luxemburg_kink_walk`), a smooth psi by Newton steps from the top
+    of the bracket.  At a modular jump (psi = inf beyond T) s stops at T, so
+    the result is the inf over the closed sublevel set.
+
+    Amemiya: ``inf_(k>0) (1 + rho_psi(k x)) / k = top * inf_s h(s)`` with
+    ``h(s) = (1 + rho(s)) / s``, over s <= psi^-1(inf).  h decreases while
+    ``g(s) = s rho'(s) - rho(s)`` (= sum w psi*(psi'(s unit)), nondecreasing)
+    is below 1 and increases after (Krasnosel'skii-Rutickii), so the minimum
+    sits where g crosses 1, at psi^-1(inf), or is the limit as s -> inf.  The
+    power family is a closed form, a piecewise-linear psi a walk over the kinks
+    (:func:`_amemiya_kink_walk`), and a smooth psi a Newton solve of g = 1.
     """
     if flavor == "luxemburg" and psi.family == "power":
         # Inline rather than through psi_many: its errstate guard costs as much
@@ -256,31 +279,142 @@ def _norm_on_cells(widths: np.ndarray, mags: np.ndarray, psi: OrliczSpec,
         return 0.0
     top = float(mags.max())
     unit = mags / top
-    if flavor == "luxemburg":
-        # Homogeneity: ||x|| = top * sigma with rho(unit / sigma) = 1.  As
-        # w_peak psi(1/sigma) <= rho(unit / sigma) <= w_total psi(1/sigma),
-        # sigma lies in [1 / psi^-1(1 / w_peak), 1 / psi^-1(1 / w_total)].
-        def rho(sigma: float) -> float:
-            return _modular(widths, unit / sigma, psi)
+    if psi.family == "power":
+        # h(s) = 1/s + r s^(p-1) with r = rho(1): least at s^p = 1 / ((p-1) r),
+        # and r itself, the limit as s -> inf, for p = 1.
+        r = psi.coef * float(np.dot(widths, unit ** psi.p))
+        if psi.p == 1.0:
+            return top * r
+        q = psi.p - 1.0
+        return top * (psi.p / q) * (q * r) ** (1.0 / psi.p)
+    if flavor != "luxemburg" and psi._kinks is not None:
+        return top * _amemiya_kink_walk(widths, unit, psi,
+                                        float(psi.psi_inverse_many(math.inf)))
+    # The Luxemburg s, s_L, lies in [lo, hi]: w_peak psi(s) <= rho(s) <= w_total psi(s).
+    levels = np.array([1.0 / widths.sum(), 1.0 / widths[unit == 1.0].sum()])
+    lo, hi = (float(s) for s in psi.psi_inverse_many(levels))
+    if flavor != "luxemburg":
+        # h(s) >= 1/s and h(s_L) = 2 / s_L put the minimum at s >= s_L / 2.
+        return top * _amemiya_newton(widths, unit, psi, 0.5 * lo, hi)
+    if not lo < hi:
+        return top * (1.0 / lo)
+    if psi._kinks is not None:
+        return top / _luxemburg_kink_walk(widths, unit, psi, lo, hi)
+    return top / _luxemburg_newton(widths, unit, psi, lo, hi)
 
-        levels = np.array([1.0 / widths[unit == 1.0].sum(), 1.0 / widths.sum()])
-        lo, hi = 1.0 / psi.psi_inverse_many(levels)
-        return top * bisect_level(rho, lo, hi)
 
-    def h(s: float) -> float:  # the Amemiya objective at k = s / top, over top
-        return (1.0 + _modular(widths, s * unit, psi)) / s
+def _kink_segments(widths: np.ndarray, unit: np.ndarray, psi: OrliczSpec,
+                   lo: float, hi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """rho(s) = sum w psi(s unit) for a piecewise-linear psi, on (lo, hi).
 
-    s_lo = s_hi = min(1.0, float(psi.psi_inverse_many(math.inf)))
-    for _ in range(80):
-        if h(s_lo / 2.0) >= h(s_lo):
-            break
-        s_lo /= 2.0
-    for _ in range(80):
-        if h(s_hi * 2.0) >= h(s_hi):
-            break
-        s_hi *= 2.0
-    _, val = golden_section_min(h, s_lo / 2.0, s_hi * 2.0, tol=1e-9)
-    return top * val
+    rho has a kink at each t_k / unit_i, where its slope rises by
+    ``w_i unit_i d_k``.  Returns ``(starts, C, D)``: lo and then the kinks in
+    (lo, hi) in increasing order, with ``rho(s) = C[j] s - D[j]`` from
+    ``starts[j]`` up to the next start (or hi).  Kinks at or below lo are summed
+    into ``C[0]`` and ``D[0]`` unsorted; those at or beyond hi are dropped.
+    """
+    ts, dslope = psi._kinks
+    wu = widths * unit
+    with np.errstate(divide="ignore", over="ignore"):  # past hi, where unit is 0 or tiny
+        kinks = (ts / unit[:, None]).ravel()
+    jumps = (wu[:, None] * dslope).ravel()
+    below = kinks <= lo
+    inside = (kinks < hi) & ~below
+    k = kinks[inside]
+    order = np.argsort(k)
+    k, c = k[order], jumps[inside][order]
+    starts = np.concatenate(([lo], k))
+    slopes = np.cumsum(np.concatenate(
+        ([psi.slope_at_zero * wu.sum() + jumps[below].sum()], c)))
+    offsets = np.cumsum(np.concatenate(([np.dot(jumps[below], kinks[below])], c * k)))
+    return starts, slopes, offsets
+
+
+def _luxemburg_kink_walk(widths, unit, psi, lo, hi) -> float:
+    """Largest s in [lo, hi] with rho(s) <= 1, for a piecewise-linear psi,
+    where ``rho(lo) <= 1`` and rho(s) > 1 past hi (or psi = inf past hi)."""
+    starts, slopes, offsets = _kink_segments(widths, unit, psi, lo, hi)
+    # rho at each kink, from the segment that ends there: nondecreasing, so the
+    # first value >= 1 names the segment where rho crosses 1.
+    # C[j] > 0: lo > a_psi, so the kink where psi leaves 0 at |x| = top is
+    # summed into C[0].  The root passes hi only where psi jumps to inf at
+    # hi = T before rho reaches 1.
+    j = int(np.searchsorted(slopes[:-1] * starts[1:] - offsets[:-1], 1.0))
+    return min(float((1.0 + offsets[j]) / slopes[j]), hi)
+
+
+def _amemiya_kink_walk(widths, unit, psi, end) -> float:
+    """``inf_(0 < s <= end) (1 + rho(s)) / s`` for a piecewise-linear psi.
+
+    On segment j, ``h = C[j] + (1 - D[j]) / s`` and g = D[j], so h falls until
+    the first kink with D >= 1 and rises after it.  With no such kink the
+    infimum is h at end, or the limit C as s -> inf."""
+    starts, slopes, offsets = _kink_segments(widths, unit, psi, 0.0, end)
+    j = int(np.searchsorted(offsets, 1.0))  # >= 1, as D[0] = 0: no kink is <= 0
+    if j < len(starts):
+        s = starts[j]
+    elif end < math.inf:
+        s = end
+    else:
+        return float(slopes[-1])
+    # h evaluated from the segment ending at s, whose kinks all lie below s.
+    return float(slopes[j - 1] + (1.0 - offsets[j - 1]) / s)
+
+
+def _smooth_terms(psi: OrliczSpec, v: np.ndarray, curvature: bool):
+    """psi, psi' and (if ``curvature``) psi'' at v >= 0, for exp - 1 and
+    shifted_power with p > 1.  Callers ignore overflow: it maps to inf."""
+    if psi.family == "exp_minus_one":
+        f = np.expm1(v)
+        return f, f + 1.0, f + 1.0
+    d = np.maximum(0.0, v - psi.shift)
+    dp = d ** (psi.p - 1.0)
+    df = psi.p * dp
+    if not curvature:
+        return d * dp, df, None
+    # psi'' = (p - 1) psi' / d, 0 below the shift.
+    return d * dp, df, (psi.p - 1.0) * np.divide(df, d, out=np.zeros_like(d), where=d > 0.0)
+
+
+def _luxemburg_newton(widths, unit, psi, lo, hi) -> float:
+    """The s in [lo, hi] with rho(s) = 1 for a smooth psi, by Newton steps
+    from hi; rho grows like a power of s - a_psi from a_psi on."""
+    wu = widths * unit
+
+    def level(s: float) -> tuple[float, float]:
+        f, df, _ = _smooth_terms(psi, s * unit, False)
+        return float(np.dot(widths, f)), float(np.dot(wu, df))
+
+    with np.errstate(over="ignore"):
+        return newton_level(level, float(psi.psi_inverse_many(0.0)), lo, hi, hi)
+
+
+def _amemiya_newton(widths, unit, psi, lo, start) -> float:
+    """``inf_s h(s)`` for a smooth psi, by Newton steps on ``g(s) = 1`` (with
+    ``g' = s rho''``) from ``start``, above ``lo``.
+
+    Every value of g comes with rho, so h is known at each point visited.  The
+    answer is the least of those, of h at the root, and of h(a_psi) = 1/a_psi:
+    each bounds the infimum from above.  Where the root lies within rounding
+    of a_psi (shifted_power on a wide support), h at the floats around it can
+    exceed 1/a_psi, the limit of the fundamental function, by 1e-10.
+    """
+    wuu = widths * unit * unit
+    a = float(psi.psi_inverse_many(0.0))  # rho = 0 on [0, a], so h(a) = 1 / a
+    best = 1.0 / a if a > 0.0 else math.inf
+
+    def level(s: float) -> tuple[float, float]:
+        nonlocal best
+        v = s * unit
+        f, df, d2f = _smooth_terms(psi, v, True)
+        best = min(best, (1.0 + float(np.dot(widths, f))) / s)
+        return float(np.dot(widths, v * df - f)), s * float(np.dot(wuu, d2f))
+
+    # A step far above the root may overflow psi, and g to inf - inf = NaN,
+    # which the solver reads as above the level.
+    with np.errstate(over="ignore", invalid="ignore"):
+        level(newton_level(level, a, max(lo, a), math.inf, start))
+    return best
 
 
 def modular(x: StepFunction, psi: OrliczSpec) -> float:

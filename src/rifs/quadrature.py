@@ -64,10 +64,12 @@ def integrate_cells(
 
     ``f(ts, cells)`` gets the nodes as one row of 15 per panel and the index
     of each panel's cell as a column, and returns f at every node.  Each cell
-    refines on its own: its own tolerance budget, split rule and cap of
-    ``max_subdiv`` panels, exactly as if it were integrated alone; the panels
-    of all unfinished cells share one call of f per refinement level.  Empty
-    cells (hi <= lo) integrate to 0.
+    refines on its own, by the rules of a lone run: its own tolerance budget,
+    split rule and cap of ``max_subdiv`` panels; the panels of all unfinished
+    cells share one call of f per refinement level.  A cell's value can still
+    differ in its last bit from a lone run of that cell, because one matrix
+    product per level sums the panels of all cells and the BLAS row sums
+    depend on the matrix shape.  Empty cells (hi <= lo) integrate to 0.
     """
     lo = np.asarray(lo, dtype=float).ravel()
     hi = np.asarray(hi, dtype=float).ravel()

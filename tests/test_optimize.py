@@ -1,11 +1,13 @@
 """Scalar line minimization: the probes at the ends, the evaluation count on a
-smooth minimum, kinks, and objectives that are +inf off their domain."""
+smooth minimum, kinks, and objectives that are +inf off their domain.  The
+level solver: one step for a power, a few from a start far off, and its
+safeguards where F is nearly a step, zero, or overflows."""
 
 import math
 
 import pytest
 
-from rifs.optimize import brent_min, golden_section_min
+from rifs.optimize import brent_min, golden_section_min, newton_level
 
 
 def _counted(f):
@@ -80,3 +82,57 @@ def test_interval_narrower_than_tolerance_returns_better_end():
     t, val = brent_min(lambda t: (t - 1.0) ** 2, 0.0, 1e-12, tol=1e-10)
     assert t == 1e-12
     assert val == (1e-12 - 1.0) ** 2
+
+
+def _counted_level(F, dF):
+    calls = []
+
+    def f(s):
+        calls.append(s)
+        return F(s), dF(s)
+
+    return f, calls
+
+
+@pytest.mark.parametrize("origin, c, p", [(0.0, 3.0, 2.0), (0.5, 1e6, 1.5), (2.0, 1e-9, 6.0)])
+def test_level_of_a_power_in_one_step(origin, c, p):
+    f, calls = _counted_level(lambda s: c * (s - origin) ** p,
+                              lambda s: c * p * (s - origin) ** (p - 1.0))
+    root = origin + c ** (-1.0 / p)
+    s = newton_level(f, origin, origin, math.inf, origin + 100.0 * (root - origin))
+    assert s == pytest.approx(root, rel=1e-14, abs=0.0)
+    assert len(calls) == 2  # the start, then the step's end to confirm
+
+
+def test_level_from_far_below_with_no_upper_bracket():
+    f, calls = _counted_level(math.expm1, math.exp)
+    s = newton_level(f, 0.0, 0.0, math.inf, 1e-12)
+    assert s == pytest.approx(math.log(2.0), rel=1e-14, abs=0.0)
+    assert len(calls) <= 10
+
+
+def test_level_of_a_near_step_is_bracketed_to_the_stop():
+    # F jumps from about 0.9 to about 1.1 within 1e-9 of c: Newton alone would
+    # cycle across the jump, so bisection closes the bracket.
+    c = 0.7
+
+    def F(s):
+        return 0.9 + 0.2 / (1.0 + math.exp(-(s - c) * 1e10)) if abs(s - c) < 1e-8 else \
+            (0.9 if s < c else 1.1) + 0.01 * (s - c)
+
+    f, calls = _counted_level(F, lambda s: 0.01)
+    s = newton_level(f, 0.0, 0.1, 2.0, 2.0)
+    assert abs(s - c) <= 1e-12
+    assert len(calls) <= 60
+
+
+def test_level_past_a_zero_region_and_an_overflow():
+    # F = 0 up to 1 (no Newton step from there) and NaN beyond 3 (an
+    # overflow): both sides fall back to bisection.
+    def F(s):
+        return math.nan if s > 3.0 else 1e6 * max(0.0, s - 1.0) ** 2
+
+    f, calls = _counted_level(F, lambda s: 2e6 * max(0.0, s - 1.0))
+    s = newton_level(f, 0.0, 0.5, 10.0, 10.0)
+    assert s == pytest.approx(1.001, rel=1e-13, abs=0.0)
+    assert len(calls) <= 40

@@ -28,6 +28,7 @@ from rifs import (
     rearrange,
     young_conjugate,
 )
+from rifs.deciders import phi_infinity
 
 
 # -------------------------------------------------------------- construction
@@ -488,3 +489,125 @@ def test_luxemburg_table_one_magnitude_is_the_closed_form(spec, cells, m):
 def test_luxemburg_table_one_magnitude_matches_oracle_exactly(points, inf_beyond, m, width):
     got = luxemburg_norm(indicator(0.0, width, m), OrliczSpec.table(points, inf_beyond))
     assert Fraction(got) == _rational_luxemburg(points, inf_beyond, [(width, m)])
+
+
+# ------------------------------------------- Amemiya fundamental function
+
+# phi(t) = inf_s (1 + t psi(s)) / s <= 1 / a_psi, the value at s = a_psi.  A
+# golden-section search overshot it: shifted_power(1, 2) read 1 + 4.7e-11 at
+# t = 1e12, and the zero-region table 2 + 9.3e-11 at t = 1e8.
+AMEMIYA_FAMILIES = {
+    "power": OrliczSpec.power(2),
+    "power-linear": OrliczSpec.power(1, 2.0),
+    "shifted_power": OrliczSpec.shifted_power(1, 2),
+    "shifted_power-linear": OrliczSpec.shifted_power(1, 1),
+    "shifted_power-steep": OrliczSpec.shifted_power(0.5, 1.5),
+    "exp_minus_one": OrliczSpec.exp_minus_one(),
+    "table": OrliczSpec.table([(1.0, 1.0), (2.0, 3.0), (4.0, 10.0)]),
+    "table-zero-region": OrliczSpec.table([(0.5, 0.0), (1.0, 1.0)]),
+    "table-inf-beyond": OrliczSpec.table([(1.0, 1.0), (2.0, 3.0)], inf_beyond=True),
+    "table-all-zero": OrliczSpec.table([(2.0, 0.0)], inf_beyond=True),
+}
+
+
+@pytest.mark.parametrize("psi", AMEMIYA_FAMILIES.values(), ids=AMEMIYA_FAMILIES.keys())
+def test_amemiya_fundamental_function_never_exceeds_one_over_a_psi(psi):
+    space = SpaceHandle.orlicz_space(psi, "orlicz")
+    limit = phi_infinity(space)
+    for k in range(13):
+        assert fundamental_function(space, 10.0 ** k) <= limit
+
+
+@settings(max_examples=150, deadline=None)
+@given(orlicz_specs)
+def test_amemiya_fundamental_function_never_exceeds_its_limit_for_any_spec(psi):
+    space = SpaceHandle.orlicz_space(psi, "orlicz")
+    limit = phi_infinity(space)
+    for k in range(13):
+        assert fundamental_function(space, 10.0 ** k) <= limit
+
+
+# --------------------------------------------------- rational Amemiya oracle
+
+def _rational_amemiya(points, inf_beyond, cells) -> Fraction:
+    """Exact Amemiya norm ``inf_(s>0) (1 + rho(s |x|)) / s`` of a step function
+    with cells (width, |value|), for a table psi.
+
+    rho(s |x|) is piecewise linear in s, so h(s) = (1 + rho) / s is monotone
+    between its kinks t_j / m.  The infimum is the least of h at the kinks, h
+    at s_end = T / max m when psi = inf beyond T, and otherwise the limit of h
+    as s -> inf: the final slope of psi times the integral of |x|.
+    """
+    pts = [(Fraction(0), Fraction(0))] + [(Fraction(t), Fraction(v)) for t, v in points]
+    big_t = pts[-1][0]
+    last_slope = (pts[-1][1] - pts[-2][1]) / (pts[-1][0] - pts[-2][0])
+    cells = [(Fraction(w), Fraction(m)) for w, m in cells]
+
+    def psi(u):
+        if u > big_t:
+            return pts[-1][1] + last_slope * (u - big_t)
+        for (t0, v0), (t1, v1) in zip(pts, pts[1:]):
+            if u <= t1:
+                return v0 + (v1 - v0) * (u - t0) / (t1 - t0)
+
+    def h(s):
+        return (1 + sum(w * psi(s * m) for w, m in cells)) / s
+
+    s_end = big_t / max(m for _, m in cells)
+    kinks = {t / m for t, _ in pts[1:] for _, m in cells}
+    if inf_beyond:
+        return min(h(s) for s in kinks | {s_end} if s <= s_end)
+    return min([h(s) for s in kinks] + [last_slope * sum(w * m for w, m in cells)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(dyadic_tables(), dyadic_cells)
+def test_amemiya_table_matches_rational_oracle(spec, cells):
+    points, inf_beyond = spec
+    psi = OrliczSpec.table(points, inf_beyond)
+    exact = _rational_amemiya(points, inf_beyond, [(w, abs(v)) for w, v in cells])
+    got = orlicz_norm(_contiguous(cells), psi)
+    assert abs(Fraction(got) - exact) <= Fraction(1e-12) * exact
+
+
+# ------------------------------------------------ scipy oracles, smooth psi
+
+SMOOTH_FAMILIES = {
+    "exp_minus_one": (OrliczSpec.exp_minus_one(), np.expm1),
+    "shifted_power-1.5": (OrliczSpec.shifted_power(0.5, 1.5),
+                          lambda u: np.maximum(0.0, u - 0.5) ** 1.5),
+    "shifted_power-2": (OrliczSpec.shifted_power(0.5, 2.0),
+                        lambda u: np.maximum(0.0, u - 0.5) ** 2.0),
+    "shifted_power-3": (OrliczSpec.shifted_power(0.5, 3.0),
+                        lambda u: np.maximum(0.0, u - 0.5) ** 3.0),
+}
+
+
+@pytest.mark.parametrize("psi, psi_of", SMOOTH_FAMILIES.values(), ids=SMOOTH_FAMILIES.keys())
+def test_smooth_orlicz_norms_match_scipy_oracles(psi, psi_of):
+    # Luxemburg: scipy brentq on lam -> rho(x / lam) - 1.  Amemiya: scipy's
+    # bounded minimize_scalar of (1 + rho(k x)) / k over log k, at xtol 1e-12;
+    # its value is flat at the minimum, so it is far closer than its argmin.
+    optimize = pytest.importorskip("scipy.optimize")
+    cfg = TrialConfig(seed=23, trials=25, value_range=(0.1, 6.0))
+    for trial in range(cfg.trials):
+        x = random_step(cfg, trial)
+        widths = np.array([t1 - t0 for t0, t1, _ in x.pieces])
+        mags = np.array([abs(v) for _, _, v in x.pieces])
+
+        def rho(k):
+            return float(np.sum(widths * psi_of(k * mags)))
+
+        lo = hi = 1.0
+        while rho(1.0 / hi) > 1.0:
+            hi *= 2.0
+        while rho(1.0 / lo) <= 1.0:
+            lo /= 2.0
+        lux = optimize.brentq(lambda lam: rho(1.0 / lam) - 1.0, lo, hi,
+                              xtol=1e-16 * hi, rtol=4 * np.finfo(float).eps, maxiter=500)
+        assert luxemburg_norm(x, psi) == pytest.approx(lux, rel=1e-12, abs=0.0)
+
+        res = optimize.minimize_scalar(lambda q: (1.0 + rho(math.exp(q))) / math.exp(q),
+                                       bounds=(math.log(0.01 / lux), math.log(100.0 / lux)),
+                                       method="bounded", options={"xatol": 1e-12})
+        assert orlicz_norm(x, psi) == pytest.approx(float(res.fun), rel=1e-10, abs=0.0)
