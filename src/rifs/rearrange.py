@@ -102,6 +102,8 @@ class MaximalCurve:
 
     def eval_many(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
+        if not np.all(ts > 0):
+            raise SchemaError("x** is defined for t > 0")
         ks = np.clip(np.searchsorted(self.breakpoints, ts, side="left") - 1, 0, len(self.coeffs) - 1)
         arr = np.asarray(self.coeffs, dtype=float)
         return arr[ks, 1] + arr[ks, 0] / ts

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rifs import (
     HypothesisNotMetError,
@@ -18,6 +18,7 @@ from rifs import (
     a_psi,
     a_psi_vs_phi_infty,
     embeds_in_L1,
+    fundamental_function,
     fundamental_limits,
     gamma_approx_compact_decider,
     gamma_dual_weight,
@@ -29,7 +30,7 @@ from rifs import (
     rbp_check,
     weight_W_infinity,
 )
-from rifs.deciders import phi_infinity
+from rifs.deciders import l1_embedding_limit, phi_infinity
 
 INF = math.inf
 POWER1 = OrliczSpec.power(1)
@@ -205,6 +206,19 @@ def test_a_psi_phi_inconclusive_on_slow_table():
     assert "exhausted" in v.probe_log
 
 
+@pytest.mark.parametrize("psi", [
+    *(OrliczSpec.power(p) for p in (11, 12, 50, 1e10)),
+    EXP,
+    OrliczSpec.table([(1.0, 0.5), (2.0, 4.0)]),
+], ids=["power-11", "power-12", "power-50", "power-1e10", "exp", "table-slope-0.5"])
+def test_a_psi_zero_means_phi_unbounded_for_every_growth(psi):
+    # a_psi = psi^-1(0) = 0, so phi(t) = 1/psi^-1(1/t) -> inf however slowly
+    # it grows on the sampled decades (power(1e10) rises by 1.8e-9 over them).
+    v = a_psi_vs_phi_infty(psi)
+    assert v.holds and v.probe_log["a_psi"] == 0.0
+    assert "analytic" in v.probe_log and len(v.probe_log["grid"]) == 9
+
+
 # -------------------------------------------------------------- L^1 embedding
 
 def test_embeds_l1_gamma_never_under_dp():
@@ -233,6 +247,17 @@ def test_embeds_l1_lambda_tail_rule():
     assert v.holds and v.witness["d"] == pytest.approx(math.sqrt(0.5))
     v = embeds_in_L1(SpaceHandle.lorentz_lambda(2.0, WeightSpec.constant()))
     assert v.status == "fails"
+
+
+def test_lambda_l1_limit_on_the_boundary_tail_matches_phi_over_t():
+    # w = t^(p-1) puts the tail exactly on exponent a + 1 - p = 0, where
+    # phi(t)/t = (W(t)/t^p)^(1/p) = (1/p)^(1/p) at every t; the float
+    # a + 1 - p misses 0 on 39 of these 299 two-decimal pairs.
+    for k in range(101, 400):
+        p, a = k / 100, (k - 100) / 100
+        space = SpaceHandle.lorentz_lambda(p, WeightSpec.power(a))
+        d = l1_embedding_limit(space)
+        assert d == pytest.approx(fundamental_function(space, 1e8) / 1e8, rel=1e-12), (p, a)
 
 
 def test_embeds_l1_requires_infinite_domain():
@@ -347,6 +372,58 @@ def test_associate_weight_hypothesis_failures():
         lambda_associate_weight(2.0, WeightSpec.make([(0, 1, 1, -0.5, 0), (1, INF, 1, -2, 0)]))
 
 
+def test_associate_weight_refuses_a_zero_piece_below_any_probe_grid():
+    # W = 0 on (0, 1e-9), so W(2t)/W(t) = inf on [5e-10, 1e-9).
+    with pytest.raises(HypothesisNotMetError):
+        lambda_associate_weight(2.0, WeightSpec.make([(0, 1e-9, 0, 0, 0), (1e-9, INF, 1, 0, 0)]))
+
+
+# Weights of 1-3 pieces with breakpoints in 1e-11..1e3.  The first piece may
+# vanish (c = 0) or fail to be integrable at 0 (a <= -1); only the last piece
+# carries a log factor, which keeps the quadrature behind W to one piece.
+doubling_weights = st.tuples(
+    st.lists(st.integers(-11, 3), min_size=0, max_size=2, unique=True),  # log10 breakpoints
+    st.lists(st.tuples(st.sampled_from([0.0, 0.5, 2.0]),                # c
+                       st.integers(-6, 12).map(lambda k: k / 4)),       # a
+             min_size=3, max_size=3),
+    st.sampled_from([0.0, 0.0, -1.5, 1.0]),                             # b of the last piece
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(doubling_weights)
+@example(([-9], [(0.0, 0.0), (1.0, 0.0), (1.0, 0.0)], 0.0))
+def test_doubling_rule_matches_dense_grid(spec):
+    # ROADMAP item 10's gate.  On t_j = 1e-12 * 2^(j/2) up to 1e12, 2 t_j is
+    # t_(j+2), so W(2t)/W(t) is read off one column of W.
+    exps, shapes, b = spec
+    cuts = [0.0, *(10.0 ** e for e in sorted(exps)), INF]
+    bs = [0.0] * (len(cuts) - 2) + [b]
+    w = WeightSpec.make([(lo, hi, c, a, b_) for lo, hi, (c, a), b_
+                         in zip(cuts, cuts[1:], shapes, bs)])
+    first = w.pieces[0]
+    rule = first.c > 0 and first.a > -1.0
+    Ws = [w.W(float(t)) for t in 1e-12 * 2.0 ** (np.arange(2 * 80 + 1) / 2.0)]
+    assert all(0.0 < lo < INF for lo in Ws) == rule
+    if not rule:
+        with pytest.raises(HypothesisNotMetError, match="doubling"):
+            lambda_associate_weight(2.0, w)
+        return
+    ratios = [hi / lo for lo, hi in zip(Ws, Ws[2:])]
+    assert max(ratios) < INF
+    # A log head is integrated by quadrature, whose error estimate is not
+    # scale-invariant (ROADMAP item 4): W(1e-12) of 0.5 t^0.25 log(e+t)^b is
+    # off by 1.3e-5 relative.  A power head is a closed form.
+    rel = 1e-9 if first.b == 0.0 else 1e-4
+    assert ratios[0] == pytest.approx(2.0 ** (first.a + 1.0), rel=rel)
+    if b == 0.0:  # the associate weight tabulates W at 400 points
+        if math.isinf(w.W_infinity()):
+            assert lambda_associate_weight(2.0, w).pieces
+        else:
+            with pytest.raises(HypothesisNotMetError, match="W\\(inf\\)"):
+                lambda_associate_weight(2.0, w)
+
+
 # ------------------------------------------------------------------------ RB_p
 
 def test_rbp_exact_ratios():
@@ -421,6 +498,22 @@ def test_dual_weight_hypothesis_failures():
     # in D_p but the origin integral of w s^(-p) converges
     with pytest.raises(HypothesisNotMetError):
         gamma_dual_weight(2.0, WeightSpec.make([(0, 1, 1, 1.5, 0), (1, INF, 1, -0.5, 0)]))
+
+
+@pytest.mark.parametrize("formula, tail_a", [(lambda_associate_weight, 0.25),
+                                             (gamma_dual_weight, -0.5)])
+def test_weight_formulas_accept_a_piece_start_at_a_decade(formula, tail_a):
+    # geomspace gives 9.999999999999999e-06 beside the piece start 1e-5; the
+    # sliver cell between them made the power fit divide by log(1) = 0.
+    w = WeightSpec.make([(0, 1e-5, 0.5, 0, 0), (1e-5, INF, 0.5, tail_a, 0)])
+    v = formula(2.0, w)
+    assert all(pc.t1 > pc.t0 * (1.0 + 1e-9) for pc in v.pieces)
+    for t in (1.3e-5, 3e-5, 1e-3):
+        if formula is lambda_associate_weight:
+            want = (t / w.W(t)) ** 2 * w.value(t)
+        else:
+            want = w.wp_tail_integral(2.0, t) ** -2 * t ** -2 * w.value(t)
+        assert v.value(t) == pytest.approx(want, rel=1e-2)
 
 
 def test_weight_formula_outputs_nonnegative():

@@ -29,6 +29,7 @@ from rifs import (
 
 NAN, INF = math.nan, math.inf
 X = indicator(0.0, 1.0, 2.0)
+X2 = StepFunction.make([(0, 1, 2.0), (2, 3, 1.0)])
 W = WeightSpec.power(-0.5)
 
 ROWS = {
@@ -62,6 +63,9 @@ ROWS = {
     "young-conjugate-nan-table": lambda: young_conjugate(OrliczSpec.table([(1, 1), (2, 3)]), NAN),
     "value-at-nan": lambda: X.value_at(NAN),
     "maximal-curve-eval-nan": lambda: maximal_curve(X).eval(NAN),
+    "maximal-curve-eval-many-negative": lambda: maximal_curve(X2).eval_many([-1.0]),
+    "maximal-curve-eval-many-zero": lambda: maximal_curve(X2).eval_many([0.0]),
+    "maximal-curve-eval-many-nan": lambda: maximal_curve(X2).eval_many([NAN]),
 }
 
 
