@@ -270,7 +270,12 @@ def gamma_reflexive_decider(p: float, w: WeightSpec) -> Verdict:
 
     tail = w.tail
     pp = p / (p - 1.0)
-    if tail.a > -1.0:
+    if exponent_shift(tail.a, p) == -1.0:
+        # a = p - 1, in D_p only with b < -1: W_p ~ t^p log^(b+1) dominates
+        # W ~ t^p log^b, and v ~ W W_p^(-p') ~ t^-1 log^((-b-p)/(p-1)).
+        v_exp = -1.0
+        v_log_exp = (-tail.b - p) / (p - 1.0)
+    elif tail.a > -1.0:
         v_exp = -tail.a / (p - 1.0)
         v_log_exp = -tail.b / (p - 1.0)
     else:  # tail.a == -1 with b >= -1 (W must diverge): W dominates W_p
@@ -283,7 +288,10 @@ def gamma_reflexive_decider(p: float, w: WeightSpec) -> Verdict:
     ts = np.geomspace(1.0, 1e6, 103)
     Ws = np.array([w.W(float(t)) for t in ts])
     Wps = np.array([w.Wp(p, float(t)) for t in ts])
-    vs = ts ** (pp - 1.0) * Ws * Wps / (Ws + Wps) ** (pp + 1.0)
+    # v = (t/(W+W_p))^(p'-1) r (1-r) with r = W/(W+W_p): no factor overflows
+    # where v itself does not.
+    r = Ws / (Ws + Wps)
+    vs = (ts / (Ws + Wps)) ** (pp - 1.0) * r * (1.0 - r)
     log["V_numeric_1_to_1e6"] = float(np.sum(0.5 * (vs[1:] + vs[:-1]) * np.diff(ts)))
 
     if not v_diverges:

@@ -37,7 +37,9 @@ def rearrange(x: StepFunction) -> StepFunction:
     """Decreasing rearrangement x*: nonincreasing, nonnegative, left-packed.
 
     Ties between equal values are broken by source order; the result does not
-    depend on the tie-break because only values and lengths matter.
+    depend on the tie-break because only values and lengths matter.  Every
+    piece of x keeps its length in x*, to one rounding, however narrow it is
+    where x* lays it.
 
     x is immutable, so x* is computed once and kept on x: every later call
     returns the same object, which all callers share and must not alter.
@@ -51,6 +53,8 @@ def rearrange(x: StepFunction) -> StepFunction:
 
 
 def _rearranged(x: StepFunction) -> StepFunction:
+    # Only a cell whose laid-out width rounds to 0 is dropped (width_tol=0):
+    # the width rule of make depends on where a cell lies.
     if len(x.pieces) < ARRAY_MIN_PIECES:
         cells = []
         cursor = 0.0
@@ -58,7 +62,7 @@ def _rearranged(x: StepFunction) -> StepFunction:
             length = t1 - t0
             cells.append((cursor, cursor + length, v))
             cursor += length
-        return StepFunction(x.alpha, _settle(cells, x.alpha))
+        return StepFunction(x.alpha, _settle(cells, x.alpha, width_tol=0.0))
     t0, t1, v = x._columns
     size = np.abs(v)
     # Pieces are in source order, so a stable sort keeps it among ties.
@@ -66,7 +70,7 @@ def _rearranged(x: StepFunction) -> StepFunction:
     # A sequential cumulative sum: the same bits as ``cursor += length``.
     ends = np.cumsum((t1 - t0)[order])
     starts = np.concatenate(([0.0], ends[:-1]))
-    return StepFunction(x.alpha, _settle_array(starts, ends, size[order], x.alpha))
+    return _settle_array(starts, ends, size[order], x.alpha, width_tol=0.0)
 
 
 @dataclass(frozen=True)

@@ -1,24 +1,28 @@
 """Norm evaluators for the Lorentz spaces built from x* and x**, Orlicz norms,
 and fundamental functions, all behind a tagged :class:`SpaceHandle`.
 
-Both Lorentz norms come from one forward walk over the pieces of x* and the
-weight pieces.  On each piece of x* the integrand is ``(B + A/t)^p w(t)``:
-A = 0, B = 1 over x* (the result is then scaled by (x*)^p), and
-``x** = B + A/t`` over x**.  A piece is cut into cells at the weight-piece
-starts inside it.  On a pure-power weight piece a cell is exact when A = 0,
-or for integer p up to 12 through the binomial expansion; each antiderivative
-``c t^e / e`` (``c log t`` for e = 0) is evaluated once per cut and is the
-next cell's lower value.  A log piece with A = 0 is one ``power_log_integral``
-call.  Every other cell goes to one batched ``integrate_cells`` call at
-relative tolerance 1e-9 per cell.  Beyond the support the norm over x** adds
-the analytic tail ``A^p integral t^(-p) w``, convergent exactly when the
-weight lies in D_p.
+Both Lorentz norms come from one pass over the pieces of x* and the weight
+pieces.  On each piece of x* the integrand is ``(B + A/t)^p w(t)``: A = 0,
+B = 1 over x* (the result is then scaled by (x*)^p), and ``x** = B + A/t``
+over x**.  A piece is cut into cells at the weight-piece starts inside it.
+On a pure-power weight piece a cell is exact when A = 0, or for integer p up
+to 12 through the binomial expansion; each antiderivative ``c t^e / e``
+(``c log t`` for e = 0) is evaluated once per cut and is the next cell's
+lower value.  A log piece with A = 0 is one ``power_log_integral`` call.
+Every other cell goes to one batched ``integrate_cells`` call at relative
+tolerance 1e-9 per cell.  Below ``ARRAY_MIN_PIECES`` pieces of x* the pass is
+a forward walk over lists; from there up it runs on the arrays of x*, weight
+piece by weight piece, with the walk's bits: numpy does only +, -, * and /,
+and every power and log is CPython's.  Beyond the support the norm over x**
+adds the analytic tail ``A^p integral t^(-p) w``, convergent exactly when
+the weight lies in D_p.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -26,8 +30,8 @@ from .errors import DivergentIntegralError, SchemaError, require_alpha, require_
 from .orlicz import OrliczSpec, luxemburg_norm, orlicz_norm
 from .quadrature import integrate_cells
 from .rearrange import rearrange
-from .step import StepFunction, indicator
-from .weights import WeightSpec, power_log_integral, require_D_p
+from .step import ARRAY_MIN_PIECES, StepFunction, indicator
+from .weights import WeightPiece, WeightSpec, power_log_integral, require_D_p
 
 GAMMA_REL_TOL = 1e-9
 # The terms (C(n, j), n - j, j) of the binomial expansion of (B + A/t)^n for
@@ -46,18 +50,22 @@ def _require_weight_domain(w: WeightSpec, alpha: float) -> None:
         )
 
 
-def _lorentz_integral(star, w: WeightSpec, p: float, over_curve: bool,
+def _lorentz_integral(star: StepFunction, w: WeightSpec, p: float, over_curve: bool,
                       quadrature: bool = False) -> tuple[float, float]:
     """``integral (x*)^p w`` (with ``over_curve``, ``integral (x**)^p w``)
-    over the support of x*, from the pieces ``star`` of x*, and the mass of x*.
+    over the support of x*, and the mass of x*.
 
     Each piece (t0, t1, v) of x* gives one segment where the integrand is
     ``(B + A/t)^p w(t)``.  Over x* the segment is (t0, t1) with A = 0, B = 1,
     and the integrals of its cells add up to its weight integral, scaled by
     v^p.  Over x** it runs from the previous piece's end to t1 with B = v and
     A = (mass before the piece) - v t0, as in ``maximal_curve``, and all cells
-    add up in order.  ``quadrature`` sends every cell to quadrature.
+    add up in order.  ``quadrature`` sends every cell to quadrature.  From
+    ``ARRAY_MIN_PIECES`` pieces of x* up, :func:`_lorentz_cells` computes the
+    same cells on arrays.
     """
+    if len(star.pieces) >= ARRAY_MIN_PIECES:
+        return _lorentz_cells(star, w, p, over_curve, quadrature)
     expansion = _BINOMIAL.get(p)
     pieces = iter(w.pieces)
     nxt = 0.0  # end of the current weight piece
@@ -69,7 +77,7 @@ def _lorentz_integral(star, w: WeightSpec, p: float, over_curve: bool,
     total = mass = end = 0.0
     parts: list[float] = []  # the cells over x**, in order
     quad = []  # (index in parts, lo, hi, A, B, c, a, b) of each cell left to quadrature
-    for t0, t1, v in star:
+    for t0, t1, v in star.pieces:
         if over_curve:
             lo, A, B = end, mass - v * t0, v
             mass += v * (t1 - t0)
@@ -134,23 +142,177 @@ def _lorentz_integral(star, w: WeightSpec, p: float, over_curve: bool,
             total += v ** p * inc
     if quad:
         idx, *cols = zip(*quad)
-        lo, hi, A, B, c, a, b = (np.array(col) for col in cols)
-
-        def f(ts: np.ndarray, k: np.ndarray) -> np.ndarray:
-            return (B[k] + A[k] / ts) ** p * c[k] * ts ** a[k] * np.log(np.e + ts) ** b[k]
-
-        for i, part in zip(idx, integrate_cells(f, lo, hi, rel_tol=GAMMA_REL_TOL).tolist()):
+        for i, part in zip(idx, _quadrature(p, *(np.array(col) for col in cols)).tolist()):
             parts[i] = part
     for part in parts:
         total += part
     return total, mass
 
 
+def _quadrature(p: float, lo: np.ndarray, hi: np.ndarray, A: np.ndarray, B: np.ndarray,
+                c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The integrals of ``(B + A/t)^p c t^a log(e+t)^b`` over the cells
+    (lo, hi), in one batched call.  Where every b is 0 the log factor is left
+    out, which changes no bit: its power is exactly 1."""
+    if b.any():
+        def f(ts: np.ndarray, k: np.ndarray) -> np.ndarray:
+            return (B[k] + A[k] / ts) ** p * c[k] * ts ** a[k] * np.log(np.e + ts) ** b[k]
+    else:
+        def f(ts: np.ndarray, k: np.ndarray) -> np.ndarray:
+            return (B[k] + A[k] / ts) ** p * c[k] * ts ** a[k]
+    return integrate_cells(f, lo, hi, rel_tol=GAMMA_REL_TOL)
+
+
+def _powers(xs: np.ndarray, e: float) -> np.ndarray:
+    """``x ** e`` at every x, by CPython's pow, whose last bit numpy's does
+    not always match."""
+    return np.fromiter(map(pow, xs.tolist(), repeat(e)), float, len(xs))
+
+
+def _antiderivative(c: float, e: float, ts: np.ndarray) -> np.ndarray:
+    """``c t^e / e`` (``log t`` for e = 0) at the ascending points ts, by
+    CPython's pow and log; at t = 0 the walk's limit, 0 for e > 0 and -inf
+    otherwise."""
+    pts = ts.tolist()
+    at_zero = pts[:1] == [0.0]
+    if at_zero:
+        pts = pts[1:]
+    if e:
+        out = c * np.fromiter(map(pow, pts, repeat(e)), float, len(pts)) / e
+    else:
+        out = np.fromiter(map(math.log, pts), float, len(pts))
+    return np.concatenate(([0.0 if e > 0.0 else -math.inf], out)) if at_zero else out
+
+
+def _differences(c: float, e: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The walk's closed-form term on the ascending cells (lo, hi):
+    ``F(hi) - F(lo)`` for ``F = c t^e / e``, and ``c (log hi - log lo)`` for
+    e = 0.  F is evaluated once per cut: a cell starting where the one before
+    it ends takes that cell's upper value as its lower one."""
+    F = _antiderivative(c, e, np.concatenate((lo[:1], hi)))
+    diff = F[1:] - F[:-1]
+    fresh = (lo[1:] != hi[:-1]).nonzero()[0]
+    if len(fresh):
+        fresh += 1
+        diff[fresh] = F[1:][fresh] - _antiderivative(c, e, lo[fresh])
+    return diff if e else c * diff
+
+
+def _closed_forms(pc: WeightPiece, p: float, expansion: list[tuple[int, int, int]] | None,
+                  over_curve: bool, lo: np.ndarray, hi: np.ndarray, A: np.ndarray, B: np.ndarray,
+                  part: np.ndarray, left: np.ndarray) -> None:
+    """The walk's closed forms on the cells (lo, hi) of the weight piece pc
+    with c != 0, written into ``part``; ``left`` comes in as ``A != 0`` and
+    keeps the cells that quadrature must take.
+
+    On a log piece a cell with A = 0 is one weight integral.  On a power
+    piece a cell with A = 0 is ``B^p (F(hi) - F(lo))``, and for integer p the
+    binomial expansion takes the cells with A != 0.  Over x* (not
+    ``over_curve``) B^p = 1.0 ** p is 1.0 and is left out, and a log cell
+    with an infinite integral ends the pass, as it ends the walk.
+    """
+    zero = ~left
+    if pc.b != 0.0:
+        for k in zero.nonzero()[0].tolist():
+            part[k] = float(B[k]) ** p * power_log_integral(pc.c, pc.a, pc.b, float(lo[k]), float(hi[k]))
+            if not over_curve and math.isinf(part[k]):
+                return
+        return
+    own = None  # F(hi) - F(lo) of exponent a + 1 on the cells with A = 0
+    n_left = np.count_nonzero(left)
+    if expansion and n_left:
+        # The binomial expansion on the cells with A != 0, its terms added in
+        # order; each term's differences cover every cell.
+        rest = left.nonzero()[0]
+        A_r, B_r = A[rest], B[rest]
+        total = np.zeros(len(rest))
+        for cb, nj, jj in expansion:
+            diff = _differences(pc.c, (pc.a - jj) + 1.0, lo, hi)
+            if jj == 0:
+                own = diff[zero]
+            coef = cb * (_powers(B_r, nj) if nj else 1.0) * (_powers(A_r, jj) if jj else 1.0)
+            total += coef * diff[rest]
+        part[rest] = total
+        left[rest] = False
+    if n_left < len(left):
+        if own is None:
+            own = (_differences(pc.c, pc.a + 1.0, lo, hi) if not n_left else
+                   _differences(pc.c, pc.a + 1.0, lo[zero], hi[zero]))
+        part[zero] = _powers(B[zero], p) * own if over_curve else own
+
+
+def _lorentz_cells(star: StepFunction, w: WeightSpec, p: float, over_curve: bool,
+                   quadrature: bool) -> tuple[float, float]:
+    """The walk of :func:`_lorentz_integral` as one pass over the arrays of
+    x*, to the walk's bits.
+
+    The cells on one weight piece are a run of consecutive segments, the first
+    and the last clipped to the piece, and run after run they come in the
+    walk's order.  Only +, -, * and / run in numpy: each power and log goes
+    through CPython's ``pow`` and ``math.log``, and every sum runs in the
+    walk's order (``np.cumsum`` is sequential).  The cells left to quadrature
+    reach it in the walk's order and number, because its batched sums depend
+    on the shape of the batch.
+    """
+    t0, t1, v = star._columns
+    if over_curve:
+        mass_to = np.cumsum(v * (t1 - t0))
+        lo, B = np.concatenate(([0.0], t1[:-1])), v
+        A = np.concatenate(([0.0], mass_to[:-1])) - v * t0
+        mass = float(mass_to[-1])
+    else:
+        lo, A, B, mass = t0, np.zeros(len(v)), np.ones(len(v)), 0.0
+    expansion = _BINOMIAL.get(p)
+    runs = []  # over x**, per weight piece: its cells, their values, those left to quadrature
+    inc = np.zeros(len(v))  # over x*, each segment's cells added up in order
+    for pc in w.pieces:
+        i0 = int(t1.searchsorted(pc.t0, side="right"))
+        i1 = int(lo.searchsorted(pc.t1, side="left"))
+        if i0 >= i1:
+            continue
+        cells = slice(i0, i1)
+        cell_lo, cell_hi, cell_A, cell_B = lo[cells], t1[cells], A[cells], B[cells]
+        if cell_lo[0] < pc.t0:
+            cell_lo = np.concatenate(([pc.t0], cell_lo[1:]))
+        if cell_hi[-1] > pc.t1:
+            cell_hi = np.concatenate((cell_hi[:-1], [pc.t1]))
+        part = np.zeros(i1 - i0)
+        if quadrature or pc.c == 0.0:
+            left = np.full(i1 - i0, quadrature)
+        else:
+            left = cell_A != 0.0
+            _closed_forms(pc, p, expansion, over_curve, cell_lo, cell_hi, cell_A, cell_B, part, left)
+        if over_curve:
+            runs.append((cells, cell_lo, cell_hi, part, left, pc))
+            continue
+        # Over x* no cell is left to quadrature (A = 0), and the walk stops
+        # at the first segment whose integral is infinite.
+        inc[cells] += part
+        if np.isinf(inc[cells]).any():
+            raise DivergentIntegralError("weight is not locally integrable near 0")
+    if not over_curve:
+        return float(np.cumsum(np.concatenate(([0.0], _powers(v, p) * inc)))[-1]), mass
+    quad = []  # the cells left to quadrature, run by run: (values, where, columns)
+    for cells, cell_lo, cell_hi, part, left, pc in runs:
+        n = np.count_nonzero(left)
+        if n:
+            quad.append((part, left, (cell_lo[left], cell_hi[left], A[cells][left], B[cells][left],
+                                      np.full(n, pc.c), np.full(n, pc.a), np.full(n, pc.b))))
+    if quad:
+        values = _quadrature(p, *map(np.concatenate, zip(*(cols for _, _, cols in quad))))
+        at = 0
+        for part, left, cols in quad:
+            part[left] = values[at:at + len(cols[0])]
+            at += len(cols[0])
+    parts = np.concatenate([part for _, _, _, part, _, _ in runs])
+    return float(np.cumsum(np.concatenate(([0.0], parts)))[-1]), mass
+
+
 def lambda_norm(x: StepFunction, p: float, w: WeightSpec) -> float:
     """``( integral (x*)^p w )^(1/p)``, exact per piece of x*."""
     require_exponent("lambda_norm", p)
     _require_weight_domain(w, x.alpha)
-    total, _ = _lorentz_integral(rearrange(x).pieces, w, p, over_curve=False)
+    total, _ = _lorentz_integral(rearrange(x), w, p, over_curve=False)
     return total ** (1.0 / p)
 
 
@@ -163,14 +325,19 @@ def gamma_norm(x: StepFunction, p: float, w: WeightSpec, method: str = "auto") -
     require_exponent("gamma_norm", p)
     _require_weight_domain(w, x.alpha)
     require_D_p(w, p, x.alpha)
-    star = rearrange(x).pieces
+    star = rearrange(x)
     # The mass of x* is 0 exactly when every piece's is (they are >= 0).
-    if not any(v * (t1 - t0) for t0, t1, v in star):
+    if len(star.pieces) < ARRAY_MIN_PIECES:
+        massless = not any(v * (t1 - t0) for t0, t1, v in star.pieces)
+    else:
+        t0, t1, v = star._columns
+        massless = not (v * (t1 - t0)).any()
+    if massless:
         return 0.0
     total, mass = _lorentz_integral(star, w, p, over_curve=True,
                                     quadrature=method == "quadrature")
     # Beyond the support x** = (total mass)/t.
-    tail = w.wp_tail_integral(p, star[-1][1])
+    tail = w.wp_tail_integral(p, star.support_end)
     if math.isinf(tail):
         raise DivergentIntegralError("gamma tail integral diverges (D_p violation)")
     total += mass ** p * tail

@@ -15,10 +15,11 @@ validation and sorting but go through the same settling rules: breakpoints
 snap within the tolerance ``MERGE_TOL``, and adjacent pieces merge only when
 their values are exactly equal.  A binary operation on n and m pieces is one
 merged sweep over both breakpoint lists and costs O((n+m) log(n+m)).
-Binary operations and the rearrangement on at least ``ARRAY_MIN_PIECES``
-pieces take the same steps on numpy arrays; smaller ones stay on plain lists,
-where array set-up costs more than it saves.  Both paths give bit-identical
-pieces.
+``make``, the binary operations and the rearrangement on at least
+``ARRAY_MIN_PIECES`` pieces take the same steps on numpy arrays; smaller ones
+stay on plain lists, where array set-up costs more than it saves.  Both paths
+give bit-identical pieces, and ``make`` the same errors.  A result built on
+arrays keeps them as its ``_columns``.
 """
 
 from __future__ import annotations
@@ -37,12 +38,18 @@ from .errors import SchemaError, require_alpha
 
 MERGE_TOL = 1e-12
 
-# Piece count (of both operands together, for binary operations) from which
-# the binary operations and the rearrangement run on arrays.  Best of 15
-# timings on a shared 2-vCPU VM, list vs array path: ``add`` of 16 + 16
-# pieces 67 vs 80 us, of 32 + 32 132 vs 88 us; ``rearrange`` of 48 pieces
-# 36 vs 44 us, of 64 52 vs 46 us.  One threshold near the crossovers, so that
-# 1-5 piece inputs never pay for array set-up.
+# Piece count (of both operands together, for binary operations; of x* for
+# the Lorentz norms) from which make, the binary operations, the
+# rearrangement and the Lorentz cell pass run on arrays.  Best of 15 timings
+# on a shared 2-vCPU VM, list vs array path: ``add`` of 16 + 16 pieces 67 vs
+# 80 us, of 32 + 32 132 vs 88 us; ``rearrange`` of 48 pieces 36 vs 44 us, of
+# 64 52 vs 46 us; ``make`` of 64 pieces 120 vs 139 us, of 96 182 vs 152 us;
+# the Lambda pass (p = 2, w = t^-1/2) on 64 pieces of x* 46 vs 64 us, on 128
+# 89 vs 82 us; the Gamma pass on 64 pieces 144 vs 183 us (p = 2) and 174 vs
+# 179 us (p = 1.5), on 96 219 vs 214 and 221 vs 192 us.  make and the Lorentz
+# pass cross over between 64 and 128 pieces, and pay up to 1.4x just above
+# the threshold.  One threshold near the crossovers, so that 1-5 piece inputs
+# never pay for array set-up.
 ARRAY_MIN_PIECES = 64
 
 Piece = tuple[float, float, float]  # (t0, t1, value)
@@ -54,19 +61,19 @@ def _close(a: float, b: float) -> bool:
     return abs(a - b) <= MERGE_TOL * max(1.0, abs(a), abs(b))
 
 
-def _within_tol(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """``hi - lo <= MERGE_TOL * max(1, hi)`` elementwise: the width test of
+def _within_tol(lo: np.ndarray, hi: np.ndarray, tol: float = MERGE_TOL) -> np.ndarray:
+    """``hi - lo <= tol * max(1, hi)`` elementwise: the width test of
     :func:`_settle`, and for ``0 <= lo <= hi`` the same floating-point
     operations as ``_close(lo, hi)``."""
-    return hi - lo <= MERGE_TOL * np.maximum(hi, 1.0)
+    return hi - lo <= tol * np.maximum(hi, 1.0)
 
 
-def _settle(cells: Iterable[Piece], alpha: float) -> tuple[Piece, ...]:
+def _settle(cells: Iterable[Piece], alpha: float, width_tol: float = MERGE_TOL) -> tuple[Piece, ...]:
     """Canonical pieces from float cells ``(t0, t1, v)`` sorted by t0.
 
     A non-finite value or end raises.  An end past a finite alpha snaps to it
     within ``MERGE_TOL`` and raises beyond.  Cells of value 0 or of width at
-    most ``MERGE_TOL * max(1, |t1|)`` are dropped.  A start within
+    most ``width_tol * max(1, |t1|)`` are dropped.  A start within
     ``MERGE_TOL`` of the previous end snaps to it; one further left raises.
     """
     out: list[Piece] = []
@@ -77,7 +84,7 @@ def _settle(cells: Iterable[Piece], alpha: float) -> tuple[Piece, ...]:
             if not _close(t1, alpha):
                 raise SchemaError(f"piece ends beyond alpha={alpha}: {t1}")
             t1 = alpha
-        if v == 0.0 or t1 - t0 <= MERGE_TOL * max(1.0, abs(t1)):
+        if v == 0.0 or t1 - t0 <= width_tol * max(1.0, abs(t1)):
             continue
         if out:
             pt0, pt1, pv = out[-1]
@@ -95,9 +102,11 @@ def _settle(cells: Iterable[Piece], alpha: float) -> tuple[Piece, ...]:
     return tuple(out)
 
 
-def _settle_array(t0: np.ndarray, t1: np.ndarray, v: np.ndarray, alpha: float) -> tuple[Piece, ...]:
+def _settle_array(t0: np.ndarray, t1: np.ndarray, v: np.ndarray, alpha: float,
+                  width_tol: float = MERGE_TOL) -> "StepFunction":
     """:func:`_settle` on arrays of cells that start at or after 0 and do not
-    overlap, so that t1 is nondecreasing and ``_close`` is :func:`_within_tol`."""
+    overlap, so that t1 is nondecreasing and ``_close`` is :func:`_within_tol`.
+    The result keeps the settled arrays as its ``_columns``."""
     if not (math.isfinite(t1[-1]) and np.isfinite(v).all()):
         raise SchemaError("piece endpoints and values must be finite")
     if t1[-1] > alpha:
@@ -105,11 +114,9 @@ def _settle_array(t0: np.ndarray, t1: np.ndarray, v: np.ndarray, alpha: float) -
         if not _within_tol(alpha, t1[over]).all():
             raise SchemaError(f"piece ends beyond alpha={alpha}: {t1[-1]}")
         t1 = np.where(over, alpha, t1)
-    keep = (v != 0.0) & ~_within_tol(t0, t1)
+    keep = (v != 0.0) & ~_within_tol(t0, t1, width_tol)
     if not keep.all():
         t0, t1, v = t0[keep], t1[keep], v[keep]
-        if not len(v):
-            return ()
     snap = _within_tol(t1[:-1], t0[1:])
     t0 = np.concatenate((t0[:1], np.where(snap, t1[:-1], t0[1:])))
     new = v[1:] != v[:-1]
@@ -118,7 +125,11 @@ def _settle_array(t0: np.ndarray, t1: np.ndarray, v: np.ndarray, alpha: float) -
         first = np.flatnonzero(np.concatenate(([True], new)))
         last = np.concatenate((first[1:], [len(v)])) - 1
         t0, t1, v = t0[first], t1[last], v[first]
-    return tuple(zip(t0.tolist(), t1.tolist(), v.tolist()))
+    out = StepFunction(alpha, tuple(zip(t0.tolist(), t1.tolist(), v.tolist())))
+    for column in (t0, t1, v):
+        column.flags.writeable = False
+    out.__dict__["_columns"] = (t0, t1, v)
+    return out
 
 
 def _canonical(pieces: Iterable[Sequence[float]], alpha: float) -> tuple[Piece, ...]:
@@ -137,6 +148,60 @@ def _canonical(pieces: Iterable[Sequence[float]], alpha: float) -> tuple[Piece, 
     return _settle(cells, alpha)
 
 
+def _float_columns(pieces: Sequence[Sequence[float]]) -> list[np.ndarray] | None:
+    """The pieces as float columns (t0, t1, v), or None where the list code
+    must decide: a piece that is not three numbers, or a NaN, which numpy also
+    makes of None."""
+    try:
+        columns = [np.fromiter(col, float, len(col)) for col in zip(*pieces, strict=True)]
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if len(columns) != 3 or np.isnan(columns).any():
+        return None
+    return columns
+
+
+def _canonical_array(t0: np.ndarray, t1: np.ndarray, v: np.ndarray, alpha: float) -> "StepFunction":
+    """:func:`_canonical` on NaN-free float columns, with the same results and
+    errors: the checks of the input in input order, a stable sort by start,
+    the checks of :func:`_settle` in sorted order, then :func:`_settle_array`
+    on the cells that ``_settle`` keeps."""
+    finite = np.isfinite(t0) & np.isfinite(t1)
+    # _close(t0, 0.0) for a start left of 0.
+    near = (t0 < 0.0) & (np.abs(t0) <= MERGE_TOL * np.maximum(np.abs(t0), 1.0))
+    t0 = np.where(near, 0.0, t0)
+    bad = ~finite | (t0 < 0.0)
+    if bad.any():
+        i = int(bad.argmax())
+        if not finite[i]:
+            raise SchemaError("piece endpoints and values must be finite")
+        raise SchemaError(f"piece starts before 0: {float(t0[i])}")
+    order = np.argsort(t0, kind="stable")
+    t0, t1, v = t0[order], t1[order], v[order]
+    # An end past alpha snaps to it when close; t1 keeps it for the message.
+    beyond = t1 > alpha
+    ends = np.where(beyond, alpha, t1)
+    beyond &= ~_within_tol(alpha, t1)
+    dropped = (v == 0.0) | (ends - t0 <= MERGE_TOL * np.maximum(np.abs(ends), 1.0))
+    kept = np.flatnonzero(~dropped)
+    # A kept cell overlaps when it starts left of the last kept end by more
+    # than _close allows.
+    start, last = t0[kept[1:]], ends[kept[:-1]]
+    overlap = np.zeros(len(v), dtype=bool)
+    overlap[kept[1:]] = (start < last) & (last - start > MERGE_TOL * np.maximum(last, 1.0))
+    bad = ~np.isfinite(v) | beyond | overlap
+    if bad.any():
+        i = int(bad.argmax())
+        if not math.isfinite(v[i]):
+            raise SchemaError("piece endpoints and values must be finite")
+        if beyond[i]:
+            raise SchemaError(f"piece ends beyond alpha={alpha}: {float(t1[i])}")
+        raise SchemaError(f"pieces overlap near t={float(t0[i])}")
+    if not len(kept):
+        return StepFunction(alpha, ())
+    return _settle_array(t0[kept], ends[kept], v[kept], alpha)
+
+
 @dataclass(frozen=True)
 class StepFunction:
     """Piecewise-constant function on ``[0, alpha)`` with ``alpha in {1, inf}``.
@@ -144,8 +209,9 @@ class StepFunction:
     Instances are immutable and canonical: pieces sorted, disjoint, nonzero,
     with adjacent equal values merged.  Construct through :meth:`make`.
     What is derived from the pieces (``_columns``, and the x* and x** of the
-    rearrangement layer) is kept on the instance once computed; it takes no
-    part in ``==``, ``hash``, ``repr`` or pickling.
+    rearrangement layer) is kept on the instance once computed, or from its
+    construction where that was on arrays; it takes no part in ``==``,
+    ``hash``, ``repr`` or pickling.
     """
 
     alpha: float
@@ -155,6 +221,12 @@ class StepFunction:
     def make(cls, pieces: Iterable[Sequence[float]], alpha: float = math.inf) -> "StepFunction":
         alpha = float(alpha)
         require_alpha(alpha)
+        if not isinstance(pieces, (list, tuple)):
+            pieces = list(pieces)
+        if len(pieces) >= ARRAY_MIN_PIECES:
+            columns = _float_columns(pieces)
+            if columns is not None:
+                return _canonical_array(*columns, alpha)
         return cls(alpha, _canonical(pieces, alpha))
 
     @classmethod
@@ -295,7 +367,7 @@ def _pointwise(x: StepFunction, y: StepFunction, op, op_array) -> StepFunction:
     mids = 0.5 * (lo + hi)
     with np.errstate(over="ignore"):
         vals = op_array(x.values(mids), y.values(mids))
-    return StepFunction(x.alpha, _settle_array(lo, hi, vals, x.alpha))
+    return _settle_array(lo, hi, vals, x.alpha)
 
 
 def add(x: StepFunction, y: StepFunction) -> StepFunction:

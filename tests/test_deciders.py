@@ -3,6 +3,7 @@ function cross-checks, reflexivity, approximative compactness, the RB_p
 comparison, and the explicit associate/dual weight formulas."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -301,6 +302,27 @@ def test_reflexive_prerequisite_boundary_exponent():
     w_log = WeightSpec.make([(0, INF, 1, 1.0, -2.0)])  # D_p ok via log correction
     v = gamma_reflexive_decider(2.0, w_log)
     assert v.holds
+
+
+def test_reflexive_decides_the_boundary_tail_a_equal_p_minus_1():
+    # a = p - 1 is in D_p for b < -1, and there v ~ t^-1 log^((-b-p)/(p-1)),
+    # whose log exponent is >= -1: V diverges.  In floats 0.13 / 0.13 missed
+    # -1 by two ulps and the verdict was "fails".
+    w = WeightSpec.make([(0, 1, 1, -0.5, 0), (1, INF, 1, 0.13, -2)])
+    v = gamma_reflexive_decider(1.13, w)
+    assert v.holds
+    assert v.probe_log["V_tail"]["t_exponent"] == -1.0
+    assert v.probe_log["V_tail"]["log_exponent"] == pytest.approx((2.0 - 1.13) / 0.13)
+
+
+def test_reflexive_numeric_probe_does_not_overflow_near_p_one():
+    # p' - 1 = 100 at p = 1.01: t^(p'-1) and (W + W_p)^(p'+1) overflowed.
+    w = WeightSpec.make([(0, 1, 1, -0.5, 0), (1, INF, 1, 0.01, -2)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        v = gamma_reflexive_decider(1.01, w)
+    assert v.holds
+    assert math.isfinite(v.probe_log["V_numeric_1_to_1e6"])
 
 
 def test_reflexive_validates_p():

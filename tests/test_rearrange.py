@@ -157,6 +157,20 @@ def test_rearrange_matches_descending_sort_oracle():
         assert rearrange(x).pieces == _rearrange_reference(x).pieces
 
 
+@pytest.mark.parametrize("n", [1, ARRAY_MIN_PIECES])
+def test_rearrange_keeps_a_narrow_piece_that_make_kept(n):
+    # make keeps [0, 1.5e-12): its width exceeds MERGE_TOL there.  In x* it
+    # lies at t = 100, where the width rule of make would drop it, and x* lost
+    # its measure.  One n is on each side of the list/array threshold.
+    step = 100.0 / n
+    x = StepFunction.make([(0, 1.5e-12, 1.0)]
+                          + [(1 + i * step, 1 + (i + 1) * step, 2.0 + i) for i in range(n)])
+    star = rearrange(x)
+    assert len(star.pieces) == n + 1 == len(x.pieces)
+    for lam in (0.0, 0.5, 1.0, 1.5, 2.0, 2.5):
+        assert distribution(star, lam) == pytest.approx(distribution(x, lam), rel=2**-52, abs=0)
+
+
 @pytest.mark.parametrize("n", [9, 100])
 def test_rearrange_snaps_drift_past_alpha_one(n):
     # Pieces [i/n, (i+1)/n) with increasing values: x* lays them end to end in

@@ -36,6 +36,7 @@ from rifs import (
     scale,
 )
 from rifs.quadrature import integrate_cells
+from rifs.step import ARRAY_MIN_PIECES
 from rifs.weights import power_log_integral
 
 INF = math.inf
@@ -367,17 +368,21 @@ def _outcome(norm_fn, *args):
 
 @st.composite
 def functions_and_weights(draw):
-    """x of 1-6 pieces on (0, 1) or (0, inf) and a weight of 1-4 pieces, with
-    c = 0 pieces, log pieces, a = -1 and starts that fall on breakpoints of
-    x* or inside its pieces."""
+    """x of 1-6 or of 64-160 pieces on (0, 1) or (0, inf) and a weight of 1-4
+    pieces, with c = 0 pieces, log pieces, a = -1 and starts that fall on
+    breakpoints of x* or inside its pieces.  The long x mostly have distinct
+    values, so that x* reaches ``ARRAY_MIN_PIECES`` pieces."""
     alpha = draw(st.sampled_from([1.0, INF]))
-    top, unit = (0.97, 0.06) if alpha == 1.0 else (10.0, 1.0)
+    n = draw(st.one_of(st.integers(1, 6), st.integers(ARRAY_MIN_PIECES, 160)))
+    top, unit = (0.97, 0.36 / max(n, 6)) if alpha == 1.0 else (10.0, 1.0)
     pieces = []
     cursor = 0.0
-    for _ in range(draw(st.integers(1, 6))):
+    for i in range(n):
         cursor += unit * draw(st.sampled_from([0.0, 0.0, 0.3, 1.0]))
         length = unit * draw(st.floats(0.05, 1.5))
         value = draw(st.sampled_from([0.0, 0.25, -0.5, 1.0, 1.5, -2.0, 3.0]))
+        if n > 6:
+            value *= 1.0 + i / n
         pieces.append((cursor, cursor + length, value))
         cursor += length
     x = StepFunction.make(pieces, alpha)

@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rifs import SchemaError, StepFunction, absolute, add, combine, indicator, maximum, minimum, scale
 from rifs.step import ARRAY_MIN_PIECES, MERGE_TOL
@@ -232,3 +232,105 @@ def test_value_lookups_match_scan(raw, ts):
     want = [_scan(x, t) for t in ts]
     assert [x.value_at(t) for t in ts] == want
     assert x.values(np.array(ts)).tolist() == want
+
+
+# ------------------------------------------- make on arrays, by list reference
+
+def _canonical_reference(pieces, alpha):
+    """The list canonicalization: check each piece in input order, sort by
+    start (stably), then settle the cells one by one."""
+    def close(a, b):
+        return abs(a - b) <= MERGE_TOL * max(1.0, abs(a), abs(b))
+
+    cells = []
+    for t0, t1, v in pieces:
+        t0, t1, v = float(t0), float(t1), float(v)
+        if not (math.isfinite(t0) and math.isfinite(t1)):
+            raise SchemaError("piece endpoints and values must be finite")
+        if t0 < 0 and close(t0, 0.0):
+            t0 = 0.0
+        if t0 < 0:
+            raise SchemaError(f"piece starts before 0: {t0}")
+        cells.append((t0, t1, v))
+    cells.sort(key=lambda cell: cell[0])
+    out = []
+    for t0, t1, v in cells:
+        if not (math.isfinite(v) and math.isfinite(t1)):
+            raise SchemaError("piece endpoints and values must be finite")
+        if t1 > alpha:
+            if not close(t1, alpha):
+                raise SchemaError(f"piece ends beyond alpha={alpha}: {t1}")
+            t1 = alpha
+        if v == 0.0 or t1 - t0 <= MERGE_TOL * max(1.0, abs(t1)):
+            continue
+        if out:
+            pt0, pt1, pv = out[-1]
+            if t0 == pt1 or close(t0, pt1):
+                t0 = pt1
+                if v == pv:
+                    out[-1] = (pt0, t1, v)
+                    continue
+            elif t0 < pt1:
+                raise SchemaError(f"pieces overlap near t={t0}")
+        out.append((t0, t1, v))
+    return tuple(out)
+
+
+FAULTS = ("non-finite value", "non-finite end", "far negative start", "overlap")
+
+
+@st.composite
+def raw_inputs(draw):
+    """64-100 raw pieces and alpha: zeros, ties, narrow cells, starts within
+    MERGE_TOL of the previous end or of 0, and, in some inputs, one or two
+    faults; on (0, 1) the ends may pass alpha by a little or by more than
+    MERGE_TOL; the order may be shuffled."""
+    n = draw(st.integers(ARRAY_MIN_PIECES, 100))
+    alpha = draw(st.sampled_from([1.0, math.inf]))
+    pieces, cursor = [], 0.0
+    for _ in range(n):
+        kind = draw(st.sampled_from(["plain"] * 5 + ["narrow", "snap", "zero"]))
+        start = cursor + draw(st.sampled_from([0.0, 0.0, 0.5]))
+        if kind == "snap":
+            start = cursor + draw(st.sampled_from([-8e-13, -3e-13, 3e-13, 8e-13])) * max(1.0, cursor)
+        length = draw(st.sampled_from([0.25, 1.0, 1.5]))
+        if kind == "narrow":
+            length = draw(st.sampled_from([5e-13, 1e-12, 1.5e-12, 3e-12])) * max(1.0, start)
+        value = 0.0 if kind == "zero" else draw(st.sampled_from([0.25, -0.5, 1.0, 2.0, -3.0]))
+        pieces.append([max(start, 0.0), start + length, value])
+        cursor = start + length
+    pieces[0][0] = draw(st.sampled_from([0.0, -0.0, -3e-13, 2e-13]))
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        fault = draw(st.sampled_from(FAULTS))
+        if fault == "non-finite value":
+            pieces[i][2] = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+        elif fault == "non-finite end":
+            pieces[i][draw(st.integers(0, 1))] = draw(st.sampled_from([math.inf, math.nan]))
+        elif fault == "far negative start":
+            pieces[i][0] = -0.5
+        else:
+            pieces[i][0] -= 0.2
+    if alpha == 1.0:
+        scale = draw(st.sampled_from([0.99, 1.0, 1.0 + 5e-13, 1.0 + 1e-11])) / cursor
+        pieces = [[t * scale if math.isfinite(t) else t for t in piece[:2]] + piece[2:]
+                  for piece in pieces]
+    if draw(st.booleans()):
+        pieces = draw(st.permutations(pieces))
+    return [tuple(piece) for piece in pieces], alpha
+
+
+def _settled_or_error(canonical, pieces, alpha):
+    try:
+        return repr(canonical(pieces, alpha))
+    except SchemaError as exc:
+        return f"SchemaError: {exc}"
+
+
+@settings(deadline=None, max_examples=100)
+@given(raw_inputs())
+def test_make_on_arrays_matches_list_reference(drawn):
+    # make canonicalizes on arrays from ARRAY_MIN_PIECES up: its pieces, bit
+    # for bit, or its SchemaError, message included, are the list code's.
+    pieces, alpha = drawn
+    got = _settled_or_error(lambda p, a: StepFunction.make(p, a).pieces, pieces, alpha)
+    assert got == _settled_or_error(_canonical_reference, pieces, alpha)
