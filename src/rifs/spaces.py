@@ -327,12 +327,7 @@ def gamma_norm(x: StepFunction, p: float, w: WeightSpec, method: str = "auto") -
     require_D_p(w, p, x.alpha)
     star = rearrange(x)
     # The mass of x* is 0 exactly when every piece's is (they are >= 0).
-    if len(star.pieces) < ARRAY_MIN_PIECES:
-        massless = not any(v * (t1 - t0) for t0, t1, v in star.pieces)
-    else:
-        t0, t1, v = star._columns
-        massless = not (v * (t1 - t0)).any()
-    if massless:
+    if not any(v * (t1 - t0) for t0, t1, v in star.pieces):
         return 0.0
     total, mass = _lorentz_integral(star, w, p, over_curve=True,
                                     quadrature=method == "quadrature")

@@ -102,21 +102,41 @@ def _settle(cells: Iterable[Piece], alpha: float, width_tol: float = MERGE_TOL) 
     return tuple(out)
 
 
+def _kept_cells(t0: np.ndarray, t1: np.ndarray, v: np.ndarray, alpha: float,
+                width_tol: float = MERGE_TOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The end and drop rules of :func:`_settle` on arrays of cells that start
+    at or after 0: the ends, those past alpha within ``MERGE_TOL`` snapped to
+    it; the mask of ends beyond alpha by more; and the mask of the cells kept,
+    nonzero and wider than ``width_tol * max(1, end)``."""
+    beyond = t1 > alpha
+    if beyond.any():
+        ends = np.where(beyond, alpha, t1)
+        beyond &= ~_within_tol(alpha, t1)
+    else:
+        ends = t1
+    keep = (v != 0.0) & ~_within_tol(t0, ends, width_tol)
+    return ends, beyond, keep
+
+
 def _settle_array(t0: np.ndarray, t1: np.ndarray, v: np.ndarray, alpha: float,
                   width_tol: float = MERGE_TOL) -> "StepFunction":
     """:func:`_settle` on arrays of cells that start at or after 0 and do not
-    overlap, so that t1 is nondecreasing and ``_close`` is :func:`_within_tol`.
-    The result keeps the settled arrays as its ``_columns``."""
+    overlap, so that t1 is nondecreasing and ``_close`` is :func:`_within_tol`."""
     if not (math.isfinite(t1[-1]) and np.isfinite(v).all()):
         raise SchemaError("piece endpoints and values must be finite")
-    if t1[-1] > alpha:
-        over = t1 > alpha
-        if not _within_tol(alpha, t1[over]).all():
-            raise SchemaError(f"piece ends beyond alpha={alpha}: {t1[-1]}")
-        t1 = np.where(over, alpha, t1)
-    keep = (v != 0.0) & ~_within_tol(t0, t1, width_tol)
+    ends, beyond, keep = _kept_cells(t0, t1, v, alpha, width_tol)
+    if beyond.any():
+        raise SchemaError(f"piece ends beyond alpha={alpha}: {t1[-1]}")
     if not keep.all():
-        t0, t1, v = t0[keep], t1[keep], v[keep]
+        t0, ends, v = t0[keep], ends[keep], v[keep]
+    return _merged(t0, ends, v, alpha)
+
+
+def _merged(t0: np.ndarray, t1: np.ndarray, v: np.ndarray, alpha: float) -> "StepFunction":
+    """The last step of :func:`_settle` on kept, non-overlapping cells: each
+    start within ``MERGE_TOL`` of the previous end snaps to it, and touching
+    cells of exactly equal value merge.  The result keeps the settled arrays
+    as its ``_columns``."""
     snap = _within_tol(t1[:-1], t0[1:])
     t0 = np.concatenate((t0[:1], np.where(snap, t1[:-1], t0[1:])))
     new = v[1:] != v[:-1]
@@ -164,8 +184,8 @@ def _float_columns(pieces: Sequence[Sequence[float]]) -> list[np.ndarray] | None
 def _canonical_array(t0: np.ndarray, t1: np.ndarray, v: np.ndarray, alpha: float) -> "StepFunction":
     """:func:`_canonical` on NaN-free float columns, with the same results and
     errors: the checks of the input in input order, a stable sort by start,
-    the checks of :func:`_settle` in sorted order, then :func:`_settle_array`
-    on the cells that ``_settle`` keeps."""
+    the checks of :func:`_settle` in sorted order, then :func:`_merged` on the
+    cells that ``_settle`` keeps."""
     finite = np.isfinite(t0) & np.isfinite(t1)
     # _close(t0, 0.0) for a start left of 0.
     near = (t0 < 0.0) & (np.abs(t0) <= MERGE_TOL * np.maximum(np.abs(t0), 1.0))
@@ -178,12 +198,8 @@ def _canonical_array(t0: np.ndarray, t1: np.ndarray, v: np.ndarray, alpha: float
         raise SchemaError(f"piece starts before 0: {float(t0[i])}")
     order = np.argsort(t0, kind="stable")
     t0, t1, v = t0[order], t1[order], v[order]
-    # An end past alpha snaps to it when close; t1 keeps it for the message.
-    beyond = t1 > alpha
-    ends = np.where(beyond, alpha, t1)
-    beyond &= ~_within_tol(alpha, t1)
-    dropped = (v == 0.0) | (ends - t0 <= MERGE_TOL * np.maximum(np.abs(ends), 1.0))
-    kept = np.flatnonzero(~dropped)
+    ends, beyond, keep = _kept_cells(t0, t1, v, alpha)
+    kept = np.flatnonzero(keep)
     # A kept cell overlaps when it starts left of the last kept end by more
     # than _close allows.
     start, last = t0[kept[1:]], ends[kept[:-1]]
@@ -197,9 +213,7 @@ def _canonical_array(t0: np.ndarray, t1: np.ndarray, v: np.ndarray, alpha: float
         if beyond[i]:
             raise SchemaError(f"piece ends beyond alpha={alpha}: {float(t1[i])}")
         raise SchemaError(f"pieces overlap near t={float(t0[i])}")
-    if not len(kept):
-        return StepFunction(alpha, ())
-    return _settle_array(t0[kept], ends[kept], v[kept], alpha)
+    return _merged(t0[kept], ends[kept], v[kept], alpha)
 
 
 @dataclass(frozen=True)
@@ -208,6 +222,11 @@ class StepFunction:
 
     Instances are immutable and canonical: pieces sorted, disjoint, nonzero,
     with adjacent equal values merged.  Construct through :meth:`make`.
+    The one exception to make's width rule is the rearrangement x*: it keeps
+    every piece of x, so a piece may lie where make would find it too narrow
+    (``MERGE_TOL * max(1, t1)``).  Reading x* back through :meth:`from_json`,
+    or an ``add``, ``maximum`` or ``minimum`` on it, settles at make's rule
+    and drops such a piece again.
     What is derived from the pieces (``_columns``, and the x* and x** of the
     rearrangement layer) is kept on the instance once computed, or from its
     construction where that was on arrays; it takes no part in ``==``,

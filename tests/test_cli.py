@@ -33,6 +33,19 @@ def test_rearrange_inline(runner):
                              {"t0": 1.0, "t1": 3.0, "v": 1.0}]
 
 
+def test_rearrange_prints_a_narrow_piece_that_reading_back_drops(runner):
+    # x* keeps the 1.5e-12-wide piece of x at t = 100, where make's width rule
+    # would drop it.  The CLI prints it; from_json goes through make and
+    # drops it again, so this x* does not round-trip (see StepFunction).
+    x = StepFunction.make([(0, 1.5e-12, 1.0), (1, 101, 2.0)])
+    res = runner.invoke(main, ["rearrange", "--in", json.dumps(x.to_json())])
+    assert res.exit_code == 0
+    out = json.loads(res.output)
+    assert out["pieces"] == [{"t0": 0.0, "t1": 100.0, "v": 2.0},
+                             {"t0": 100.0, "t1": 100.0 + 1.5e-12, "v": 1.0}]
+    assert StepFunction.from_json(out).pieces == ((0.0, 100.0, 2.0),)
+
+
 def test_rearrange_from_file(runner, tmp_path):
     p = tmp_path / "f.json"
     p.write_text(TWO_BLOCK)

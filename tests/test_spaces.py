@@ -400,7 +400,7 @@ def functions_and_weights(draw):
     return x, WeightSpec.make(pieces)
 
 
-@settings(deadline=None, max_examples=120)
+@settings(deadline=None, max_examples=240)
 @given(functions_and_weights(), st.sampled_from([1.0, 1.5, 2.0, 3.0, 7.0]))
 def test_lorentz_norms_match_per_cell_reference(drawn, p):
     # The cell walk must give the bits of the per-cell loops it replaced.
