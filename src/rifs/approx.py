@@ -21,9 +21,9 @@ import numpy as np
 from .deciders import orlicz_koc_decider
 from .errors import NonConvergenceError, SchemaError
 from .optimize import brent_min
-from .orlicz import OrliczSpec, _norm_on_cells
+from .orlicz import OrliczSpec
 from .rearrange import hlp_dominates, rearrange
-from .spaces import ORLICZ, SpaceHandle, norm
+from .spaces import SpaceHandle, norm
 from .step import StepFunction, add, scale
 
 TIE_TOL = 1e-10
@@ -111,15 +111,13 @@ def _combination(members: tuple[StepFunction, ...], theta) -> StepFunction:
 class _HullObjective:
     """``theta -> || x - sum theta_i a_i ||`` over a precomputed common cell
     decomposition, so line searches avoid repeated piecewise algebra.  Every
-    evaluation goes through :meth:`residual_norm`: Orlicz norms are evaluated
-    on the cells directly, Lorentz norms on the step function they form."""
+    evaluation goes through ``residual_norm``, the space's norm of the
+    function with value ``vals[k]`` on cell k, bound once to the cells."""
 
     def __init__(self, x: StepFunction, members: tuple[StepFunction, ...],
                  space: SpaceHandle):
         if x.alpha != space.alpha:
             raise SchemaError("function and space live on different domains")
-        self.space = space
-        self.alpha = x.alpha
         bps: set[float] = set(x.breakpoints())
         for m in members:
             bps.update(m.breakpoints())
@@ -127,7 +125,7 @@ class _HullObjective:
         self.lo = np.array(edges[:-1]) if len(edges) > 1 else np.empty(0)
         self.hi = np.array(edges[1:]) if len(edges) > 1 else np.empty(0)
         mids = 0.5 * (self.lo + self.hi)
-        self.widths = self.hi - self.lo
+        self.residual_norm = space._cell_norm(self.lo, self.hi)
         self.xv = x.values(mids) if len(mids) else mids
         self.member_vals = np.array([m.values(mids) for m in members]) \
             if len(mids) else np.zeros((len(members), 0))
@@ -135,15 +133,6 @@ class _HullObjective:
     def residual(self, theta) -> np.ndarray:
         """``x - sum theta_i a_i`` on the common cells."""
         return self.xv - np.asarray(theta) @ self.member_vals
-
-    def residual_norm(self, vals: np.ndarray) -> float:
-        """Norm of the function with value ``vals[k]`` on cell k."""
-        if self.space.kind == ORLICZ:
-            return _norm_on_cells(self.widths, np.abs(vals), self.space.orlicz,
-                                  self.space.flavor)
-        pieces = tuple((float(a), float(b), float(v))
-                       for a, b, v in zip(self.lo, self.hi, vals) if v != 0.0)
-        return norm(self.space, StepFunction(self.alpha, pieces))
 
     def __call__(self, theta) -> float:
         return self.residual_norm(self.residual(theta))

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import HypothesisNotMetError, SchemaError
 from .orlicz import OrliczSpec
-from .spaces import LORENTZ_GAMMA, LORENTZ_LAMBDA, ORLICZ, SpaceHandle, fundamental_function
+from .spaces import SpaceHandle, fundamental_function
 from .weights import (WeightSpec, exponent_shift, origin_integral_diverges, require_D_p,
                       tail_integral_diverges)
 
@@ -163,26 +163,7 @@ def phi_decades(space: SpaceHandle) -> tuple[list[float], list[float]]:
 
 def l1_embedding_limit(space: SpaceHandle) -> float:
     """Analytic ``d = lim phi(t)/t`` as t -> inf (alpha = inf only)."""
-    if space.kind == ORLICZ:
-        # d equals lim_{s->0} psi(s)/s through s = psi^{-1}(1/t); the Orlicz
-        # flavor is sandwiched in [d, 2d] and has the same sign.
-        return space.orlicz.slope_at_zero
-    w, p = space.weight, space.p
-    tail = w.tail
-    if space.kind == LORENTZ_GAMMA:
-        # Under D_p both W(t)/t^p and W_p(t)/t^p = integral_t^inf s^(-p) w
-        # vanish at infinity, so d = 0 for every admissible weight.
-        require_D_p(w, p, space.alpha)
-        return 0.0
-    # x*-based norm: d^p = lim W(t)/t^p from the tail exponents.
-    if tail.c == 0.0 or not tail_integral_diverges(tail.a, tail.b):
-        return 0.0
-    exp = exponent_shift(tail.a, p) + 1.0
-    if exp > 0.0 or (exp == 0.0 and tail.b > 0.0):
-        return math.inf
-    if exp == 0.0 and tail.b == 0.0:
-        return (tail.c / (tail.a + 1.0)) ** (1.0 / p)
-    return 0.0
+    return space._l1_limit()
 
 
 def embeds_in_L1(space: SpaceHandle) -> Verdict:
@@ -213,13 +194,7 @@ def phi_infinity(space: SpaceHandle) -> float:
     """``lim phi(t)`` as t -> inf: inf or the finite limit."""
     if not math.isinf(space.alpha):
         raise SchemaError("phi_infinity applies to alpha = inf")
-    if space.kind in (LORENTZ_GAMMA, LORENTZ_LAMBDA):
-        winf = space.weight.W_infinity()
-        return math.inf if math.isinf(winf) else winf ** (1.0 / space.p)
-    a = a_psi(space.orlicz)
-    # Both flavors tend to 1/a_psi: the Amemiya phi(t) <= 1/a_psi at k = a_psi
-    # (Bennett-Sharpley, Interpolation of Operators, 1988, Ch. 4 Sec. 8).
-    return math.inf if a == 0.0 else 1.0 / a
+    return space._phi_infinity()
 
 
 # ---------------------------------------------------------------------------
@@ -325,18 +300,21 @@ def gamma_approx_compact_decider(p: float, w: WeightSpec) -> Verdict:
 # The two explicit weight formulas
 
 
-def _fit_power_pieces(v_of, boundaries: list[float], head_exp: float,
+def _fit_power_pieces(v_of, boundaries: list[float], head_at: float, head_exp: float,
                       tail_exp: float, tail_log_exp: float) -> WeightSpec:
     """Tabulate a positive function as power pieces on a log grid.
 
     Interior pieces interpolate ``c t^a`` through two interior samples (exact
     when the function is a pure power there); the head and tail exponents are
-    supplied analytically and only their coefficients are fitted.
+    supplied analytically and only their coefficients are fitted, from one
+    sample each at ``head_at`` and at the last grid point.  A piece start of w
+    there misreads the tail (Lambda associate of 0.5, then 0.5 t^0.25 from 1e6,
+    at p = 2: 48.06 instead of 0.131) until exact germs (ROADMAP item 14) come.
     """
     pieces = []
     g0 = boundaries[0]
-    head_sample = v_of(g0)
-    head_c = head_sample / g0 ** head_exp if head_sample > 0 else 0.0
+    head_sample = v_of(head_at)
+    head_c = head_sample / head_at ** head_exp if head_sample > 0 else 0.0
     pieces.append((0.0, g0, head_c, head_exp, 0.0))
     for lo, hi in zip(boundaries, boundaries[1:]):
         m1 = lo * (hi / lo) ** 0.25
@@ -396,7 +374,9 @@ def lambda_associate_weight(p: float, w: WeightSpec) -> WeightSpec:
     tail_exp = tail.a * (1.0 - pp)
     tail_log_exp = tail.b * (1.0 - pp)
     boundaries = _log_grid_with_boundaries(w, 1e-6, 1e6)
-    return _fit_power_pieces(v_of, boundaries, head_exp, tail_exp, tail_log_exp)
+    # The head sample lies inside w's first piece, where v is an exact power (b = 0).
+    return _fit_power_pieces(v_of, boundaries, 0.5 * min(1e-6, first.t1), head_exp,
+                             tail_exp, tail_log_exp)
 
 
 def rbp_check(p: float, w: WeightSpec) -> Verdict:
@@ -479,4 +459,4 @@ def gamma_dual_weight(p: float, w: WeightSpec) -> WeightSpec:
     tail_exp = -tail.a / (p - 1.0)
     tail_log_exp = -tail.b / (p - 1.0)
     boundaries = _log_grid_with_boundaries(w, 1e-6, 1e6)
-    return _fit_power_pieces(v_of, boundaries, head_exp, tail_exp, tail_log_exp)
+    return _fit_power_pieces(v_of, boundaries, boundaries[0], head_exp, tail_exp, tail_log_exp)

@@ -20,7 +20,7 @@ from .deciders import _embedding_verdict, l1_embedding_limit, phi_decades, phi_i
 from .errors import SchemaError
 from .orlicz import OrliczSpec
 from .rearrange import distribution, equimeasurable, hlp_dominates, maximal_curve, rearrange
-from .spaces import LORENTZ_GAMMA, SpaceHandle, fundamental_function, norm
+from .spaces import SpaceHandle, fundamental_function, norm
 from .step import StepFunction, add, indicator, scale
 from .weights import WeightSpec
 
@@ -348,7 +348,7 @@ def rotundity_probe(space: SpaceHandle, dim_grid: int, cfg: TrialConfig) -> Prob
 
 def _flat_gamma_seed_pairs(space: SpaceHandle) -> list[tuple[StepFunction, StepFunction, str]]:
     pairs = []
-    if space.kind == LORENTZ_GAMMA:
+    if getattr(space, "over_curve", False):
         for (u0, u1) in space.weight.flat_intervals():
             if math.isinf(u1):
                 continue

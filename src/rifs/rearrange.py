@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SchemaError
-from .step import ARRAY_MIN_PIECES, MERGE_TOL, StepFunction, _settle, _settle_array
+from .step import ARRAY_MIN_PIECES, StepFunction, _settle, _settle_array
 
 
 def distribution(x: StepFunction, lam: float) -> float:
@@ -224,7 +224,7 @@ def transport_pullback(tmap: TransportMap, g: StepFunction) -> StepFunction:
             if t0 >= d1:
                 break
             lo, hi = max(t0, d0), min(t1, d1)
-            if hi - lo > MERGE_TOL * max(1.0, abs(hi)):
+            if hi > lo:
                 out.append((lo + shift, hi + shift, v))
-    # The cells come in source order, not sorted: the full canonical form.
+    # The cells come in source order: make sorts them and applies its width rule there.
     return StepFunction.make(out, tmap.alpha)

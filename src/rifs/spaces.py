@@ -1,5 +1,5 @@
-"""Norm evaluators for the Lorentz spaces built from x* and x**, Orlicz norms,
-and fundamental functions, all behind a tagged :class:`SpaceHandle`.
+"""The Lorentz norms over x* and x**, and :class:`SpaceHandle`, with one private
+subclass per kind of space (Lorentz, Orlicz) holding its norms and phi.
 
 Both Lorentz norms come from one pass over the pieces of x* and the weight
 pieces.  On each piece of x* the integrand is ``(B + A/t)^p w(t)``: A = 0,
@@ -27,20 +27,17 @@ from itertools import repeat
 import numpy as np
 
 from .errors import DivergentIntegralError, SchemaError, require_alpha, require_exponent
-from .orlicz import OrliczSpec, luxemburg_norm, orlicz_norm
+from .orlicz import OrliczSpec, _norm_on_cells, luxemburg_norm, orlicz_norm
 from .quadrature import integrate_cells
 from .rearrange import rearrange
 from .step import ARRAY_MIN_PIECES, StepFunction, indicator
-from .weights import WeightPiece, WeightSpec, power_log_integral, require_D_p
+from .weights import (WeightPiece, WeightSpec, exponent_shift, power_log_integral,
+                      require_D_p, tail_integral_diverges)
 
 GAMMA_REL_TOL = 1e-9
 # The terms (C(n, j), n - j, j) of the binomial expansion of (B + A/t)^n for
 # each integer exponent n up to 12, those taken in closed form.
 _BINOMIAL = {n: [(math.comb(n, j), n - j, j) for j in range(n + 1)] for n in range(1, 13)}
-
-LORENTZ_LAMBDA = "lorentz_lambda"
-LORENTZ_GAMMA = "lorentz_gamma"
-ORLICZ = "orlicz"
 
 
 def _require_weight_domain(w: WeightSpec, alpha: float) -> None:
@@ -341,14 +338,9 @@ def gamma_norm(x: StepFunction, p: float, w: WeightSpec, method: str = "auto") -
 
 @dataclass(frozen=True)
 class SpaceHandle:
-    """Tagged norm evaluator: Lorentz over x*, Lorentz over x**, or Orlicz."""
+    """A space on (0, alpha); a private subclass per kind carries its behaviour."""
 
-    kind: str
     alpha: float
-    p: float | None = None
-    weight: WeightSpec | None = None
-    orlicz: OrliczSpec | None = None
-    flavor: str | None = None
 
     def __post_init__(self):
         require_alpha(self.alpha)
@@ -357,49 +349,33 @@ class SpaceHandle:
     def lorentz_lambda(cls, p: float, w: WeightSpec, alpha: float = math.inf) -> "SpaceHandle":
         require_exponent("lorentz_lambda", p)
         _require_weight_domain(w, alpha)
-        return cls(LORENTZ_LAMBDA, float(alpha), p=float(p), weight=w)
+        return _Lorentz(float(alpha), float(p), w, over_curve=False)
 
     @classmethod
     def lorentz_gamma(cls, p: float, w: WeightSpec, alpha: float = math.inf) -> "SpaceHandle":
         require_exponent("lorentz_gamma", p)
         _require_weight_domain(w, alpha)
         require_D_p(w, p, alpha)
-        return cls(LORENTZ_GAMMA, float(alpha), p=float(p), weight=w)
+        return _Lorentz(float(alpha), float(p), w, over_curve=True)
 
     @classmethod
     def orlicz_space(cls, psi: OrliczSpec, flavor: str = "luxemburg",
                      alpha: float = math.inf) -> "SpaceHandle":
         if flavor not in ("luxemburg", "orlicz"):
             raise SchemaError("Orlicz flavor must be 'luxemburg' or 'orlicz'")
-        return cls(ORLICZ, float(alpha), orlicz=psi, flavor=flavor)
+        return _Orlicz(float(alpha), psi, flavor)
 
-    def describe(self) -> str:
-        if self.kind == LORENTZ_LAMBDA:
-            return f"Lambda(p={self.p})"
-        if self.kind == LORENTZ_GAMMA:
-            return f"Gamma(p={self.p})"
-        return f"Orlicz({self.orlicz.family}, {self.flavor})"
-
-    def to_json(self) -> dict:
-        out: dict = {"kind": self.kind, "alpha": "inf" if math.isinf(self.alpha) else "1"}
-        if self.kind in (LORENTZ_LAMBDA, LORENTZ_GAMMA):
-            out["p"] = self.p
-            out["weight"] = self.weight.to_json()
-        else:
-            out["orlicz"] = self.orlicz.to_json()
-            out["flavor"] = self.flavor
-        return out
+    def _json(self, kind: str, **rest) -> dict:
+        return {"kind": kind, "alpha": "inf" if math.isinf(self.alpha) else "1", **rest}
 
     @classmethod
     def from_json(cls, obj: dict) -> "SpaceHandle":
         try:
             kind = obj["kind"]
             alpha = math.inf if obj.get("alpha", "inf") == "inf" else float(obj["alpha"])
-            if kind == LORENTZ_LAMBDA:
-                return cls.lorentz_lambda(obj["p"], WeightSpec.from_json(obj["weight"]), alpha)
-            if kind == LORENTZ_GAMMA:
-                return cls.lorentz_gamma(obj["p"], WeightSpec.from_json(obj["weight"]), alpha)
-            if kind == ORLICZ:
+            if kind in ("lorentz_lambda", "lorentz_gamma"):
+                return getattr(cls, kind)(obj["p"], WeightSpec.from_json(obj["weight"]), alpha)
+            if kind == "orlicz":
                 return cls.orlicz_space(OrliczSpec.from_json(obj["orlicz"]),
                                         obj.get("flavor", "luxemburg"), alpha)
         except (KeyError, TypeError) as exc:
@@ -407,17 +383,91 @@ class SpaceHandle:
         raise SchemaError(f"unknown space kind {kind!r}")
 
 
+@dataclass(frozen=True)
+class _Lorentz(SpaceHandle):
+    """Lambda (over x*) or, with ``over_curve``, Gamma (over x**, w in D_p)."""
+
+    p: float
+    weight: WeightSpec
+    over_curve: bool
+
+    def _norm(self, x: StepFunction) -> float:
+        return (gamma_norm if self.over_curve else lambda_norm)(x, self.p, self.weight)
+
+    def _cell_norm(self, lo: np.ndarray, hi: np.ndarray):
+        cells = list(zip(lo.tolist(), hi.tolist()))  # vals -> norm of the step function formed
+        return lambda vals: norm(self, StepFunction(self.alpha, tuple(
+            (a, b, v) for (a, b), v in zip(cells, vals.tolist()) if v != 0.0)))
+
+    def _phi(self, t: float) -> float:
+        w = self.weight
+        return (w.W(t) + w.Wp(self.p, t) if self.over_curve else w.W(t)) ** (1.0 / self.p)
+
+    def _phi_infinity(self) -> float:
+        winf = self.weight.W_infinity()
+        return math.inf if math.isinf(winf) else winf ** (1.0 / self.p)
+
+    def _l1_limit(self) -> float:
+        # d = 0 over x**: under D_p, W(t)/t^p and W_p(t)/t^p vanish at infinity.
+        # Over x*, d^p = lim W(t)/t^p from the tail exponents.
+        tail = self.weight.tail
+        if self.over_curve or tail.c == 0.0 or not tail_integral_diverges(tail.a, tail.b):
+            return 0.0
+        exp = exponent_shift(tail.a, self.p) + 1.0
+        if exp > 0.0 or (exp == 0.0 and tail.b > 0.0):
+            return math.inf
+        if exp == 0.0 and tail.b == 0.0:
+            return (tail.c / (tail.a + 1.0)) ** (1.0 / self.p)
+        return 0.0
+
+    def describe(self) -> str:
+        return f"{'Gamma' if self.over_curve else 'Lambda'}(p={self.p})"
+
+    def to_json(self) -> dict:
+        return self._json("lorentz_gamma" if self.over_curve else "lorentz_lambda",
+                          p=self.p, weight=self.weight.to_json())
+
+
+@dataclass(frozen=True)
+class _Orlicz(SpaceHandle):
+    """Orlicz space with the Luxemburg or (``flavor="orlicz"``) Amemiya norm."""
+
+    orlicz: OrliczSpec
+    flavor: str
+
+    def _norm(self, x: StepFunction) -> float:
+        return (luxemburg_norm if self.flavor == "luxemburg" else orlicz_norm)(x, self.orlicz)
+
+    def _cell_norm(self, lo: np.ndarray, hi: np.ndarray):
+        widths, psi, flavor = hi - lo, self.orlicz, self.flavor
+        return lambda vals: _norm_on_cells(widths, np.abs(vals), psi, flavor)
+
+    def _phi(self, t: float) -> float:
+        return norm(self, indicator(0.0, t, 1.0, self.alpha))
+
+    def _phi_infinity(self) -> float:
+        a = float(self.orlicz.psi_inverse_many(0.0))  # a_psi
+        # Both flavors tend to 1/a_psi: the Amemiya phi(t) <= 1/a_psi at k = a_psi
+        # (Bennett-Sharpley, Interpolation of Operators, 1988, Ch. 4 Sec. 8).
+        return math.inf if a == 0.0 else 1.0 / a
+
+    def _l1_limit(self) -> float:
+        # d equals lim_{s->0} psi(s)/s through s = psi^{-1}(1/t); the Amemiya
+        # flavor is sandwiched in [d, 2d] and has the same sign.
+        return self.orlicz.slope_at_zero
+
+    def describe(self) -> str:
+        return f"Orlicz({self.orlicz.family}, {self.flavor})"
+
+    def to_json(self) -> dict:
+        return self._json("orlicz", orlicz=self.orlicz.to_json(), flavor=self.flavor)
+
+
 def norm(space: SpaceHandle, x: StepFunction) -> float:
     """Evaluate ``||x||`` in the given space."""
     if x.alpha != space.alpha:
         raise SchemaError("function and space live on different domains")
-    if space.kind == LORENTZ_LAMBDA:
-        return lambda_norm(x, space.p, space.weight)
-    if space.kind == LORENTZ_GAMMA:
-        return gamma_norm(x, space.p, space.weight)
-    if space.flavor == "luxemburg":
-        return luxemburg_norm(x, space.orlicz)
-    return orlicz_norm(x, space.orlicz)
+    return space._norm(x)
 
 
 def fundamental_function(space: SpaceHandle, t: float) -> float:
@@ -428,8 +478,4 @@ def fundamental_function(space: SpaceHandle, t: float) -> float:
     """
     if not (0.0 < t < space.alpha) and not (t == space.alpha == 1.0):
         raise SchemaError(f"fundamental_function needs 0 < t < alpha, got {t}")
-    if space.kind == LORENTZ_GAMMA:
-        return (space.weight.W(t) + space.weight.Wp(space.p, t)) ** (1.0 / space.p)
-    if space.kind == LORENTZ_LAMBDA:
-        return space.weight.W(t) ** (1.0 / space.p)
-    return norm(space, indicator(0.0, t, 1.0, space.alpha))
+    return space._phi(t)

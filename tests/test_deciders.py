@@ -380,6 +380,15 @@ def test_associate_weight_sqrt_law():
     assert math.isinf(weight_W_infinity(v))
 
 
+def test_associate_weight_head_inside_a_first_piece_ending_at_the_grid_start():
+    # On w's first piece (0, 1e-6), v = (t / 0.5 t)^2 * 0.5 = 2.  A head
+    # sample at the grid start 1e-6 reads the second piece instead.
+    w = WeightSpec.make([(0, 1e-6, 0.5, 0, 0), (1e-6, INF, 0.5, 0.25, 0)])
+    v = lambda_associate_weight(2.0, w)
+    for t in (1e-9, 7e-7):
+        assert v.value(t) == pytest.approx(2.0, rel=1e-12)
+
+
 def test_associate_weight_nonnegative_everywhere():
     w = WeightSpec.make([(0, 2, 1.0, -0.25, 0), (2, INF, 0.5, 0.25, 0)])
     v = lambda_associate_weight(2.0, w)

@@ -354,6 +354,15 @@ def test_ryff_roundtrip_reproduces_abs():
             assert transport_pullback(sigma, y).pieces == _pullback_reference(sigma, y).pieces
 
 
+def test_pullback_keeps_a_narrow_piece_that_make_kept():
+    # In x* the 1.5e-12-wide piece lies at t = 100, where the width rule of
+    # make would drop it; pulled back to t = 0 it is as wide as make kept it.
+    x = StepFunction.make([(0, 1.5e-12, 1.0), (1, 101, 2.0)])
+    pulled = transport_pullback(ryff_transport(x), rearrange(x))
+    assert pulled.approx_equal(absolute(x))
+    assert distribution(pulled, 0.5) == distribution(absolute(x), 0.5)
+
+
 def test_sum_dominated_by_rearranged_sum():
     cfg = TrialConfig(seed=81, trials=100)
     for trial in range(cfg.trials):

@@ -216,6 +216,17 @@ def test_space_json_round_trip():
         assert SpaceHandle.from_json(s.to_json()) == s
 
 
+def test_describe_names_each_kind():
+    # These strings name the probe reports (kmono[...], skm[...],
+    # rotundity[...]) and fundamental_limits["space"].
+    assert SpaceHandle.lorentz_lambda(2.0, W_HALF).describe() == "Lambda(p=2.0)"
+    assert SpaceHandle.lorentz_gamma(1.5, W_CONST).describe() == "Gamma(p=1.5)"
+    assert (SpaceHandle.orlicz_space(OrliczSpec.exp_minus_one()).describe()
+            == "Orlicz(exp_minus_one, luxemburg)")
+    assert (SpaceHandle.orlicz_space(OrliczSpec.power(2), "orlicz", 1.0).describe()
+            == "Orlicz(power, orlicz)")
+
+
 # ------------------------------------------------------------- norm axioms
 
 @pytest.fixture(scope="module")
