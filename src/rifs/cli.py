@@ -83,7 +83,11 @@ def _domain_errors(fn):
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("RIFS_SEED", "0"))
+    raw = os.environ.get("RIFS_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise click.BadParameter(f"RIFS_SEED must be an integer, got {raw!r}") from None
 
 
 def emit_curve(x: StepFunction, what: str, grid: list[float]) -> str:

@@ -191,7 +191,7 @@ class OrliczSpec:
                 return cls.exp_minus_one()
             if family == "table":
                 return cls.table(params["points"], params.get("inf_beyond", False))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"bad Orlicz JSON: {exc}") from exc
         raise SchemaError(f"unknown Orlicz family {family!r}")
 

@@ -80,7 +80,10 @@ class MaximalCurve:
     ``breakpoints = (0, s_1, ..., s_m)``; ``coeffs[k] = (A_k, B_k)`` gives
     ``x**(t) = B_k + A_k / t`` on ``(s_k, s_{k+1})``, the last entry covering
     ``(s_m, inf)`` with ``B = 0``.  The curve is nonincreasing, continuous,
-    and sits above ``x*`` pointwise.
+    and sits above ``x*`` pointwise.  A curve built on the arrays of x* keeps
+    its segments ``(lo, hi, A, B)`` on ``(s_k, s_{k+1})``, k < m, as read-only
+    arrays ``_segments``, shared like x*'s ``_columns``; they take no part in
+    ``==``, ``hash`` or ``repr``.
     """
 
     breakpoints: tuple[float, ...]
@@ -126,17 +129,26 @@ def _maximal(x: StepFunction) -> MaximalCurve:
     star = rearrange(x)
     if star.is_zero:
         return MaximalCurve((0.0,), ((0.0, 0.0),))
-    # A plain loop at every size: x* arrives as tuples, and at 1000 pieces
-    # converting them to arrays for a cumulative sum and back costs more.
-    breakpoints = [0.0]
-    coeffs = []
-    acc = 0.0  # integral of x* up to the current breakpoint
-    for t0, t1, v in star.pieces:
-        coeffs.append((acc - v * t0, v))
-        acc += v * (t1 - t0)
-        breakpoints.append(t1)
-    coeffs.append((acc, 0.0))
-    return MaximalCurve(tuple(breakpoints), tuple(coeffs))
+    if len(star.pieces) < ARRAY_MIN_PIECES:
+        breakpoints = [0.0]
+        coeffs = []
+        acc = 0.0  # integral of x* up to the current breakpoint
+        for t0, t1, v in star.pieces:
+            coeffs.append((acc - v * t0, v))
+            acc += v * (t1 - t0)
+            breakpoints.append(t1)
+        coeffs.append((acc, 0.0))
+        return MaximalCurve(tuple(breakpoints), tuple(coeffs))
+    t0, t1, v = star._columns
+    # A sequential cumulative sum: the same bits as ``acc += ...``.  The
+    # Gamma norm's array pass reads the segments kept here; it tests x*'s
+    # size against the same threshold.
+    acc = np.cumsum(np.concatenate(([0.0], v * (t1 - t0))))
+    lo, A = np.concatenate(([0.0], t1[:-1])), acc[:-1] - v * t0
+    curve = MaximalCurve((0.0, *t1.tolist()), (*zip(A.tolist(), v.tolist()), (float(acc[-1]), 0.0)))
+    lo.flags.writeable = A.flags.writeable = False
+    curve.__dict__["_segments"] = (lo, t1, A, v)
+    return curve
 
 
 def hlp_dominates(x: StepFunction, y: StepFunction, tol: float | None = None) -> bool:

@@ -3,8 +3,9 @@ subclass per kind of space (Lorentz, Orlicz) holding its norms and phi.
 
 Both Lorentz norms come from one pass over the pieces of x* and the weight
 pieces.  On each piece of x* the integrand is ``(B + A/t)^p w(t)``: A = 0,
-B = 1 over x* (the result is then scaled by (x*)^p), and ``x** = B + A/t``
-over x**.  A piece is cut into cells at the weight-piece starts inside it.
+B = 1 over x* (the result is then scaled by (x*)^p), and over x** the
+segment of ``x** = B + A/t`` read from ``maximal_curve``, the only code that
+derives x**.  A piece is cut into cells at the weight-piece starts inside it.
 On a pure-power weight piece a cell is exact when A = 0, or for integer p up
 to 12 through the binomial expansion; each antiderivative ``c t^e / e``
 (``c log t`` for e = 0) is evaluated once per cut and is the next cell's
@@ -12,8 +13,9 @@ lower value.  A log piece with A = 0 is one ``power_log_integral`` call.
 Every other cell goes to one batched ``integrate_cells`` call at relative
 tolerance 1e-9 per cell.  Below ``ARRAY_MIN_PIECES`` pieces of x* the pass is
 a forward walk over lists; from there up it runs on the arrays of x*, weight
-piece by weight piece, with the walk's bits: numpy does only +, -, * and /,
-and every power and log is CPython's.  Beyond the support the norm over x**
+piece by weight piece, with the walk's bits (over x**, on the segment
+arrays the curve keeps from the same size up): numpy does only +, -, * and
+/, and every power and log is CPython's.  Beyond the support the norm over x**
 adds the analytic tail ``A^p integral t^(-p) w``, convergent exactly when
 the weight lies in D_p.
 """
@@ -29,7 +31,7 @@ import numpy as np
 from .errors import DivergentIntegralError, SchemaError, require_alpha, require_exponent
 from .orlicz import OrliczSpec, _norm_on_cells, luxemburg_norm, orlicz_norm
 from .quadrature import integrate_cells
-from .rearrange import rearrange
+from .rearrange import MaximalCurve, maximal_curve, rearrange
 from .step import ARRAY_MIN_PIECES, StepFunction, indicator
 from .weights import (WeightPiece, WeightSpec, exponent_shift, power_log_integral,
                       require_D_p, tail_integral_diverges)
@@ -47,22 +49,23 @@ def _require_weight_domain(w: WeightSpec, alpha: float) -> None:
         )
 
 
-def _lorentz_integral(star: StepFunction, w: WeightSpec, p: float, over_curve: bool,
-                      quadrature: bool = False) -> tuple[float, float]:
-    """``integral (x*)^p w`` (with ``over_curve``, ``integral (x**)^p w``)
-    over the support of x*, and the mass of x*.
+def _lorentz_integral(star: StepFunction, w: WeightSpec, p: float, curve: MaximalCurve | None,
+                      quadrature: bool = False) -> float:
+    """``integral (x*)^p w`` (given x**'s ``curve``, ``integral (x**)^p w``)
+    over the support of x*.
 
     Each piece (t0, t1, v) of x* gives one segment where the integrand is
     ``(B + A/t)^p w(t)``.  Over x* the segment is (t0, t1) with A = 0, B = 1,
     and the integrals of its cells add up to its weight integral, scaled by
-    v^p.  Over x** it runs from the previous piece's end to t1 with B = v and
-    A = (mass before the piece) - v t0, as in ``maximal_curve``, and all cells
-    add up in order.  ``quadrature`` sends every cell to quadrature.  From
-    ``ARRAY_MIN_PIECES`` pieces of x* up, :func:`_lorentz_cells` computes the
-    same cells on arrays.
+    v^p.  Over x** it is the curve's segment ending at t1, with its A and B,
+    and all cells add up in order.  ``quadrature`` sends every cell to
+    quadrature.  From ``ARRAY_MIN_PIECES`` pieces of x* up, where the curve
+    keeps its segments as arrays, :func:`_lorentz_cells` computes the same
+    cells on arrays.
     """
     if len(star.pieces) >= ARRAY_MIN_PIECES:
-        return _lorentz_cells(star, w, p, over_curve, quadrature)
+        return _lorentz_cells(star, w, p, curve, quadrature)
+    over_curve = curve is not None
     expansion = _BINOMIAL.get(p)
     pieces = iter(w.pieces)
     nxt = 0.0  # end of the current weight piece
@@ -71,16 +74,11 @@ def _lorentz_integral(star: StepFunction, w: WeightSpec, p: float, over_curve: b
     # used (log t where e = 0; its differences are scaled by c).  A cell
     # computes them at its upper end, which is the next cell's lower end.
     at = low = None
-    total = mass = end = 0.0
+    total = 0.0
     parts: list[float] = []  # the cells over x**, in order
     quad = []  # (index in parts, lo, hi, A, B, c, a, b) of each cell left to quadrature
-    for t0, t1, v in star.pieces:
-        if over_curve:
-            lo, A, B = end, mass - v * t0, v
-            mass += v * (t1 - t0)
-        else:
-            lo, A, B = t0, 0.0, 1.0
-        end = t1
+    for k, (t0, t1, v) in enumerate(star.pieces):
+        lo, (A, B) = (curve.breakpoints[k], curve.coeffs[k]) if over_curve else (t0, (0.0, 1.0))
         inc = 0.0
         while True:
             while nxt <= lo:
@@ -89,7 +87,7 @@ def _lorentz_integral(star: StepFunction, w: WeightSpec, p: float, over_curve: b
                 exact = not quadrature and c != 0.0 and pc.b == 0.0  # closed forms apply
                 e0, terms = pc.a + 1.0, None
                 at = None
-            hi = nxt if nxt < end else end
+            hi = nxt if nxt < t1 else t1
             if exact and A == 0.0:
                 if at == lo:
                     bottom = low[0]
@@ -130,7 +128,7 @@ def _lorentz_integral(star: StepFunction, w: WeightSpec, p: float, over_curve: b
                 parts.append(part)
             else:
                 inc += part
-            if hi == end:
+            if hi == t1:
                 break
             lo = hi
         if not over_curve:
@@ -143,7 +141,7 @@ def _lorentz_integral(star: StepFunction, w: WeightSpec, p: float, over_curve: b
             parts[i] = part
     for part in parts:
         total += part
-    return total, mass
+    return total
 
 
 def _quadrature(p: float, lo: np.ndarray, hi: np.ndarray, A: np.ndarray, B: np.ndarray,
@@ -238,8 +236,8 @@ def _closed_forms(pc: WeightPiece, p: float, expansion: list[tuple[int, int, int
         part[zero] = _powers(B[zero], p) * own if over_curve else own
 
 
-def _lorentz_cells(star: StepFunction, w: WeightSpec, p: float, over_curve: bool,
-                   quadrature: bool) -> tuple[float, float]:
+def _lorentz_cells(star: StepFunction, w: WeightSpec, p: float, curve: MaximalCurve | None,
+                   quadrature: bool) -> float:
     """The walk of :func:`_lorentz_integral` as one pass over the arrays of
     x*, to the walk's bits.
 
@@ -252,13 +250,8 @@ def _lorentz_cells(star: StepFunction, w: WeightSpec, p: float, over_curve: bool
     on the shape of the batch.
     """
     t0, t1, v = star._columns
-    if over_curve:
-        mass_to = np.cumsum(v * (t1 - t0))
-        lo, B = np.concatenate(([0.0], t1[:-1])), v
-        A = np.concatenate(([0.0], mass_to[:-1])) - v * t0
-        mass = float(mass_to[-1])
-    else:
-        lo, A, B, mass = t0, np.zeros(len(v)), np.ones(len(v)), 0.0
+    over_curve = curve is not None
+    lo, t1, A, B = curve._segments if over_curve else (t0, t1, np.zeros(len(v)), np.ones(len(v)))
     expansion = _BINOMIAL.get(p)
     runs = []  # over x**, per weight piece: its cells, their values, those left to quadrature
     inc = np.zeros(len(v))  # over x*, each segment's cells added up in order
@@ -288,7 +281,7 @@ def _lorentz_cells(star: StepFunction, w: WeightSpec, p: float, over_curve: bool
         if np.isinf(inc[cells]).any():
             raise DivergentIntegralError("weight is not locally integrable near 0")
     if not over_curve:
-        return float(np.cumsum(np.concatenate(([0.0], _powers(v, p) * inc)))[-1]), mass
+        return float(np.cumsum(np.concatenate(([0.0], _powers(v, p) * inc)))[-1])
     quad = []  # the cells left to quadrature, run by run: (values, where, columns)
     for cells, cell_lo, cell_hi, part, left, pc in runs:
         n = np.count_nonzero(left)
@@ -302,15 +295,14 @@ def _lorentz_cells(star: StepFunction, w: WeightSpec, p: float, over_curve: bool
             part[left] = values[at:at + len(cols[0])]
             at += len(cols[0])
     parts = np.concatenate([part for _, _, _, part, _, _ in runs])
-    return float(np.cumsum(np.concatenate(([0.0], parts)))[-1]), mass
+    return float(np.cumsum(np.concatenate(([0.0], parts)))[-1])
 
 
 def lambda_norm(x: StepFunction, p: float, w: WeightSpec) -> float:
     """``( integral (x*)^p w )^(1/p)``, exact per piece of x*."""
     require_exponent("lambda_norm", p)
     _require_weight_domain(w, x.alpha)
-    total, _ = _lorentz_integral(rearrange(x), w, p, over_curve=False)
-    return total ** (1.0 / p)
+    return _lorentz_integral(rearrange(x), w, p, None) ** (1.0 / p)
 
 
 def gamma_norm(x: StepFunction, p: float, w: WeightSpec, method: str = "auto") -> float:
@@ -322,17 +314,16 @@ def gamma_norm(x: StepFunction, p: float, w: WeightSpec, method: str = "auto") -
     require_exponent("gamma_norm", p)
     _require_weight_domain(w, x.alpha)
     require_D_p(w, p, x.alpha)
-    star = rearrange(x)
+    curve = maximal_curve(x)
     # The mass of x* is 0 exactly when every piece's is (they are >= 0).
-    if not any(v * (t1 - t0) for t0, t1, v in star.pieces):
+    if curve.total_integral == 0.0:
         return 0.0
-    total, mass = _lorentz_integral(star, w, p, over_curve=True,
-                                    quadrature=method == "quadrature")
+    total = _lorentz_integral(rearrange(x), w, p, curve, quadrature=method == "quadrature")
     # Beyond the support x** = (total mass)/t.
-    tail = w.wp_tail_integral(p, star.support_end)
+    tail = w.wp_tail_integral(p, curve.breakpoints[-1])
     if math.isinf(tail):
         raise DivergentIntegralError("gamma tail integral diverges (D_p violation)")
-    total += mass ** p * tail
+    total += curve.total_integral ** p * tail
     return total ** (1.0 / p)
 
 
@@ -378,7 +369,7 @@ class SpaceHandle:
             if kind == "orlicz":
                 return cls.orlicz_space(OrliczSpec.from_json(obj["orlicz"]),
                                         obj.get("flavor", "luxemburg"), alpha)
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"bad space JSON: {exc}") from exc
         raise SchemaError(f"unknown space kind {kind!r}")
 

@@ -321,9 +321,9 @@ class StepFunction:
         try:
             alpha = math.inf if obj["alpha"] == "inf" else float(obj["alpha"])
             pieces = [(p["t0"], p["t1"], p["v"]) for p in obj["pieces"]]
-        except (KeyError, TypeError) as exc:
+            return cls.make(pieces, alpha)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"bad step-function JSON: {exc}") from exc
-        return cls.make(pieces, alpha)
 
 
 def indicator(t0: float, t1: float, value: float = 1.0, alpha: float = math.inf) -> StepFunction:

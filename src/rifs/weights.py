@@ -220,9 +220,9 @@ class WeightSpec:
         try:
             pieces = [(p["t0"], p["t1"], p["c"], p.get("a", 0.0), p.get("b", 0.0))
                       for p in obj["pieces"]]
-        except (KeyError, TypeError) as exc:
+            return cls.make(pieces)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"bad weight JSON: {exc}") from exc
-        return cls.make(pieces)
 
 
 def weight_W(w: WeightSpec, t: float) -> float:

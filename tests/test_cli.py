@@ -212,6 +212,26 @@ def test_nan_exponent_is_a_schema_error(runner):
     assert json.loads(res.stderr)["error"] == "schema"
 
 
+@pytest.mark.parametrize("args", [
+    ["rearrange", "--in", '{"alpha":"inf","pieces":[{"t0":"x","t1":1,"v":1}]}'],
+    ["check", "delta2", "--orlicz", '{"family":"table","params":{"points":[[1,2,3]]}}'],
+    ["check", "reflexive", "--p", "2",
+     "--weight", '{"pieces":[{"t0":0,"t1":"abc","c":1,"a":-0.5,"b":0}]}'],
+    ["norm", "--space", json.dumps({**json.loads(L2_SPACE), "alpha": "x"}), "--in", CHI01],
+], ids=["step", "orlicz-table", "weight", "space-alpha"])
+def test_malformed_json_value_is_a_schema_error(runner, args):
+    res = runner.invoke(main, args)
+    assert res.exit_code == 1
+    assert json.loads(res.stderr)["error"] == "schema"
+
+
+def test_non_integer_seed_in_environment_is_a_usage_error(runner, monkeypatch):
+    monkeypatch.setenv("RIFS_SEED", "abc")
+    res = runner.invoke(main, ["verify", "core", "--trials", "2"])
+    assert res.exit_code == 2
+    assert "RIFS_SEED must be an integer, got 'abc'" in res.output
+
+
 def test_usage_error_exit_code(runner):
     assert runner.invoke(main, ["check", "nonsense"]).exit_code == 2
     assert runner.invoke(main, ["norm"]).exit_code == 2

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rifs import (
+    MaximalCurve,
     OrliczSpec,
     SchemaError,
     StepFunction,
@@ -56,9 +57,10 @@ def _rearrange_reference(x):
     return StepFunction.make(out, x.alpha)
 
 
-def _curve_reference(x):
-    """(breakpoints, coeffs) of x** by the running-integral loop over x*."""
-    star = _rearrange_reference(x)
+def _curve_reference(x, star=None):
+    """(breakpoints, coeffs) of x** by the running-integral loop over x*
+    (``star``, or else the reference x*)."""
+    star = _rearrange_reference(x) if star is None else star
     if star.is_zero:
         return (0.0,), ((0.0, 0.0),)
     breakpoints, coeffs, acc = [0.0], [], 0.0
@@ -228,6 +230,43 @@ def test_maximal_matches_integral_oracle():
             ts = np.geomspace(1e-3, 50.0, 200)
             assert np.allclose(c.eval_many(ts), _starstar_oracle(x, ts), rtol=1e-12, atol=1e-12)
             assert (c.breakpoints, c.coeffs) == _curve_reference(x)
+
+
+@st.composite
+def long_functions(draw):
+    """64-200 pieces on (0, 1) or (0, inf).  Some values repeat, so that x*
+    merges their pieces, and a few leading pieces are 1.5e-12 wide, which
+    make keeps near 0 and x* keeps wherever it lays them."""
+    alpha = draw(st.sampled_from([1.0, math.inf]))
+    n = draw(st.integers(ARRAY_MIN_PIECES, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    narrow = draw(st.integers(0, 3))
+    values = rng.uniform(0.1, 4.0, n - narrow) * rng.choice([-1.0, 1.0], n - narrow)
+    repeated = rng.choice(n - narrow, draw(st.integers(0, n // 4)), replace=False)
+    values[repeated] = rng.choice(values[:3], len(repeated))
+    pieces = [(k * 1e-11, k * 1e-11 + 1.5e-12, 0.01 * (k + 1)) for k in range(narrow)]
+    unit = 0.9 / n if alpha == 1.0 else 1.0
+    cursor = 1e-9
+    for v in values:
+        length = unit * float(rng.uniform(0.05, 1.0))
+        pieces.append((cursor, cursor + length, float(v)))
+        cursor += length + unit * float(rng.choice([0.0, 0.1]))
+    return StepFunction.make(pieces, alpha)
+
+
+@settings(deadline=None, max_examples=150)
+@given(long_functions())
+def test_maximal_curve_on_arrays_matches_the_loop_bit_for_bit(x):
+    star, curve = rearrange(x), maximal_curve(x)
+    assert repr(curve) == repr(MaximalCurve(*_curve_reference(x, star)))
+    segments = curve.__dict__.get("_segments")
+    assert (segments is not None) == (len(star.pieces) >= ARRAY_MIN_PIECES)
+    if segments is not None:
+        lo, hi, A, B = segments
+        assert lo.tolist() == list(curve.breakpoints[:-1])
+        assert hi.tolist() == list(curve.breakpoints[1:])
+        assert list(zip(A.tolist(), B.tolist())) == list(curve.coeffs[:-1])
+        assert not any(column.flags.writeable for column in segments)
 
 
 def test_maximal_laws_star_below_monotone_continuous():

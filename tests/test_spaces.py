@@ -81,6 +81,14 @@ def test_gamma_zero():
     assert gamma_norm(StepFunction.zero(), 2.0, W_CONST) == 0.0
 
 
+@pytest.mark.parametrize("pieces", [
+    [(0, 1e-3, 1e-320), (2, 2.5, 1e-320)],  # a subnormal mass
+    [(0, 1e-5, 1e-320)],  # a mass that rounds to 0
+])
+def test_gamma_of_a_function_with_a_vanishing_mass_is_zero(pieces):
+    assert gamma_norm(StepFunction.make(pieces), 2.0, W_HALF) == 0.0
+
+
 def test_gamma_rejects_non_dp_weight():
     with pytest.raises(WeightDomainError):
         gamma_norm(indicator(0, 1), 2.0, WeightSpec.power(2.0))

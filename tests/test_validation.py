@@ -73,3 +73,55 @@ ROWS = {
 def test_non_finite_parameter_raises_schema_error(call):
     with pytest.raises(SchemaError):
         call()
+
+
+# ------------------------------------------------- malformed values in JSON
+
+# Values of the wrong kind where JSON holds a number; the integer is too
+# large for a float.
+MALFORMED = {"string": "x", "null": None, "list": [1], "object": {}, "huge-integer": 10 ** 400}
+STEP_JSON = {"alpha": "inf", "pieces": [{"t0": 0, "t1": 1, "v": 1}]}
+WEIGHT_JSON = {"pieces": [{"t0": 0, "t1": "inf", "c": 1, "a": -0.5, "b": 0}]}
+
+
+def _with(obj, path, value):
+    """A copy of the JSON obj with the entry at path (keys and indices) set to value."""
+    if not path:
+        return value
+    head, *rest = path
+    out = list(obj) if isinstance(obj, list) else dict(obj)
+    out[head] = _with(obj[head], rest, value)
+    return out
+
+
+def _malformed_json_rows():
+    """(reader, JSON) with one numeric field replaced by a value from
+    ``MALFORMED``, or an Orlicz table with points of the wrong shape."""
+    readers = [
+        (StepFunction.from_json, STEP_JSON, [("alpha",)] + [("pieces", 0, f) for f in ("t0", "t1", "v")]),
+        (WeightSpec.from_json, WEIGHT_JSON, [("pieces", 0, f) for f in ("t0", "t1", "c", "a", "b")]),
+        (OrliczSpec.from_json, {"family": "power", "params": {"p": 2, "coef": 1}},
+         [("params", "p"), ("params", "coef")]),
+        (OrliczSpec.from_json, {"family": "shifted_power", "params": {"a": 1, "p": 2}},
+         [("params", "a"), ("params", "p")]),
+        (OrliczSpec.from_json, {"family": "table", "params": {"points": [[1, 2]]}},
+         [("params", "points", 0, 0), ("params", "points", 0, 1)]),
+        (SpaceHandle.from_json, {"kind": "lorentz_gamma", "alpha": "inf", "p": 2, "weight": WEIGHT_JSON},
+         [("alpha",), ("p",)]),
+        (SpaceHandle.from_json, {"kind": "orlicz", "alpha": "inf",
+                                 "orlicz": {"family": "power", "params": {"p": 2}}}, [("alpha",)]),
+    ]
+    for reader, obj, paths in readers:
+        for path in paths:
+            for kind, bad in MALFORMED.items():
+                yield pytest.param(reader, _with(obj, path, bad),
+                                   id=f"{reader.__qualname__}-{'.'.join(map(str, path))}-{kind}")
+    for points in ([[1, 2, 3]], [["a", 1]], [[1]]):
+        yield pytest.param(OrliczSpec.from_json, {"family": "table", "params": {"points": points}},
+                           id=f"table-points-{points!r}")
+
+
+@pytest.mark.parametrize("reader, obj", _malformed_json_rows())
+def test_malformed_json_value_raises_schema_error(reader, obj):
+    with pytest.raises(SchemaError):
+        reader(obj)
