@@ -32,7 +32,7 @@ from .errors import DivergentIntegralError, SchemaError, require_alpha, require_
 from .orlicz import OrliczSpec, _norm_on_cells, luxemburg_norm, orlicz_norm
 from .quadrature import integrate_cells
 from .rearrange import MaximalCurve, maximal_curve, rearrange
-from .step import ARRAY_MIN_PIECES, StepFunction, indicator
+from .step import ARRAY_MIN_PIECES, StepFunction, _settle, indicator
 from .weights import (WeightPiece, WeightSpec, exponent_shift, power_log_integral,
                       require_D_p, tail_integral_diverges)
 
@@ -298,33 +298,59 @@ def _lorentz_cells(star: StepFunction, w: WeightSpec, p: float, curve: MaximalCu
     return float(np.cumsum(np.concatenate(([0.0], parts)))[-1])
 
 
+def _homogeneous_root(x: StepFunction, p: float, integral) -> float:
+    """``integral(x) ** (1/p)`` for a Lorentz integral of x.
+
+    Both Lorentz norms are homogeneous: where (sup|x|)^p overflows a float,
+    or the integral of x does, the norm is sup|x| times the one of
+    x* / sup|x|.  The first test comes before any integration, so that no
+    overflow reaches the batched quadrature.
+    """
+    star = rearrange(x)
+    sup = star.pieces[0][2] if star.pieces else 0.0
+    try:
+        if math.isfinite(sup ** p):
+            total = integral(x)
+            if math.isfinite(total):
+                return total ** (1.0 / p)
+    except OverflowError:
+        pass
+    unit = _settle([(t0, t1, v / sup) for t0, t1, v in star.pieces], x.alpha, width_tol=0.0)
+    return sup * integral(StepFunction(x.alpha, unit)) ** (1.0 / p)
+
+
 def lambda_norm(x: StepFunction, p: float, w: WeightSpec) -> float:
     """``( integral (x*)^p w )^(1/p)``, exact per piece of x*."""
     require_exponent("lambda_norm", p)
     _require_weight_domain(w, x.alpha)
-    return _lorentz_integral(rearrange(x), w, p, None) ** (1.0 / p)
+    return _homogeneous_root(x, p, lambda f: _lorentz_integral(rearrange(f), w, p, None))
 
 
 def gamma_norm(x: StepFunction, p: float, w: WeightSpec, method: str = "auto") -> float:
     """``( integral (x**)^p w )^(1/p)``; requires w in D_p.
 
     ``method="quadrature"`` forces the adaptive path on every cell (used to
-    cross-check the closed forms).
+    cross-check the closed forms); the default is ``"auto"``.
     """
     require_exponent("gamma_norm", p)
+    if method not in ("auto", "quadrature"):
+        raise SchemaError(f"gamma_norm method must be 'auto' or 'quadrature', got {method!r}")
     _require_weight_domain(w, x.alpha)
     require_D_p(w, p, x.alpha)
-    curve = maximal_curve(x)
-    # The mass of x* is 0 exactly when every piece's is (they are >= 0).
-    if curve.total_integral == 0.0:
-        return 0.0
-    total = _lorentz_integral(rearrange(x), w, p, curve, quadrature=method == "quadrature")
-    # Beyond the support x** = (total mass)/t.
-    tail = w.wp_tail_integral(p, curve.breakpoints[-1])
-    if math.isinf(tail):
-        raise DivergentIntegralError("gamma tail integral diverges (D_p violation)")
-    total += curve.total_integral ** p * tail
-    return total ** (1.0 / p)
+
+    def integral(f: StepFunction) -> float:
+        curve = maximal_curve(f)
+        # The mass of f* is 0 exactly when every piece's is (they are >= 0).
+        if curve.total_integral == 0.0:
+            return 0.0
+        total = _lorentz_integral(rearrange(f), w, p, curve, quadrature=method == "quadrature")
+        # Beyond the support x** = (total mass)/t.
+        tail = w.wp_tail_integral(p, curve.breakpoints[-1])
+        if math.isinf(tail):
+            raise DivergentIntegralError("gamma tail integral diverges (D_p violation)")
+        return total + curve.total_integral ** p * tail
+
+    return _homogeneous_root(x, p, integral)
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,12 @@ snap within the tolerance ``MERGE_TOL``, and adjacent pieces merge only when
 their values are exactly equal.  A binary operation on n and m pieces is one
 merged sweep over both breakpoint lists and costs O((n+m) log(n+m)).
 ``make``, the binary operations and the rearrangement on at least
-``ARRAY_MIN_PIECES`` pieces take the same steps on numpy arrays; smaller ones
-stay on plain lists, where array set-up costs more than it saves.  Both paths
-give bit-identical pieces, and ``make`` the same errors.  A result built on
-arrays keeps them as its ``_columns``.
+``ARRAY_MIN_PIECES`` pieces settle in one array function, ``_settle_array``;
+smaller ones stay on plain lists, where array set-up costs more than it
+saves.  Both paths give bit-identical pieces.  Every canonicalization error
+is raised by the list code: cells the array function might refuse go to
+``_settle``, and input ``make`` might refuse goes to ``_canonical``.  A result
+built on arrays keeps them as its ``_columns``.
 """
 
 from __future__ import annotations
@@ -102,54 +104,41 @@ def _settle(cells: Iterable[Piece], alpha: float, width_tol: float = MERGE_TOL) 
     return tuple(out)
 
 
-def _kept_cells(t0: np.ndarray, t1: np.ndarray, v: np.ndarray, alpha: float,
-                width_tol: float = MERGE_TOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The end and drop rules of :func:`_settle` on arrays of cells that start
-    at or after 0: the ends, those past alpha within ``MERGE_TOL`` snapped to
-    it; the mask of ends beyond alpha by more; and the mask of the cells kept,
-    nonzero and wider than ``width_tol * max(1, end)``."""
-    beyond = t1 > alpha
-    if beyond.any():
-        ends = np.where(beyond, alpha, t1)
-        beyond &= ~_within_tol(alpha, t1)
-    else:
-        ends = t1
-    keep = (v != 0.0) & ~_within_tol(t0, ends, width_tol)
-    return ends, beyond, keep
-
-
 def _settle_array(t0: np.ndarray, t1: np.ndarray, v: np.ndarray, alpha: float,
                   width_tol: float = MERGE_TOL) -> "StepFunction":
-    """:func:`_settle` on arrays of cells that start at or after 0 and do not
-    overlap, so that t1 is nondecreasing and ``_close`` is :func:`_within_tol`."""
-    if not (math.isfinite(t1[-1]) and np.isfinite(v).all()):
-        raise SchemaError("piece endpoints and values must be finite")
-    ends, beyond, keep = _kept_cells(t0, t1, v, alpha, width_tol)
-    if beyond.any():
-        raise SchemaError(f"piece ends beyond alpha={alpha}: {t1[-1]}")
-    if not keep.all():
-        t0, ends, v = t0[keep], ends[keep], v[keep]
-    return _merged(t0, ends, v, alpha)
+    """:func:`_settle` on arrays of cells sorted by start that start at or
+    after 0, to its bits.  The result keeps the settled arrays as its
+    ``_columns``.
 
-
-def _merged(t0: np.ndarray, t1: np.ndarray, v: np.ndarray, alpha: float) -> "StepFunction":
-    """The last step of :func:`_settle` on kept, non-overlapping cells: each
-    start within ``MERGE_TOL`` of the previous end snaps to it, and touching
-    cells of exactly equal value merge.  The result keeps the settled arrays
-    as its ``_columns``."""
-    snap = _within_tol(t1[:-1], t0[1:])
-    t0 = np.concatenate((t0[:1], np.where(snap, t1[:-1], t0[1:])))
-    new = v[1:] != v[:-1]
-    new |= ~snap
-    if not new.all():
-        first = np.flatnonzero(np.concatenate(([True], new)))
-        last = np.concatenate((first[1:], [len(v)])) - 1
-        t0, t1, v = t0[first], t1[last], v[first]
-    out = StepFunction(alpha, tuple(zip(t0.tolist(), t1.tolist(), v.tolist())))
-    for column in (t0, t1, v):
-        column.flags.writeable = False
-    out.__dict__["_columns"] = (t0, t1, v)
-    return out
+    Cells that ``_settle`` might refuse (a non-finite end or value, an end
+    beyond alpha by more than ``MERGE_TOL``, or kept cells that overlap by
+    more) go to ``_settle`` itself, which raises its own error.
+    """
+    if np.isfinite(t1).all() and np.isfinite(v).all():
+        beyond = t1 > alpha
+        ends = np.where(beyond, alpha, t1) if beyond.any() else t1
+        keep = (v != 0.0) & ~_within_tol(t0, ends, width_tol)
+        k0, k1, kv = (t0, ends, v) if keep.all() else (t0[keep], ends[keep], v[keep])
+        # Kept cells start at or after 0 and end after their start, so
+        # _within_tol(a, b) is _close(a, b) where a < b and true where a >= b:
+        # a start left of the previous end by more than MERGE_TOL overlaps,
+        # and every other start within MERGE_TOL of it snaps to it.
+        if _within_tol(alpha, t1[beyond]).all() and _within_tol(k0[1:], k1[:-1]).all():
+            snap = _within_tol(k1[:-1], k0[1:])
+            k0 = np.concatenate((k0[:1], np.where(snap, k1[:-1], k0[1:])))
+            # Merging requires exactly equal values, as in _settle.
+            new = kv[1:] != kv[:-1]
+            new |= ~snap
+            if not new.all():
+                first = np.flatnonzero(np.concatenate(([True], new)))
+                last = np.concatenate((first[1:], [len(kv)])) - 1
+                k0, k1, kv = k0[first], k1[last], kv[first]
+            out = StepFunction(alpha, tuple(zip(k0.tolist(), k1.tolist(), kv.tolist())))
+            for column in (k0, k1, kv):
+                column.flags.writeable = False
+            out.__dict__["_columns"] = (k0, k1, kv)
+            return out
+    return StepFunction(alpha, _settle(zip(t0.tolist(), t1.tolist(), v.tolist()), alpha, width_tol))
 
 
 def _canonical(pieces: Iterable[Sequence[float]], alpha: float) -> tuple[Piece, ...]:
@@ -181,41 +170,6 @@ def _float_columns(pieces: Sequence[Sequence[float]]) -> list[np.ndarray] | None
     return columns
 
 
-def _canonical_array(t0: np.ndarray, t1: np.ndarray, v: np.ndarray, alpha: float) -> "StepFunction":
-    """:func:`_canonical` on NaN-free float columns, with the same results and
-    errors: the checks of the input in input order, a stable sort by start,
-    the checks of :func:`_settle` in sorted order, then :func:`_merged` on the
-    cells that ``_settle`` keeps."""
-    finite = np.isfinite(t0) & np.isfinite(t1)
-    # _close(t0, 0.0) for a start left of 0.
-    near = (t0 < 0.0) & (np.abs(t0) <= MERGE_TOL * np.maximum(np.abs(t0), 1.0))
-    t0 = np.where(near, 0.0, t0)
-    bad = ~finite | (t0 < 0.0)
-    if bad.any():
-        i = int(bad.argmax())
-        if not finite[i]:
-            raise SchemaError("piece endpoints and values must be finite")
-        raise SchemaError(f"piece starts before 0: {float(t0[i])}")
-    order = np.argsort(t0, kind="stable")
-    t0, t1, v = t0[order], t1[order], v[order]
-    ends, beyond, keep = _kept_cells(t0, t1, v, alpha)
-    kept = np.flatnonzero(keep)
-    # A kept cell overlaps when it starts left of the last kept end by more
-    # than _close allows.
-    start, last = t0[kept[1:]], ends[kept[:-1]]
-    overlap = np.zeros(len(v), dtype=bool)
-    overlap[kept[1:]] = (start < last) & (last - start > MERGE_TOL * np.maximum(last, 1.0))
-    bad = ~np.isfinite(v) | beyond | overlap
-    if bad.any():
-        i = int(bad.argmax())
-        if not math.isfinite(v[i]):
-            raise SchemaError("piece endpoints and values must be finite")
-        if beyond[i]:
-            raise SchemaError(f"piece ends beyond alpha={alpha}: {float(t1[i])}")
-        raise SchemaError(f"pieces overlap near t={float(t0[i])}")
-    return _merged(t0[kept], ends[kept], v[kept], alpha)
-
-
 @dataclass(frozen=True)
 class StepFunction:
     """Piecewise-constant function on ``[0, alpha)`` with ``alpha in {1, inf}``.
@@ -245,7 +199,13 @@ class StepFunction:
         if len(pieces) >= ARRAY_MIN_PIECES:
             columns = _float_columns(pieces)
             if columns is not None:
-                return _canonical_array(*columns, alpha)
+                t0, t1, v = columns
+                # Where _canonical would raise on the input, it does so below.
+                if np.isfinite(t0).all() and np.isfinite(t1).all() and (t0 >= -MERGE_TOL).all():
+                    # _close(t0, 0.0) for a finite start left of 0.
+                    t0 = np.where(t0 < 0.0, 0.0, t0)
+                    order = np.argsort(t0, kind="stable")
+                    return _settle_array(t0[order], t1[order], v[order], alpha)
         return cls(alpha, _canonical(pieces, alpha))
 
     @classmethod

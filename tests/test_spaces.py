@@ -89,6 +89,35 @@ def test_gamma_of_a_function_with_a_vanishing_mass_is_zero(pieces):
     assert gamma_norm(StepFunction.make(pieces), 2.0, W_HALF) == 0.0
 
 
+# The norms of c * chi_(0,1) for w = t^-1/2: Lambda^p = 2 c^p, and Gamma^p =
+# c^p (2 + integral_1^inf t^(-p - 1/2)) = c^p (2 + 1 / (p - 1/2)).
+_UNIT_NORMS = {("lambda", 2.0): math.sqrt(2.0), ("gamma", 2.0): math.sqrt(8.0 / 3.0),
+               ("lambda", 3.0): 2.0 ** (1.0 / 3.0), ("gamma", 3.0): 2.4 ** (1.0 / 3.0)}
+_OVERFLOW_CASES = [(c, p, kind, method) for c in (1e200, 1e300) for p in (2.0, 3.0)
+                   for kind, method in (("lambda", None), ("gamma", "auto"), ("gamma", "quadrature"))]
+_OVERFLOW_CASES += [(1e154, 2.0, "lambda", None), (1e154, 2.0, "gamma", "auto")]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("c, p, kind, method", _OVERFLOW_CASES)
+def test_lorentz_norms_of_large_values_do_not_overflow(c, p, kind, method):
+    # Both norms are homogeneous; c^p, or the integral, overflowing a float
+    # is no reason for an OverflowError or an inf.
+    x = indicator(0.0, 1.0, c)
+    got = lambda_norm(x, p, W_HALF) if kind == "lambda" else gamma_norm(x, p, W_HALF, method)
+    rel = 1e-9 if method == "quadrature" else 1e-12
+    assert got == pytest.approx(c * _UNIT_NORMS[kind, p], rel=rel)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("norm_of", [lambda_norm, gamma_norm])
+def test_lorentz_norms_scale_by_a_large_factor(norm_of):
+    x = StepFunction.make([(k + 0.25 * (k % 3), k + 1.0, (1.0 + k % 7) * (-1.0) ** k)
+                           for k in range(200)])
+    assert norm_of(scale(x, 1e200), 2.0, W_HALF) == pytest.approx(1e200 * norm_of(x, 2.0, W_HALF),
+                                                                  rel=1e-12)
+
+
 def test_gamma_rejects_non_dp_weight():
     with pytest.raises(WeightDomainError):
         gamma_norm(indicator(0, 1), 2.0, WeightSpec.power(2.0))

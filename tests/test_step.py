@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rifs import SchemaError, StepFunction, absolute, add, combine, indicator, maximum, minimum, scale
-from rifs.step import ARRAY_MIN_PIECES, MERGE_TOL
+from rifs.step import ARRAY_MIN_PIECES, MERGE_TOL, _settle, _settle_array
 
 
 def test_canonical_sorts_merges_and_drops_zeros():
@@ -280,12 +280,12 @@ FAULTS = ("non-finite value", "non-finite end", "far negative start", "overlap")
 
 
 @st.composite
-def raw_inputs(draw):
-    """64-100 raw pieces and alpha: zeros, ties, narrow cells, starts within
-    MERGE_TOL of the previous end or of 0, and, in some inputs, one or two
-    faults; on (0, 1) the ends may pass alpha by a little or by more than
-    MERGE_TOL; the order may be shuffled."""
-    n = draw(st.integers(ARRAY_MIN_PIECES, 100))
+def raw_inputs(draw, max_pieces=100):
+    """64 to max_pieces raw pieces and alpha: zeros, ties, narrow cells,
+    starts within MERGE_TOL of the previous end or of 0, and, in some inputs,
+    one or two faults; on (0, 1) the ends may pass alpha by a little or by
+    more than MERGE_TOL; the order may be shuffled."""
+    n = draw(st.integers(ARRAY_MIN_PIECES, max_pieces))
     alpha = draw(st.sampled_from([1.0, math.inf]))
     pieces, cursor = [], 0.0
     for _ in range(n):
@@ -334,3 +334,24 @@ def test_make_on_arrays_matches_list_reference(drawn):
     pieces, alpha = drawn
     got = _settled_or_error(lambda p, a: StepFunction.make(p, a).pieces, pieces, alpha)
     assert got == _settled_or_error(_canonical_reference, pieces, alpha)
+
+
+@settings(deadline=None, max_examples=100)
+@given(raw_inputs(max_pieces=200), st.sampled_from([MERGE_TOL, 0.0]))
+def test_settle_array_matches_settle(drawn, width_tol):
+    # The one array canonicalization, on cells sorted by start that start at
+    # or after 0 (a far negative start becomes an overlap at 0): _settle's
+    # pieces, bit for bit, or its SchemaError, message included; and the
+    # result's _columns are its pieces.
+    pieces, alpha = drawn
+    cells = sorted(((max(t0, 0.0), t1, v) for t0, t1, v in pieces if not math.isnan(t0)),
+                   key=lambda cell: cell[0])
+    columns = [np.array(col, dtype=float) for col in zip(*cells)]
+
+    def on_arrays(cells, alpha):
+        x = _settle_array(*columns, alpha, width_tol)
+        assert repr(tuple(zip(*(col.tolist() for col in x._columns)))) == repr(x.pieces)
+        return x.pieces
+
+    got = _settled_or_error(on_arrays, cells, alpha)
+    assert got == _settled_or_error(lambda c, a: _settle(c, a, width_tol), cells, alpha)

@@ -47,6 +47,7 @@ ROWS = {
     "weight-Wp-p-nan": lambda: weight_Wp(W, NAN, 1.0),
     "gamma-norm-p-nan": lambda: gamma_norm(X, NAN, W),
     "gamma-norm-p-inf": lambda: gamma_norm(X, INF, W),
+    "gamma-norm-method-exact": lambda: gamma_norm(X, 2, W, method="exact"),
     "hull-tol-nan": lambda: project_hull(
         StepFunction.zero(),
         CandidateSet.make([indicator(0, 1), indicator(1, 2)], hull=True),
