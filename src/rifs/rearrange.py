@@ -159,6 +159,8 @@ def hlp_dominates(x: StepFunction, y: StepFunction, tol: float | None = None) ->
     refinement endpoints together with the t -> 0+ and t -> inf limits is
     exact.  Default tol is 1e-12 scaled by max(1, sup y**).
     """
+    if x.alpha != y.alpha:
+        raise SchemaError("operands live on different domains")
     cx, cy = maximal_curve(x), maximal_curve(y)
     if tol is None:
         tol = 1e-12 * max(1.0, cy.value_at_zero)

@@ -7,9 +7,11 @@ B = 1 over x* (the result is then scaled by (x*)^p), and over x** the
 segment of ``x** = B + A/t`` read from ``maximal_curve``, the only code that
 derives x**.  A piece is cut into cells at the weight-piece starts inside it.
 On a pure-power weight piece a cell is exact when A = 0, or for integer p up
-to 12 through the binomial expansion; each antiderivative ``c t^e / e``
-(``c log t`` for e = 0) is evaluated once per cut and is the next cell's
-lower value.  A log piece with A = 0 is one ``power_log_integral`` call.
+to 12 through the binomial expansion, each term a difference of the
+antiderivative ``c t^e / e`` (``c log t`` for e = 0).  The list walk takes
+each cell from its two ends with the weight algebra's closed form; the array
+pass evaluates the antiderivative once per cut, as the next cell's lower
+value.  A log piece with A = 0 is one ``power_log_integral`` call.
 Every other cell goes to one batched ``integrate_cells`` call at relative
 tolerance 1e-9 per cell.  Below ``ARRAY_MIN_PIECES`` pieces of x* the pass is
 a forward walk over lists; from there up it runs on the arrays of x*, weight
@@ -33,8 +35,8 @@ from .orlicz import OrliczSpec, _norm_on_cells, luxemburg_norm, orlicz_norm
 from .quadrature import integrate_cells
 from .rearrange import MaximalCurve, maximal_curve, rearrange
 from .step import ARRAY_MIN_PIECES, StepFunction, _settle, indicator
-from .weights import (WeightPiece, WeightSpec, exponent_shift, power_log_integral,
-                      require_D_p, tail_integral_diverges)
+from .weights import (WeightPiece, WeightSpec, _power_integral, exponent_shift,
+                      power_log_integral, require_D_p, tail_integral_diverges)
 
 GAMMA_REL_TOL = 1e-9
 # The terms (C(n, j), n - j, j) of the binomial expansion of (B + A/t)^n for
@@ -58,8 +60,9 @@ def _lorentz_integral(star: StepFunction, w: WeightSpec, p: float, curve: Maxima
     ``(B + A/t)^p w(t)``.  Over x* the segment is (t0, t1) with A = 0, B = 1,
     and the integrals of its cells add up to its weight integral, scaled by
     v^p.  Over x** it is the curve's segment ending at t1, with its A and B,
-    and all cells add up in order.  ``quadrature`` sends every cell to
-    quadrature.  From ``ARRAY_MIN_PIECES`` pieces of x* up, where the curve
+    and all cells add up in order.  A closed-form cell is computed from its
+    own two ends, so nothing but the weight piece passes from cell to cell.
+    ``quadrature`` sends every cell to quadrature.  From ``ARRAY_MIN_PIECES`` pieces of x* up, where the curve
     keeps its segments as arrays, :func:`_lorentz_cells` computes the same
     cells on arrays.
     """
@@ -69,11 +72,6 @@ def _lorentz_integral(star: StepFunction, w: WeightSpec, p: float, curve: Maxima
     expansion = _BINOMIAL.get(p)
     pieces = iter(w.pieces)
     nxt = 0.0  # end of the current weight piece
-    # On a pure-power weight piece, ``low`` holds the antiderivative terms at
-    # the cut ``at``: c t^e / e for the exponent e = a - j + 1 of each term j
-    # used (log t where e = 0; its differences are scaled by c).  A cell
-    # computes them at its upper end, which is the next cell's lower end.
-    at = low = None
     total = 0.0
     parts: list[float] = []  # the cells over x**, in order
     quad = []  # (index in parts, lo, hi, A, B, c, a, b) of each cell left to quadrature
@@ -85,38 +83,13 @@ def _lorentz_integral(star: StepFunction, w: WeightSpec, p: float, curve: Maxima
                 pc = next(pieces)
                 nxt, c = pc.t1, pc.c
                 exact = not quadrature and c != 0.0 and pc.b == 0.0  # closed forms apply
-                e0, terms = pc.a + 1.0, None
-                at = None
             hi = nxt if nxt < t1 else t1
             if exact and A == 0.0:
-                if at == lo:
-                    bottom = low[0]
-                elif lo == 0.0:  # the limit at 0
-                    bottom = 0.0 if e0 > 0.0 else -math.inf
-                else:
-                    bottom = c * lo ** e0 / e0 if e0 else math.log(lo)
-                u = c * hi ** e0 / e0 if e0 else math.log(hi)
-                part = B ** p * (u - bottom if e0 else c * (u - bottom))
-                at, low = hi, [u]
+                part = B ** p * _power_integral(c, pc.a + 1.0, lo, hi)
             elif exact and expansion:
-                if terms is None:
-                    terms = [(cb, nj, j, (pc.a - j) + 1.0) for cb, nj, j in expansion]
-                if at != lo or len(low) < len(terms):
-                    low = ([0.0 if e > 0.0 else -math.inf for _, _, _, e in terms]
-                           if lo == 0.0 else
-                           [c * lo ** e / e if e else math.log(lo) for _, _, _, e in terms])
                 part = 0.0
-                high = []
-                for cb, nj, j, e in terms:
-                    coef = cb * B ** nj * A ** j
-                    if e:
-                        u = c * hi ** e / e
-                        part += coef * (u - low[j])
-                    else:
-                        u = math.log(hi)
-                        part += coef * (c * (u - low[j]))
-                    high.append(u)
-                at, low = hi, high
+                for cb, nj, j in expansion:
+                    part += cb * B ** nj * A ** j * _power_integral(c, (pc.a - j) + 1.0, lo, hi)
             elif not quadrature and c == 0.0:
                 part = 0.0
             elif not quadrature and A == 0.0:  # a log piece

@@ -248,6 +248,8 @@ class StepFunction:
     def values(self, ts: np.ndarray) -> np.ndarray:
         """``value_at`` at every entry of ``ts``, by the same sorted-start lookup."""
         ts = np.asarray(ts, dtype=float)
+        if np.isnan(ts).any():
+            raise SchemaError("values needs points t, got nan")
         if not self.pieces:
             return np.zeros_like(ts)
         t0, t1, v = self._columns

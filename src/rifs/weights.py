@@ -53,6 +53,16 @@ def exponent_shift(a: float, p: float) -> float:
     return d
 
 
+def _power_integral(c: float, e: float, lo: float, hi: float) -> float:
+    """``integral_lo^hi c t^(e-1) dt`` from the antiderivative ``c t^e / e``
+    (``c log t`` for e = 0), taken as its limit at lo = 0; hi may be inf if e < 0."""
+    if lo == 0.0:
+        low = 0.0 if e > 0.0 else -math.inf
+    else:
+        low = c * lo ** e / e if e else math.log(lo)
+    return c * hi ** e / e - low if e else c * (math.log(hi) - low)
+
+
 def power_log_integral(c: float, a: float, b: float, lo: float, hi: float) -> float:
     """``integral_lo^hi c t^a log(e+t)^b dt``; hi may be inf.  Returns inf on divergence."""
     if c == 0.0 or hi <= lo:
@@ -62,12 +72,7 @@ def power_log_integral(c: float, a: float, b: float, lo: float, hi: float) -> fl
     if math.isinf(hi) and tail_integral_diverges(a, b):
         return math.inf
     if b == 0.0:
-        if a == -1.0:
-            return c * (math.log(hi) - math.log(lo))  # hi finite here
-        antider = lambda t: c * t ** (a + 1.0) / (a + 1.0)
-        upper = 0.0 if math.isinf(hi) else antider(hi)  # a < -1 at inf
-        lower = 0.0 if lo == 0.0 else antider(lo)
-        return upper - lower
+        return _power_integral(c, a + 1.0, lo, hi)
 
     if a == -1.0 and math.isinf(hi):
         # b < -1 here.  Split 1/t = 1/(e+t) + e/(t(e+t)): the first term is the
@@ -142,6 +147,8 @@ class WeightSpec:
         return self.pieces[-1]
 
     def value(self, t: float) -> float:
+        if math.isnan(t):
+            raise SchemaError("weight value needs a point t, got nan")
         for p in self.pieces:
             if p.t0 <= t < p.t1:
                 return p.c * t ** p.a * math.log(math.e + t) ** p.b
@@ -149,6 +156,8 @@ class WeightSpec:
 
     def values(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
+        if np.isnan(ts).any():
+            raise SchemaError("weight values need points t, got nan")
         out = np.zeros_like(ts)
         for p in self.pieces:
             mask = (ts >= p.t0) & (ts < p.t1)

@@ -16,8 +16,10 @@ from rifs import (
     TrialConfig,
     WeightSpec,
     gamma_norm,
+    hlp_dominates,
     in_D_p,
     indicator,
+    k_upper_bound_check,
     lambda_norm,
     luxemburg_norm,
     maximal_curve,
@@ -67,6 +69,14 @@ ROWS = {
     "maximal-curve-eval-many-negative": lambda: maximal_curve(X2).eval_many([-1.0]),
     "maximal-curve-eval-many-zero": lambda: maximal_curve(X2).eval_many([0.0]),
     "maximal-curve-eval-many-nan": lambda: maximal_curve(X2).eval_many([NAN]),
+    "values-nan": lambda: X2.values([0.5, NAN]),
+    "weight-value-nan": lambda: W.value(NAN),
+    "weight-values-nan": lambda: W.values([0.5, NAN]),
+    "dominates-different-domains": lambda: hlp_dominates(
+        StepFunction.make([(0, 0.5, 1.0)], 1.0), StepFunction.make([(0, 2, 1.0)])),
+    "k-upper-bound-different-domains": lambda: k_upper_bound_check(
+        StepFunction.make([(0, 2, 1.0)]),
+        CandidateSet.make([StepFunction.make([(0, 0.5, 1.0)], 1.0)])),
 }
 
 

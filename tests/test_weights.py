@@ -247,3 +247,38 @@ def test_weight_integrals_match_per_loop_reference(drawn, p):
         tail = _wp_tail_reference(w, p, t)
         assert w.wp_tail_integral(p, t) == tail
         assert w.Wp(p, t) == (math.inf if math.isinf(tail) else t ** p * tail)
+
+
+# ------------------------------------------------ the b = 0 closed form, pinned
+
+def _closed_form_reference(c, a, lo, hi):
+    """The b = 0 antiderivative difference written out: ``c (log hi - log lo)``
+    for a = -1, else ``c t^(a+1) / (a+1)`` at hi (0 at inf) minus at lo (0 at 0)."""
+    if a == -1.0:
+        return c * (math.log(hi) - math.log(lo))
+    e = a + 1.0
+    upper = 0.0 if math.isinf(hi) else c * hi ** e / e
+    lower = 0.0 if lo == 0.0 else c * lo ** e / e
+    return upper - lower
+
+
+def _closed_form_cells():
+    rng = np.random.default_rng(2024)
+    cells = []
+    for _ in range(400):
+        c = float(10.0 ** rng.uniform(-3, 3))
+        lo, hi = sorted(float(t) for t in 10.0 ** rng.uniform(-3, 3, 2))
+        a = float(rng.choice([rng.uniform(-3, 3), -2.0, -1.0, -0.5, 0.0, 1.0, 2.0]))
+        cells.append((c, a, lo, hi))  # a finite cell
+        cells.append((c, -1.0, lo, hi))
+        cells.append((c, float(rng.uniform(-0.99, 3)), 0.0, hi))  # from the origin
+        cells.append((c, float(rng.uniform(-4, -1.01)), lo, INF))  # a convergent tail
+    return cells
+
+
+def test_power_closed_form_matches_written_out_reference():
+    # The Lorentz walk and power_log_integral share one closed form; pin its
+    # bits against the formulas spelled out here, independent of that code.
+    for c, a, lo, hi in _closed_form_cells():
+        got = power_log_integral(c, a, 0.0, lo, hi)
+        assert got.hex() == _closed_form_reference(c, a, lo, hi).hex(), (c, a, lo, hi)
