@@ -5,10 +5,13 @@ with an actual projection.
 
 Desk-scale scope: candidate sets are finite lists of step functions; the
 hull case optimizes a convex objective over the probability simplex by
-coordinate-pair descent, which is globally convergent for a convex objective
-and certifiable against grid search.  Each line search walks the residual
-along one simplex edge and minimizes with :func:`optimize.brent_min`, whose
-end probes return a boundary optimum exactly.
+coordinate-pair descent.  Each line search walks the residual along one
+simplex edge and minimizes with :func:`optimize.brent_min`, whose end probes
+return a boundary optimum exactly.  Pair descent can stall at a kink of the
+norm, above the hull minimum, so a result carries its own certificate: the
+Frank-Wolfe gap at the returned coefficients, for a subgradient of the norm
+that each space supplies.  By convexity the gap bounds how far the distance
+lies above the hull minimum (Jaggi, *Revisiting Frank-Wolfe*, ICML 2013).
 """
 
 from __future__ import annotations
@@ -112,12 +115,16 @@ class _HullObjective:
     """``theta -> || x - sum theta_i a_i ||`` over a precomputed common cell
     decomposition, so line searches avoid repeated piecewise algebra.  Every
     evaluation goes through ``residual_norm``, the space's norm of the
-    function with value ``vals[k]`` on cell k, bound once to the cells."""
+    function with value ``vals[k]`` on cell k, bound once to the cells, and
+    every gap through ``subgradient``, the space's subgradient there (None
+    where the space has none)."""
 
     def __init__(self, x: StepFunction, members: tuple[StepFunction, ...],
                  space: SpaceHandle):
         if x.alpha != space.alpha:
             raise SchemaError("function and space live on different domains")
+        if any(m.alpha != x.alpha for m in members):
+            raise SchemaError("operands live on different domains")
         bps: set[float] = set(x.breakpoints())
         for m in members:
             bps.update(m.breakpoints())
@@ -126,6 +133,7 @@ class _HullObjective:
         self.hi = np.array(edges[1:]) if len(edges) > 1 else np.empty(0)
         mids = 0.5 * (self.lo + self.hi)
         self.residual_norm = space._cell_norm(self.lo, self.hi)
+        self.subgradient = space._cell_subgradient(self.lo, self.hi)
         self.xv = x.values(mids) if len(mids) else mids
         self.member_vals = np.array([m.values(mids) for m in members]) \
             if len(mids) else np.zeros((len(members), 0))
@@ -136,6 +144,21 @@ class _HullObjective:
 
     def __call__(self, theta) -> float:
         return self.residual_norm(self.residual(theta))
+
+    def gap(self, theta, val: float) -> float:
+        """The Frank-Wolfe gap ``<d, theta> - min_i d_i`` at theta, whose
+        objective value is val, for the subgradient ``d = -M g`` of the
+        objective, g the norm's subgradient at the residual.  By convexity it
+        bounds ``val - min over the simplex``.  0 at a zero residual, inf
+        where the space has no subgradient or it does not come out finite."""
+        if val == 0.0:
+            return 0.0
+        if self.subgradient is None:
+            return math.inf
+        # With e = M g = -d, the gap is max_i e_i - <e, theta>.
+        e = (self.member_vals @ self.subgradient(self.residual(theta), val)).tolist()
+        gap = max(e) - sum(t * ei for t, ei in zip(theta, e))
+        return max(gap, 0.0) if math.isfinite(gap) else math.inf
 
 
 def project_finite(x: StepFunction, A: CandidateSet, space: SpaceHandle) -> ProjectionResult:
@@ -158,20 +181,29 @@ def project_hull(x: StepFunction, A: CandidateSet, space: SpaceHandle,
                  tol: float = 1e-6, max_line_searches: int = 100_000) -> ProjectionResult:
     """Minimize ``|| x - sum theta_i a_i ||`` over the probability simplex.
 
-    Coordinate-pair descent from the best vertex and from the barycenter,
-    keeping the better run.  Each step moves mass delta from a_j to a_i
-    along the simplex edge: the residual ``r0 = x - theta . M`` is formed
-    once, each trial is ``r0 - delta (a_i - a_j)``, and
-    :func:`optimize.brent_min` minimizes to a width of
-    ``min(1e-10, 1e-3 tol)``, reusing the known value at delta = 0.  The
-    objective is convex (a norm composed with an affine map), so when the
+    Coordinate-pair descent from the best vertex, and from the barycenter when
+    that run ends uncertified, keeping the better run.  Each step moves mass
+    delta from a_j to a_i along the simplex edge: the residual
+    ``r0 = x - theta . M`` is formed once, each trial is
+    ``r0 - delta (a_i - a_j)``, and :func:`optimize.brent_min` minimizes to a
+    width of ``min(1e-10, 1e-3 tol)``, reusing the known value at delta = 0.
+    The objective is convex (a norm composed with an affine map), so when the
     optimum along an edge is an end, the end probe returns it exactly, and a
-    coefficient driven to 0 is exactly 0.0.  Passes terminate when no pair
-    improves by more than tol; ``iterations`` counts every line search,
+    coefficient driven to 0 is exactly 0.0.
+
+    The Frank-Wolfe gap of the objective (:meth:`_HullObjective.gap`) is taken
+    at each start and after each pass.  It bounds how far the run's value lies
+    above the hull minimum, and a run stops, certified, as soon as it is at
+    most tol.  Otherwise passes end when no pair improves by more than tol,
+    which at a kink of the norm can leave the run short of the minimum.
+    ``Minimizer.gap`` is the kept run's bound, tightened by the other run's
+    (the minimum lies at least its value minus its gap below it): at most tol
+    for a certified result, above it for an uncertified one, and inf where
+    the space has no subgradient.  ``iterations`` counts every line search,
     including those a probe ends.
     """
-    if not tol > 0:
-        raise SchemaError("project_hull requires tol > 0")
+    if not 0 < tol < math.inf:
+        raise SchemaError("project_hull requires 0 < tol < inf")
     members = A.members
     n = len(members)
     if n > 12:
@@ -180,21 +212,21 @@ def project_hull(x: StepFunction, A: CandidateSet, space: SpaceHandle,
     objective = _HullObjective(x, members, space)
     line_tol = min(1e-10, tol * 1e-3)
 
-    # Start from the best vertex and from the barycenter; keep the better run.
     vertex_vals = [objective(tuple(1.0 if j == i else 0.0 for j in range(n)))
                    for i in range(n)]
     best_vertex = min(range(n), key=lambda i: vertex_vals[i])
     starts = [tuple(1.0 if j == best_vertex else 0.0 for j in range(n)),
               tuple(1.0 / n for _ in range(n))]
 
-    best_theta, best_val = None, math.inf
+    runs: list[tuple[float, tuple[float, ...], float]] = []  # (value, theta, gap)
     trace: list[tuple[tuple[float, ...], float]] = []
     searches = 0
     for theta in starts:
         theta = list(theta)
         val = objective(theta)
         trace.append((tuple(theta), val))
-        while True:
+        gap = objective.gap(theta, val)
+        while gap > tol:
             improved = 0.0
             for i in range(n):
                 for j in range(i + 1, n):
@@ -217,13 +249,17 @@ def project_hull(x: StepFunction, A: CandidateSet, space: SpaceHandle,
                         improved += val - new_val
                         val = new_val
                         trace.append((tuple(theta), val))
+            gap = objective.gap(theta, val)
             if improved < tol:
                 break
-        if val < best_val:
-            best_theta, best_val = tuple(theta), val
+        runs.append((val, tuple(theta), gap))
+        if gap <= tol:
+            break
 
+    best_val, best_theta, _ = min(runs, key=lambda run: run[0])
+    gap = max(0.0, min(best_val - run_val + run_gap for run_val, _, run_gap in runs))
     point = _combination(members, best_theta)
-    minimizer = Minimizer(best_theta, point, 0.0)
+    minimizer = Minimizer(best_theta, point, gap)
     return ProjectionResult(best_val, (minimizer,), searches, tuple(trace))
 
 

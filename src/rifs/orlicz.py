@@ -150,6 +150,25 @@ class OrliczSpec:
             beyond = math.inf if self.inf_beyond else vs[-1] + last_slope * (us - ts[-1])
             return np.where(us <= ts[-1], np.interp(us, ts, vs), beyond)
 
+    def psi_slope_many(self, us: np.ndarray) -> np.ndarray:
+        """The right derivative psi' at every u >= 0 in ``us``:
+        ``coef p u^(p-1)``, ``p max(0, u - a)^(p-1)`` (1 from a on at p = 1),
+        ``e^u``, and for a table the slope of the segment holding u (inf from
+        the end of an inf_beyond table on).  Overflow maps to inf."""
+        us = np.asarray(us, dtype=float)
+        with np.errstate(over="ignore"):
+            if self.family == "power":
+                return self.coef * self.p * us ** (self.p - 1.0)
+            if self.family == "shifted_power":
+                d = us - self.shift
+                return np.where(d >= 0.0, self.p * np.maximum(d, 0.0) ** (self.p - 1.0), 0.0)
+            if self.family == "exp_minus_one":
+                return np.exp(us)
+            ts, vs, last_slope = self._table
+            slopes = np.append(np.diff(vs) / np.diff(ts),
+                               math.inf if self.inf_beyond else last_slope)
+            return slopes[ts.searchsorted(us, "right") - 1]
+
     def psi_inverse_many(self, us: np.ndarray) -> np.ndarray:
         """``sup { t >= 0 : psi(t) <= u }`` for every u >= 0 in ``us``: psi^-1(0)
         is a_psi, psi^-1(inf) is T for an inf_beyond table, else inf."""
@@ -279,28 +298,42 @@ def _norm_on_cells(widths: np.ndarray, mags: np.ndarray, psi: OrliczSpec,
         return 0.0
     top = float(mags.max())
     unit = mags / top
-    if psi.family == "power":
-        # h(s) = 1/s + r s^(p-1) with r = rho(1): least at s^p = 1 / ((p-1) r),
-        # and r itself, the limit as s -> inf, for p = 1.
-        r = psi.coef * float(np.dot(widths, unit ** psi.p))
-        if psi.p == 1.0:
-            return top * r
-        q = psi.p - 1.0
-        return top * (psi.p / q) * (q * r) ** (1.0 / psi.p)
-    if flavor != "luxemburg" and psi._kinks is not None:
-        return top * _amemiya_kink_walk(widths, unit, psi,
-                                        float(psi.psi_inverse_many(math.inf)))
-    # The Luxemburg s, s_L, lies in [lo, hi]: w_peak psi(s) <= rho(s) <= w_total psi(s).
-    levels = np.array([1.0 / widths.sum(), 1.0 / widths[unit == 1.0].sum()])
-    lo, hi = (float(s) for s in psi.psi_inverse_many(levels))
     if flavor != "luxemburg":
-        # h(s) >= 1/s and h(s_L) = 2 / s_L put the minimum at s >= s_L / 2.
-        return top * _amemiya_newton(widths, unit, psi, 0.5 * lo, hi)
+        return _amemiya(widths, unit, top, psi)[0]
+    lo, hi = _luxemburg_bracket(widths, unit, psi)
     if not lo < hi:
         return top * (1.0 / lo)
     if psi._kinks is not None:
         return top / _luxemburg_kink_walk(widths, unit, psi, lo, hi)
     return top / _luxemburg_newton(widths, unit, psi, lo, hi)
+
+
+def _luxemburg_bracket(widths, unit, psi) -> tuple[float, float]:
+    """The bracket [lo, hi] of the Luxemburg s, s_L, from
+    ``w_peak psi(s) <= rho(s) <= w_total psi(s)``."""
+    levels = np.array([1.0 / widths.sum(), 1.0 / widths[unit == 1.0].sum()])
+    lo, hi = (float(s) for s in psi.psi_inverse_many(levels))
+    return lo, hi
+
+
+def _amemiya(widths, unit, top, psi) -> tuple[float, float]:
+    """The Amemiya norm ``top * inf_s h(s)`` and an s where h is least (inf
+    where the infimum is the limit as s -> inf)."""
+    if psi.family == "power":
+        # h(s) = 1/s + r s^(p-1) with r = rho(1): least at s^p = 1 / ((p-1) r),
+        # and r itself, the limit as s -> inf, for p = 1.
+        r = psi.coef * float(np.dot(widths, unit ** psi.p))
+        if psi.p == 1.0:
+            return top * r, math.inf
+        q = psi.p - 1.0
+        return top * (psi.p / q) * (q * r) ** (1.0 / psi.p), (q * r) ** (-1.0 / psi.p)
+    if psi._kinks is not None:
+        h, s = _amemiya_kink_walk(widths, unit, psi, float(psi.psi_inverse_many(math.inf)))
+        return top * h, s
+    # h(s) >= 1/s and h(s_L) = 2 / s_L put the minimum at s >= s_L / 2.
+    lo, hi = _luxemburg_bracket(widths, unit, psi)
+    h, s = _amemiya_newton(widths, unit, psi, 0.5 * lo, hi)
+    return top * h, s
 
 
 def _kink_segments(widths: np.ndarray, unit: np.ndarray, psi: OrliczSpec,
@@ -343,8 +376,9 @@ def _luxemburg_kink_walk(widths, unit, psi, lo, hi) -> float:
     return min(float((1.0 + offsets[j]) / slopes[j]), hi)
 
 
-def _amemiya_kink_walk(widths, unit, psi, end) -> float:
-    """``inf_(0 < s <= end) (1 + rho(s)) / s`` for a piecewise-linear psi.
+def _amemiya_kink_walk(widths, unit, psi, end) -> tuple[float, float]:
+    """``inf_(0 < s <= end) (1 + rho(s)) / s`` for a piecewise-linear psi, and
+    the s where it is attained (inf for the limit).
 
     On segment j, ``h = C[j] + (1 - D[j]) / s`` and g = D[j], so h falls until
     the first kink with D >= 1 and rises after it.  With no such kink the
@@ -352,13 +386,13 @@ def _amemiya_kink_walk(widths, unit, psi, end) -> float:
     starts, slopes, offsets = _kink_segments(widths, unit, psi, 0.0, end)
     j = int(np.searchsorted(offsets, 1.0))  # >= 1, as D[0] = 0: no kink is <= 0
     if j < len(starts):
-        s = starts[j]
+        s = float(starts[j])
     elif end < math.inf:
         s = end
     else:
-        return float(slopes[-1])
+        return float(slopes[-1]), math.inf
     # h evaluated from the segment ending at s, whose kinks all lie below s.
-    return float(slopes[j - 1] + (1.0 - offsets[j - 1]) / s)
+    return float(slopes[j - 1] + (1.0 - offsets[j - 1]) / s), s
 
 
 def _smooth_terms(psi: OrliczSpec, v: np.ndarray, curvature: bool):
@@ -389,9 +423,9 @@ def _luxemburg_newton(widths, unit, psi, lo, hi) -> float:
         return newton_level(level, float(psi.psi_inverse_many(0.0)), lo, hi, hi)
 
 
-def _amemiya_newton(widths, unit, psi, lo, start) -> float:
+def _amemiya_newton(widths, unit, psi, lo, start) -> tuple[float, float]:
     """``inf_s h(s)`` for a smooth psi, by Newton steps on ``g(s) = 1`` (with
-    ``g' = s rho''``) from ``start``, above ``lo``.
+    ``g' = s rho''``) from ``start``, above ``lo``, and that root.
 
     Every value of g comes with rho, so h is known at each point visited.  The
     answer is the least of those, of h at the root, and of h(a_psi) = 1/a_psi:
@@ -413,8 +447,84 @@ def _amemiya_newton(widths, unit, psi, lo, start) -> float:
     # A step far above the root may overflow psi, and g to inf - inf = NaN,
     # which the solver reads as above the level.
     with np.errstate(over="ignore", invalid="ignore"):
-        level(newton_level(level, a, max(lo, a), math.inf, start))
-    return best
+        root = newton_level(level, a, max(lo, a), math.inf, start)
+        level(root)
+    return best, root
+
+
+def _luxemburg_subgradient(widths: np.ndarray, vals: np.ndarray, lam: float,
+                           psi: OrliczSpec) -> np.ndarray:
+    """A subgradient g of the Luxemburg norm at the cell values ``vals``, whose
+    norm is lam > 0: ``N(u) >= lam + <g, u - vals>`` for every u.
+
+    The unit ball is the level set rho <= 1.  At its boundary point
+    ``vals / lam`` the cells give a normal ``d = w psi'(|vals| / lam) sign(vals)``
+    (any one-sided slope at a kink of psi, sign(0) = 0), and Euler's identity
+    ``<g, vals> = lam`` fixes the scale: ``g = lam d / <d, vals>``.  Where lam
+    sits on a modular jump (psi = inf beyond T and rho stays <= 1 up to
+    ``T vals / sup|vals|``, so lam = sup|vals| / T), the ball's face there is
+    ``|u_k| <= T`` at an argmax cell k, and g is the sup-norm subgradient
+    ``sign(vals_k) / T`` at k, 0 elsewhere.
+    """
+    mags = np.abs(vals)
+    if not psi.finite_valued:
+        end = float(psi.psi_inverse_many(math.inf))
+        k = int(mags.argmax())
+        if _modular(widths, end * (mags / mags[k]), psi) <= 1.0:
+            g = np.zeros(len(vals))
+            g[k] = np.sign(vals[k]) / end
+            return g
+    # The power family inline, as in _norm_on_cells: psi' is a multiple of
+    # u^(p-1), and a constant factor of d drops out of g.
+    slopes = (mags / lam) ** (psi.p - 1.0) if psi.family == "power" else psi.psi_slope_many(mags / lam)
+    d = widths * slopes * np.sign(vals)
+    return (lam / float(np.dot(d, vals))) * d
+
+
+def _amemiya_subgradient(widths: np.ndarray, vals: np.ndarray, psi: OrliczSpec) -> np.ndarray:
+    """A subgradient g of the Amemiya norm at the nonzero cell values ``vals``.
+
+    The norm is the infimum over s of the perspective ``(1 + rho(s unit)) / k``,
+    k = s / sup|vals|, which is jointly convex in (vals, 1/k); at the minimizing
+    s, found here by the norm's own solve, the envelope theorem gives
+    ``g = w h sign(vals)`` with h a slope of psi at ``u = s unit`` at which the
+    derivative in 1/k, ``1 - (<w h, u> - rho(u))``, vanishes.  For a smooth psi
+    h = psi'(u).  For a piecewise-linear psi, s sits at a kink of rho; the
+    slopes inside the segments of rho on either side of it bracket that zero
+    (they are read there because ``s unit`` meets a breakpoint of psi only up
+    to rounding), and h is the convex combination that hits it.  Where s sits
+    at ``psi^-1(inf) = T`` the constraint ``k |vals_k| <= T`` binds at an
+    argmax cell k, and its multiplier ``(1 - <w h, u> + rho(u)) / T`` (left
+    slopes) adds to g_k.  Where the infimum is the limit s -> inf, h is psi's
+    final slope.
+    """
+    mags = np.abs(vals)
+    top = float(mags.max())
+    unit = mags / top
+    s = _amemiya(widths, unit, top, psi)[1]
+    sign = np.sign(vals)
+    if s == math.inf:
+        return widths * psi.psi_slope_many(np.full(len(vals), math.inf)) * sign
+    u = s * unit
+    rho = _modular(widths, u, psi)
+    if psi._kinks is None:
+        left = right = widths * psi.psi_slope_many(u)
+    else:
+        end = float(psi.psi_inverse_many(math.inf))
+        kinks = (psi._kinks[0] / unit[unit > 0.0, None]).ravel()
+        below = kinks[kinks < s].max(initial=0.0)
+        above = kinks[kinks > s].min(initial=min(2.0 * s, end))
+        left = widths * psi.psi_slope_many(0.5 * (below + s) * unit)
+        right = widths * psi.psi_slope_many(0.5 * (s + above) * unit)
+    g_left = float(np.dot(left, u)) - rho
+    g_right = float(np.dot(right, u)) - rho
+    if g_right == math.inf:
+        g = left * sign
+        k = int(unit.argmax())
+        g[k] += max(0.0, 1.0 - g_left) / float(psi.psi_inverse_many(math.inf)) * sign[k]
+        return g
+    t = min(max((1.0 - g_left) / (g_right - g_left), 0.0), 1.0) if g_right > g_left else 0.0
+    return (left + t * (right - left)) * sign
 
 
 def modular(x: StepFunction, psi: OrliczSpec) -> float:

@@ -31,7 +31,8 @@ from itertools import repeat
 import numpy as np
 
 from .errors import DivergentIntegralError, SchemaError, require_alpha, require_exponent
-from .orlicz import OrliczSpec, _norm_on_cells, luxemburg_norm, orlicz_norm
+from .orlicz import (OrliczSpec, _amemiya_subgradient, _luxemburg_subgradient, _norm_on_cells,
+                     luxemburg_norm, orlicz_norm)
 from .quadrature import integrate_cells
 from .rearrange import MaximalCurve, maximal_curve, rearrange
 from .step import ARRAY_MIN_PIECES, StepFunction, _settle, indicator
@@ -271,6 +272,56 @@ def _lorentz_cells(star: StepFunction, w: WeightSpec, p: float, curve: MaximalCu
     return float(np.cumsum(np.concatenate(([0.0], parts)))[-1])
 
 
+def _segment_integrals(w: WeightSpec, q: float, shift: float, lo: np.ndarray, hi: np.ndarray,
+                       A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``integral (B + A/t)^q t^(-shift) w(t) dt`` over each segment (lo, hi),
+    cut at the weight-piece starts inside it: the walk's closed forms where it
+    has them (A = 0 or q = 0, and on a power piece integer q up to 12), one
+    batched quadrature for the rest."""
+    out = np.zeros(len(lo))
+    expansion = _BINOMIAL.get(q)
+    quad = []  # (segment, lo, hi, A, B, c, a, b) of each cell left to quadrature
+    for k, (t0, t1, a_k, b_k) in enumerate(zip(lo.tolist(), hi.tolist(), A.tolist(), B.tolist())):
+        for pc in w.pieces:
+            cl, ch = max(t0, pc.t0), min(t1, pc.t1)
+            if cl >= ch or pc.c == 0.0:
+                continue
+            e = exponent_shift(pc.a, shift)
+            if a_k == 0.0 or q == 0.0:
+                out[k] += b_k ** q * power_log_integral(pc.c, e, pc.b, cl, ch)
+            elif pc.b == 0.0 and expansion:
+                out[k] += sum(cb * b_k ** nj * a_k ** j * _power_integral(pc.c, (e - j) + 1.0, cl, ch)
+                              for cb, nj, j in expansion)
+            else:
+                quad.append((k, cl, ch, a_k, b_k, pc.c, e, pc.b))
+    if quad:
+        idx, *cols = zip(*quad)
+        np.add.at(out, np.array(idx), _quadrature(q, *(np.array(col) for col in cols)))
+    return out
+
+
+def _gamma_slopes(w: WeightSpec, p: float, m: np.ndarray, widths: np.ndarray,
+                  starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """``d integral (x**)^p w / d m_k``, divided by p, for the cells of values
+    m > 0 laid out in the order given, cell k on ``(starts[k], ends[k])``.
+
+    On cell k, ``x** = m_k + A_k / t`` with ``A_k`` the mass before it minus
+    ``m_k starts[k]``, and raising m_k lifts the mass below t by ``t - starts[k]``
+    inside the cell and by ``widths[k]`` after it; beyond the support x** is
+    mass / t.  With ``P_k = integral over cell k of (x**)^(p-1) w`` and ``Q_k``
+    the same of ``(x**)^(p-1) w / t``, the slope is
+    ``P_k - starts[k] Q_k + widths[k] (sum_(j > k) Q_j + mass^(p-1) integral_end t^(-p) w)``.
+    The first cell starts at 0, so its Q (often divergent there) is never needed.
+    """
+    before = np.concatenate(([0.0], np.cumsum(m * widths)))
+    A = before[:-1] - m * starts
+    P = _segment_integrals(w, p - 1.0, 0.0, starts, ends, A, m)
+    Q = np.concatenate(([0.0], _segment_integrals(w, p - 1.0, 1.0, starts[1:], ends[1:], A[1:], m[1:])))
+    tail = float(before[-1]) ** (p - 1.0) * w.wp_tail_integral(p, float(ends[-1]))
+    after = np.concatenate((np.cumsum(Q[::-1])[-2::-1], [0.0])) + tail
+    return P - starts * Q + widths * after
+
+
 def _homogeneous_root(x: StepFunction, p: float, integral) -> float:
     """``integral(x) ** (1/p)`` for a Lorentz integral of x.
 
@@ -389,6 +440,43 @@ class _Lorentz(SpaceHandle):
         return lambda vals: norm(self, StepFunction(self.alpha, tuple(
             (a, b, v) for (a, b), v in zip(cells, vals.tolist()) if v != 0.0)))
 
+    def _cell_subgradient(self, lo: np.ndarray, hi: np.ndarray):
+        """``(vals, norm) -> g``, a subgradient of the norm at the function with
+        value ``vals[k]`` on cell k, or None where the norm is not known to be
+        convex: p < 1, and Lambda over a weight that ``WeightSpec.nonincreasing``
+        does not confirm (Lambda is a norm exactly for a nonincreasing weight).
+
+        The cells are laid out as x* in a stable descending order of |vals|,
+        cell k from ``tau_k`` on.  Read in that order, the function's x* and x**
+        are a convex minorant of the norm, differentiable in |vals| and
+        touching it at vals (at ties any such order does), so their gradient,
+        with sign(0) = 0, is a subgradient.  Lambda:
+        ``g_k = N^(1-p) |v_k|^(p-1) sign(v_k) (W(tau_k + w_k) - W(tau_k))``;
+        Gamma: ``g_k = N^(1-p) sign(v_k)`` times :func:`_gamma_slopes`.
+        """
+        p, w, over_curve = self.p, self.weight, self.over_curve
+        if p < 1.0 or not (over_curve or w.nonincreasing()):
+            return None
+        widths = hi - lo
+
+        def subgradient(vals: np.ndarray, value: float) -> np.ndarray:
+            mags = np.abs(vals)
+            order = np.argsort(-mags, kind="stable")
+            order = order[mags[order] > 0.0]
+            m, wd = mags[order], widths[order]
+            ends = np.cumsum(wd)
+            starts = np.concatenate(([0.0], ends[:-1]))
+            if over_curve:
+                slopes = _gamma_slopes(w, p, m, wd, starts, ends)
+            else:
+                slopes = m ** (p - 1.0) * np.array(
+                    [w.integral(t0, t1) for t0, t1 in zip(starts.tolist(), ends.tolist())])
+            g = np.zeros(len(vals))
+            g[order] = value ** (1.0 - p) * slopes * np.sign(vals[order])
+            return g
+
+        return subgradient
+
     def _phi(self, t: float) -> float:
         w = self.weight
         return (w.W(t) + w.Wp(self.p, t) if self.over_curve else w.W(t)) ** (1.0 / self.p)
@@ -431,6 +519,15 @@ class _Orlicz(SpaceHandle):
     def _cell_norm(self, lo: np.ndarray, hi: np.ndarray):
         widths, psi, flavor = hi - lo, self.orlicz, self.flavor
         return lambda vals: _norm_on_cells(widths, np.abs(vals), psi, flavor)
+
+    def _cell_subgradient(self, lo: np.ndarray, hi: np.ndarray):
+        """``(vals, norm) -> g``, a subgradient of the norm at the function with
+        value ``vals[k]`` on cell k (see :func:`orlicz._luxemburg_subgradient`
+        and :func:`orlicz._amemiya_subgradient`)."""
+        widths, psi = hi - lo, self.orlicz
+        if self.flavor == "luxemburg":
+            return lambda vals, value: _luxemburg_subgradient(widths, vals, value, psi)
+        return lambda vals, value: _amemiya_subgradient(widths, vals, psi)
 
     def _phi(self, t: float) -> float:
         return norm(self, indicator(0.0, t, 1.0, self.alpha))

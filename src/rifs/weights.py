@@ -207,6 +207,21 @@ class WeightSpec:
         """W strictly increasing, i.e. no piece with c = 0."""
         return all(p.c > 0 for p in self.pieces)
 
+    def nonincreasing(self) -> bool:
+        """Is w known to be nonincreasing on its domain?  A piece
+        ``c t^a log(e+t)^b`` is where a <= 0 and a + b <= 0: its log-derivative
+        ``a/t + b/((e+t) log(e+t))`` is then at most ``(a + max(b, 0))/t``, as
+        ``(e+t) log(e+t) > t``.  And no piece may start above where the piece
+        before it ends."""
+        if any(pc.c > 0.0 and not (pc.a <= 0.0 and pc.a + pc.b <= 0.0) for pc in self.pieces):
+            return False
+
+        def at(pc: WeightPiece, t: float) -> float:
+            return pc.c * t ** pc.a * math.log(math.e + t) ** pc.b
+
+        return all(at(prev, nxt.t0) >= at(nxt, nxt.t0)
+                   for prev, nxt in zip(self.pieces, self.pieces[1:]))
+
     def flat_intervals(self) -> list[tuple[float, float]]:
         return [(p.t0, p.t1) for p in self.pieces if p.c == 0.0]
 

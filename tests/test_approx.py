@@ -130,24 +130,80 @@ def _simplex_grid_oracle(x, members, space, resolution):
     return best
 
 
+GRID_INSTANCES = [
+    (StepFunction.zero(), [indicator(0, 1), indicator(1, 2)]),
+    (indicator(0, 2), [indicator(0, 1, 2.0), indicator(1, 2, 2.0)]),
+    (indicator(0, 1, 0.4), [StepFunction.zero(), indicator(0, 1, 2.0),
+                            indicator(0.5, 1.5, 1.0)]),
+]
+GRID_SPACES = [L2, SpaceHandle.orlicz_space(OrliczSpec.exp_minus_one()),
+               SpaceHandle.orlicz_space(OrliczSpec.power(3), flavor="orlicz"),
+               SpaceHandle.lorentz_lambda(2.0, WeightSpec.power(-0.5)),
+               SpaceHandle.lorentz_gamma(2.0, WeightSpec.power(-0.5))]
+
+
 def test_hull_matches_grid_search_oracle():
-    instances = [
-        (StepFunction.zero(), [indicator(0, 1), indicator(1, 2)]),
-        (indicator(0, 2), [indicator(0, 1, 2.0), indicator(1, 2, 2.0)]),
-        (indicator(0, 1, 0.4), [StepFunction.zero(), indicator(0, 1, 2.0),
-                                indicator(0.5, 1.5, 1.0)]),
-    ]
-    spaces = [L2, SpaceHandle.orlicz_space(OrliczSpec.exp_minus_one()),
-              SpaceHandle.orlicz_space(OrliczSpec.power(3), flavor="orlicz"),
-              SpaceHandle.lorentz_lambda(2.0, WeightSpec.power(-0.5)),
-              SpaceHandle.lorentz_gamma(2.0, WeightSpec.power(-0.5))]
-    for space in spaces:
-        for x, members in instances:
+    for space in GRID_SPACES:
+        for x, members in GRID_INSTANCES:
             r = project_hull(x, _members(*members, hull=True), space)
             oracle = _simplex_grid_oracle(x, members, space,
                                           resolution=1e-3 if len(members) == 2 else 1e-2)
             assert r.distance <= oracle + 1e-9
             assert r.distance == pytest.approx(oracle, abs=1e-4 if len(members) == 2 else 1e-3)
+
+
+# Pair descent stalls at kinks of the norm.  Two random 3-member instances
+# where it ends above the hull minimum: exp - 1 (1.610487 against 1.600782 on
+# the 0.01 grid) and Lambda p=2 (1.5e-4 above the 0.01 grid).
+STALL_WITNESSES = [
+    (SpaceHandle.orlicz_space(OrliczSpec.exp_minus_one()),
+     [(0.15096884170052083, 1.5806950847236518, -1.2759700721321352)],
+     [[(0.1958433755239143, 1.7942241558356984, 1.8357264177174668),
+       (2.6885684043061353, 4.043710071260405, 1.838994403502361),
+       (4.275885032655491, 5.170172677275486, -0.7675748476677283)],
+      [(0.07323244928545947, 1.7834343075691614, -2.5660999494834584)],
+      [(0.283992684658261, 0.5727619211743876, -2.0137763197031635),
+       (1.4978436349655846, 2.693625362894309, 1.6690338904567799)]]),
+    (SpaceHandle.lorentz_lambda(2.0, WeightSpec.power(-0.5)),
+     [(0.667590262761236, 1.572336557285034, -1.1517760936726615),
+      (1.77947856042797, 2.608353054497668, 1.7237327070138555),
+      (3.0229626004372165, 3.4497665999697387, -2.4384864055910134)],
+     [[(0.2502657003958084, 2.049261929770899, -2.288887968018228),
+       (2.5528181223748154, 4.224584472457105, -2.8983914591787925)],
+      [(0.9243955009220625, 1.4078684426911983, -0.2549063448916836),
+       (1.7241385076705797, 2.9014846448321854, -2.043107681877765),
+       (3.3474691113034454, 4.709952011585367, 0.3558036675788592)],
+      [(0.643738228307911, 1.078350812785716, -0.11468733306289394),
+       (2.0542462993128465, 3.8500986420066106, -2.05426969847348),
+       (4.1685700076903816, 5.893407064666945, 1.996978868042298)]]),
+]
+
+
+def _gap_cases():
+    for k, (space, x, members) in enumerate(STALL_WITNESSES):
+        yield pytest.param(space, StepFunction.make(x), [StepFunction.make(m) for m in members],
+                           id=f"stall-{k}")
+    for space in GRID_SPACES:
+        for k, (x, members) in enumerate(GRID_INSTANCES):
+            yield pytest.param(space, x, members, id=f"grid-{space.describe()}-{k}")
+
+
+@pytest.mark.parametrize("space, x, members", _gap_cases())
+def test_hull_gap_bounds_the_excess_over_the_hull_minimum(space, x, members):
+    """The reported gap is finite and bounds how far the distance lies above
+    the least norm found on the simplex grid and on 500 Dirichlet samples
+    (both upper bounds of the hull minimum), up to rounding: the sample norms
+    go through ``norm`` on step functions, the projection through its cells."""
+    r = project_hull(x, _members(*members, hull=True), space)
+    gap = r.minimizers[0].gap
+    assert math.isfinite(gap)
+    best = _simplex_grid_oracle(x, members, space, resolution=1e-3 if len(members) == 2 else 1e-2)
+    for theta in np.random.default_rng(11).dirichlet(np.ones(len(members)), 500):
+        point = StepFunction.zero(x.alpha)
+        for c, m in zip(theta, members):
+            point = add(point, scale(m, float(c)))
+        best = min(best, norm(space, add(x, scale(point, -1.0))))
+    assert r.distance - best <= gap + 1e-12 * max(1.0, r.distance), (r.distance, best, gap)
 
 
 def _l2_qp_distance(x, members):
@@ -212,11 +268,24 @@ def test_hull_respects_member_cap():
 def test_hull_line_search_cap_raises_with_best_iterate():
     from rifs import NonConvergenceError
 
-    A = _members(indicator(0, 1), indicator(1, 2), indicator(0, 2, 0.5), hull=True)
+    # The best vertex chi_[0,1) is not optimal (1/sqrt(3) at the barycenter),
+    # so the vertex run needs more than one line search.
+    A = _members(indicator(0, 1), indicator(1, 2), indicator(2, 3), hull=True)
     with pytest.raises(NonConvergenceError) as exc:
         project_hull(StepFunction.zero(), A, L2, max_line_searches=1)
     theta, val = exc.value.best
     assert len(theta) == 3 and val >= 0.0
+
+
+def test_hull_certified_vertex_needs_no_line_search():
+    # The best vertex 0.5 chi_[0,2) is already optimal (distance sqrt(0.5)):
+    # its gap is 0, so the run stops before any search.
+    A = _members(indicator(0, 1), indicator(1, 2), indicator(0, 2, 0.5), hull=True)
+    r = project_hull(StepFunction.zero(), A, L2, max_line_searches=1)
+    assert r.iterations == 0
+    assert r.minimizers[0].gap == 0.0
+    assert r.minimizers[0].coefficients == (0.0, 0.0, 1.0)
+    assert r.distance == math.sqrt(0.5)
 
 
 # --------------------------------------------------------- minimizing sequence

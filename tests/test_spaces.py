@@ -9,7 +9,7 @@ from bisect import bisect_right
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
 from rifs import (
@@ -463,3 +463,70 @@ def test_gamma_rejects_weight_on_the_exact_D_p_boundary():
     with pytest.raises(WeightDomainError):
         gamma_norm(indicator(0, 1), 2.14, WeightSpec.power(1.14))
 
+
+# -------------------------------------------------------- cell subgradients
+
+SUBGRADIENT_SPACES = [
+    SpaceHandle.orlicz_space(OrliczSpec.power(2)),
+    SpaceHandle.orlicz_space(OrliczSpec.exp_minus_one()),
+    SpaceHandle.orlicz_space(OrliczSpec.table([(1, 1), (2, 3)], inf_beyond=True)),
+    SpaceHandle.orlicz_space(OrliczSpec.table([(1, 1), (2, 3)], inf_beyond=True), flavor="orlicz"),
+    SpaceHandle.orlicz_space(OrliczSpec.power(3), flavor="orlicz"),
+] + [make(p, WeightSpec.power(-0.5)) for make in (SpaceHandle.lorentz_lambda, SpaceHandle.lorentz_gamma)
+     for p in (1.5, 2.0, 3.0)]
+
+
+@st.composite
+def cell_vectors(draw):
+    """Contiguous cells from 0 with a vector v on them that has at least one
+    nonzero value and may have zero cells and ties, and three more vectors u."""
+    n = draw(st.integers(1, 6))
+    widths = draw(st.lists(st.floats(0.05, 2.0), min_size=n, max_size=n))
+    v = draw(st.lists(st.floats(0.01, 3.0) | st.floats(-3.0, -0.01), min_size=n, max_size=n))
+    cell = st.integers(0, n - 1)
+    for _ in range(draw(st.integers(0, 2))):  # ties in |v|
+        v[draw(cell)] = draw(st.sampled_from([1.0, -1.0])) * v[draw(cell)]
+    for _ in range(draw(st.integers(0, 2))):
+        v[draw(cell)] = 0.0
+    assume(any(v))
+    us = draw(st.lists(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n), min_size=3, max_size=3))
+    edges = np.concatenate(([0.0], np.cumsum(widths)))
+    return edges[:-1], edges[1:], np.array(v), [np.array(u) for u in us]
+
+
+@settings(deadline=None, max_examples=600)
+@given(st.sampled_from(SUBGRADIENT_SPACES), cell_vectors())
+def test_cell_subgradient_is_a_subgradient(space, drawn):
+    """``N(u) >= N(v) + <g, u - v>`` for the subgradient g at v, with u drawn,
+    0, 2v, -v and v with each cell's sign flipped.  Where v has no zero cell,
+    no two values of |v| lie within 0.1% of each other and psi has no kink,
+    the norm is differentiable around v and g must match its central
+    differences."""
+    lo, hi, v, us = drawn
+    norm_of = space._cell_norm(lo, hi)
+    subgradient = space._cell_subgradient(lo, hi)
+    value = norm_of(v)
+    g = subgradient(v, value)
+    for u in us + [0.0 * v, 2.0 * v, -v] + [np.where(np.arange(len(v)) == k, -v, v) for k in range(len(v))]:
+        nu = norm_of(u)
+        assert nu >= value + float(np.dot(g, u - v)) - 1e-12 * max(1.0, nu), (u, nu)
+    mags = np.sort(np.abs(v))
+    kinked = getattr(space, "orlicz", None) is not None and space.orlicz._kinks is not None
+    if kinked or mags[0] == 0.0 or (np.diff(mags) <= 1e-3 * mags[1:]).any():
+        return
+    h = 1e-4 * np.abs(v)  # a step of each cell's own scale, far inside any tie
+    numeric = np.array([(norm_of(v + e) - norm_of(v - e)) / (2.0 * hk) for hk, e in zip(h, np.diag(h))])
+    assert np.allclose(g, numeric, rtol=1e-6, atol=1e-6 * np.abs(numeric).max()), (g, numeric)
+
+
+def test_cell_subgradient_is_none_where_the_norm_is_not_known_convex():
+    lo, hi = np.array([0.0, 1.0]), np.array([1.0, 3.0])
+    half = WeightSpec.power(-0.5)
+    assert SpaceHandle.lorentz_lambda(0.5, half)._cell_subgradient(lo, hi) is None
+    assert SpaceHandle.lorentz_gamma(0.5, WeightSpec.power(-0.8))._cell_subgradient(lo, hi) is None
+    # t^(1/2) increases, so Lambda over it is no norm; a step up at t = 1 likewise.
+    assert SpaceHandle.lorentz_lambda(2.0, WeightSpec.power(0.5))._cell_subgradient(lo, hi) is None
+    step_up = WeightSpec.make([(0, 1, 1, -0.5, 0), (1, "inf", 2, -0.5, 0)])
+    assert SpaceHandle.lorentz_lambda(2.0, step_up)._cell_subgradient(lo, hi) is None
+    assert SpaceHandle.lorentz_gamma(2.0, WeightSpec.power(0.5, end=1.0), alpha=1.0) \
+        ._cell_subgradient(lo, hi) is not None

@@ -54,6 +54,15 @@ ROWS = {
         StepFunction.zero(),
         CandidateSet.make([indicator(0, 1), indicator(1, 2)], hull=True),
         SpaceHandle.orlicz_space(OrliczSpec.power(2)), tol=NAN),
+    "hull-tol-inf": lambda: project_hull(
+        StepFunction.zero(),
+        CandidateSet.make([indicator(0, 1), indicator(1, 2)], hull=True),
+        SpaceHandle.orlicz_space(OrliczSpec.power(2)), tol=INF),
+    "hull-members-different-domain": lambda: project_hull(
+        indicator(0, 1),
+        CandidateSet.make([StepFunction.make([(0, 0.5, 1.0)], 1.0),
+                           StepFunction.make([(0.5, 1, 2.0)], 1.0)], hull=True),
+        SpaceHandle.orlicz_space(OrliczSpec.power(2))),
     "trial-tolerance-nan": lambda: TrialConfig(tolerance=NAN),
     "trial-tolerance-negative": lambda: TrialConfig(tolerance=-1.0),
     "trial-value-range-inf": lambda: TrialConfig(value_range=(0.1, INF)),
