@@ -150,13 +150,15 @@ class _HullObjective:
         objective value is val, for the subgradient ``d = -M g`` of the
         objective, g the norm's subgradient at the residual.  By convexity it
         bounds ``val - min over the simplex``.  0 at a zero residual, inf
-        where the space has no subgradient or it does not come out finite."""
+        where the space has no subgradient (there) or it does not come out
+        finite."""
         if val == 0.0:
             return 0.0
-        if self.subgradient is None:
+        g = None if self.subgradient is None else self.subgradient(self.residual(theta), val)
+        if g is None:
             return math.inf
         # With e = M g = -d, the gap is max_i e_i - <e, theta>.
-        e = (self.member_vals @ self.subgradient(self.residual(theta), val)).tolist()
+        e = (self.member_vals @ g).tolist()
         gap = max(e) - sum(t * ei for t, ei in zip(theta, e))
         return max(gap, 0.0) if math.isfinite(gap) else math.inf
 

@@ -159,11 +159,11 @@ class OrliczSpec:
         with np.errstate(over="ignore"):
             if self.family == "power":
                 return self.coef * self.p * us ** (self.p - 1.0)
-            if self.family == "shifted_power":
-                d = us - self.shift
-                return np.where(d >= 0.0, self.p * np.maximum(d, 0.0) ** (self.p - 1.0), 0.0)
             if self.family == "exp_minus_one":
-                return np.exp(us)
+                return _smooth_terms(self, us, False)[1]
+            if self.family == "shifted_power":
+                # At p = 1, _smooth_terms' d^0 is 1 below the shift as well.
+                return np.where(us < self.shift, 0.0, _smooth_terms(self, us, False)[1])
             ts, vs, last_slope = self._table
             slopes = np.append(np.diff(vs) / np.diff(ts),
                                math.inf if self.inf_beyond else last_slope)
@@ -397,7 +397,9 @@ def _amemiya_kink_walk(widths, unit, psi, end) -> tuple[float, float]:
 
 def _smooth_terms(psi: OrliczSpec, v: np.ndarray, curvature: bool):
     """psi, psi' and (if ``curvature``) psi'' at v >= 0, for exp - 1 and
-    shifted_power with p > 1.  Callers ignore overflow: it maps to inf."""
+    shifted_power (psi' at p = 1 is 1 below the shift too, where
+    ``OrliczSpec.psi_slope_many`` sets it to 0).  Callers ignore overflow: it
+    maps to inf."""
     if psi.family == "exp_minus_one":
         f = np.expm1(v)
         return f, f + 1.0, f + 1.0
@@ -474,14 +476,12 @@ def _luxemburg_subgradient(widths: np.ndarray, vals: np.ndarray, lam: float,
             g = np.zeros(len(vals))
             g[k] = np.sign(vals[k]) / end
             return g
-    # The power family inline, as in _norm_on_cells: psi' is a multiple of
-    # u^(p-1), and a constant factor of d drops out of g.
-    slopes = (mags / lam) ** (psi.p - 1.0) if psi.family == "power" else psi.psi_slope_many(mags / lam)
-    d = widths * slopes * np.sign(vals)
+    d = widths * psi.psi_slope_many(mags / lam) * np.sign(vals)
     return (lam / float(np.dot(d, vals))) * d
 
 
-def _amemiya_subgradient(widths: np.ndarray, vals: np.ndarray, psi: OrliczSpec) -> np.ndarray:
+def _amemiya_subgradient(widths: np.ndarray, vals: np.ndarray,
+                         psi: OrliczSpec) -> np.ndarray | None:
     """A subgradient g of the Amemiya norm at the nonzero cell values ``vals``.
 
     The norm is the infimum over s of the perspective ``(1 + rho(s unit)) / k``,
@@ -489,10 +489,15 @@ def _amemiya_subgradient(widths: np.ndarray, vals: np.ndarray, psi: OrliczSpec) 
     s, found here by the norm's own solve, the envelope theorem gives
     ``g = w h sign(vals)`` with h a slope of psi at ``u = s unit`` at which the
     derivative in 1/k, ``1 - (<w h, u> - rho(u))``, vanishes.  For a smooth psi
-    h = psi'(u).  For a piecewise-linear psi, s sits at a kink of rho; the
-    slopes inside the segments of rho on either side of it bracket that zero
-    (they are read there because ``s unit`` meets a breakpoint of psi only up
-    to rounding), and h is the convex combination that hits it.  Where s sits
+    h = psi'(u).  Where the solve's root leaves that derivative above 1e-12
+    in size, g is None: joint convexity then puts the subgradient inequality
+    off by up to that much of the larger norm.  This happens where the root
+    lies within rounding of a_psi (shifted_power on a wide support), where
+    psi' at the root is resolved to a few bits.  For a piecewise-linear psi,
+    s sits at a kink of rho; the slopes inside the segments of rho on either
+    side of it bracket that zero (they are read there because ``s unit``
+    meets a breakpoint of psi only up to rounding), and h is the convex
+    combination that hits it.  Where s sits
     at ``psi^-1(inf) = T`` the constraint ``k |vals_k| <= T`` binds at an
     argmax cell k, and its multiplier ``(1 - <w h, u> + rho(u)) / T`` (left
     slopes) adds to g_k.  Where the infimum is the limit s -> inf, h is psi's
@@ -517,6 +522,8 @@ def _amemiya_subgradient(widths: np.ndarray, vals: np.ndarray, psi: OrliczSpec) 
         left = widths * psi.psi_slope_many(0.5 * (below + s) * unit)
         right = widths * psi.psi_slope_many(0.5 * (s + above) * unit)
     g_left = float(np.dot(left, u)) - rho
+    if psi._kinks is None and abs(g_left - 1.0) > 1e-12:
+        return None
     g_right = float(np.dot(right, u)) - rho
     if g_right == math.inf:
         g = left * sign

@@ -9,8 +9,9 @@ derives x**.  A piece is cut into cells at the weight-piece starts inside it.
 On a pure-power weight piece a cell is exact when A = 0, or for integer p up
 to 12 through the binomial expansion, each term a difference of the
 antiderivative ``c t^e / e`` (``c log t`` for e = 0).  The list walk takes
-each cell from its two ends with the weight algebra's closed form; the array
-pass evaluates the antiderivative once per cut, as the next cell's lower
+each cell from its two ends with the weight algebra's closed form
+(:func:`_cell_integral`, which the Gamma subgradient's segment integrals
+share); the array pass evaluates the antiderivative once per cut, as the next cell's lower
 value.  A log piece with A = 0 is one ``power_log_integral`` call.
 Every other cell goes to one batched ``integrate_cells`` call at relative
 tolerance 1e-9 per cell.  Below ``ARRAY_MIN_PIECES`` pieces of x* the pass is
@@ -82,21 +83,11 @@ def _lorentz_integral(star: StepFunction, w: WeightSpec, p: float, curve: Maxima
         while True:
             while nxt <= lo:
                 pc = next(pieces)
-                nxt, c = pc.t1, pc.c
-                exact = not quadrature and c != 0.0 and pc.b == 0.0  # closed forms apply
+                nxt = pc.t1
             hi = nxt if nxt < t1 else t1
-            if exact and A == 0.0:
-                part = B ** p * _power_integral(c, pc.a + 1.0, lo, hi)
-            elif exact and expansion:
-                part = 0.0
-                for cb, nj, j in expansion:
-                    part += cb * B ** nj * A ** j * _power_integral(c, (pc.a - j) + 1.0, lo, hi)
-            elif not quadrature and c == 0.0:
-                part = 0.0
-            elif not quadrature and A == 0.0:  # a log piece
-                part = B ** p * power_log_integral(c, pc.a, pc.b, lo, hi)
-            else:
-                quad.append((len(parts), lo, hi, A, B, c, pc.a, pc.b))
+            part = None if quadrature else _cell_integral(pc.c, pc.a, pc.b, lo, hi, A, B, p, expansion)
+            if part is None:
+                quad.append((len(parts), lo, hi, A, B, pc.c, pc.a, pc.b))
                 part = 0.0
             if over_curve:
                 parts.append(part)
@@ -116,6 +107,26 @@ def _lorentz_integral(star: StepFunction, w: WeightSpec, p: float, curve: Maxima
     for part in parts:
         total += part
     return total
+
+
+def _cell_integral(c: float, a: float, b: float, lo: float, hi: float, A: float, B: float,
+                   p: float, expansion: list[tuple[int, int, int]] | None) -> float | None:
+    """``integral_lo^hi (B + A/t)^p c t^a log(e+t)^b dt`` in closed form, or
+    None where quadrature must take it.  With A = 0 (or p = 0) it is B^p
+    times the weight integral; on a power piece (b = 0) with A != 0, the sum
+    of the binomial expansion's terms for integer p up to 12."""
+    if c == 0.0:
+        return 0.0
+    if A == 0.0 or p == 0.0:
+        if b == 0.0:
+            return B ** p * _power_integral(c, a + 1.0, lo, hi)
+        return B ** p * power_log_integral(c, a, b, lo, hi)
+    if b == 0.0 and expansion:
+        part = 0.0
+        for cb, nj, j in expansion:
+            part += cb * B ** nj * A ** j * _power_integral(c, (a - j) + 1.0, lo, hi)
+        return part
+    return None
 
 
 def _quadrature(p: float, lo: np.ndarray, hi: np.ndarray, A: np.ndarray, B: np.ndarray,
@@ -275,25 +286,22 @@ def _lorentz_cells(star: StepFunction, w: WeightSpec, p: float, curve: MaximalCu
 def _segment_integrals(w: WeightSpec, q: float, shift: float, lo: np.ndarray, hi: np.ndarray,
                        A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """``integral (B + A/t)^q t^(-shift) w(t) dt`` over each segment (lo, hi),
-    cut at the weight-piece starts inside it: the walk's closed forms where it
-    has them (A = 0 or q = 0, and on a power piece integer q up to 12), one
-    batched quadrature for the rest."""
+    cut at the weight-piece starts inside it: :func:`_cell_integral` where it
+    has a closed form, one batched quadrature for the rest."""
     out = np.zeros(len(lo))
     expansion = _BINOMIAL.get(q)
     quad = []  # (segment, lo, hi, A, B, c, a, b) of each cell left to quadrature
     for k, (t0, t1, a_k, b_k) in enumerate(zip(lo.tolist(), hi.tolist(), A.tolist(), B.tolist())):
         for pc in w.pieces:
             cl, ch = max(t0, pc.t0), min(t1, pc.t1)
-            if cl >= ch or pc.c == 0.0:
+            if cl >= ch:
                 continue
             e = exponent_shift(pc.a, shift)
-            if a_k == 0.0 or q == 0.0:
-                out[k] += b_k ** q * power_log_integral(pc.c, e, pc.b, cl, ch)
-            elif pc.b == 0.0 and expansion:
-                out[k] += sum(cb * b_k ** nj * a_k ** j * _power_integral(pc.c, (e - j) + 1.0, cl, ch)
-                              for cb, nj, j in expansion)
-            else:
+            part = _cell_integral(pc.c, e, pc.b, cl, ch, a_k, b_k, q, expansion)
+            if part is None:
                 quad.append((k, cl, ch, a_k, b_k, pc.c, e, pc.b))
+            else:
+                out[k] += part
     if quad:
         idx, *cols = zip(*quad)
         np.add.at(out, np.array(idx), _quadrature(q, *(np.array(col) for col in cols)))
@@ -523,7 +531,8 @@ class _Orlicz(SpaceHandle):
     def _cell_subgradient(self, lo: np.ndarray, hi: np.ndarray):
         """``(vals, norm) -> g``, a subgradient of the norm at the function with
         value ``vals[k]`` on cell k (see :func:`orlicz._luxemburg_subgradient`
-        and :func:`orlicz._amemiya_subgradient`)."""
+        and :func:`orlicz._amemiya_subgradient`); None for the Amemiya norm of
+        a smooth psi where its solve ends off the stationary point."""
         widths, psi = hi - lo, self.orlicz
         if self.flavor == "luxemburg":
             return lambda vals, value: _luxemburg_subgradient(widths, vals, value, psi)
