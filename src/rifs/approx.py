@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .deciders import orlicz_koc_decider
-from .errors import NonConvergenceError, SchemaError
+from .errors import NonConvergenceError, SchemaError, _require_count
 from .optimize import brent_min
 from .orlicz import OrliczSpec
 from .rearrange import hlp_dominates, rearrange
@@ -206,6 +206,7 @@ def project_hull(x: StepFunction, A: CandidateSet, space: SpaceHandle,
     """
     if not 0 < tol < math.inf:
         raise SchemaError("project_hull requires 0 < tol < inf")
+    _require_count("max_line_searches", max_line_searches, 0)
     members = A.members
     n = len(members)
     if n > 12:

@@ -7,6 +7,7 @@ stable error JSON on stderr.
 from __future__ import annotations
 
 import math
+from numbers import Integral
 
 
 class RifsError(Exception):
@@ -59,6 +60,12 @@ def require_exponent(name: str, p: float) -> None:
     """Raise SchemaError unless 0 < p < inf (the chained test is False for NaN)."""
     if not 0 < p < math.inf:
         raise SchemaError(f"{name} requires 0 < p < inf")
+
+
+def _require_count(name: str, n, least: int) -> None:
+    """Raise SchemaError unless n is an integer (numpy's too) and n >= least."""
+    if not (isinstance(n, Integral) and n >= least):
+        raise SchemaError(f"{name} must be an integer >= {least}, got {n!r}")
 
 
 def require_alpha(alpha: float) -> None:

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .deciders import _embedding_verdict, l1_embedding_limit, phi_decades, phi_infinity
-from .errors import SchemaError
+from .errors import SchemaError, _require_count
 from .orlicz import OrliczSpec
 from .rearrange import distribution, equimeasurable, hlp_dominates, maximal_curve, rearrange
 from .spaces import SpaceHandle, fundamental_function, norm
@@ -35,8 +35,9 @@ class TrialConfig:
     tolerance: float = 1e-9
 
     def __post_init__(self):
-        if self.trials < 1 or self.max_pieces < 1:
-            raise SchemaError("trials and max_pieces must be >= 1")
+        _require_count("trials", self.trials, 1)
+        _require_count("max_pieces", self.max_pieces, 1)
+        _require_count("seed", self.seed, 0)
         if not (0 < self.value_range[0] < self.value_range[1] < math.inf):
             raise SchemaError("value_range must be a finite positive interval")
         if not (0 < self.length_range[0] < self.length_range[1] < math.inf):
@@ -227,6 +228,7 @@ def dukm_sequence_run(space: SpaceHandle, n_max: int) -> list[dict]:
     """
     if not math.isinf(space.alpha):
         raise SchemaError("the chain construction needs alpha = inf")
+    _require_count("n_max", n_max, 1)
     rows = []
     chain = [indicator(0.0, 2.0 * n, 1.0 / (2.0 * n)) for n in range(1, n_max + 2)]
     for n, (x_n, x_next) in enumerate(zip(chain, chain[1:]), start=1):

@@ -10,6 +10,7 @@ checks exact rather than sampled.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
@@ -164,8 +165,8 @@ def hlp_dominates(x: StepFunction, y: StepFunction, tol: float | None = None) ->
     cx, cy = maximal_curve(x), maximal_curve(y)
     if tol is None:
         tol = 1e-12 * max(1.0, cy.value_at_zero)
-    if not tol >= 0:
-        raise SchemaError("tol must be >= 0")
+    if not 0 <= tol < math.inf:
+        raise SchemaError("tol must be finite and >= 0")
     if cx.value_at_zero > cy.value_at_zero + tol:  # limit at t -> 0+
         return False
     # t -> inf: the difference tends to 0, dominated by tol >= 0.

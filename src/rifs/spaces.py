@@ -1,25 +1,17 @@
 """The Lorentz norms over x* and x**, and :class:`SpaceHandle`, with one private
 subclass per kind of space (Lorentz, Orlicz) holding its norms and phi.
 
-Both Lorentz norms come from one pass over the pieces of x* and the weight
-pieces.  On each piece of x* the integrand is ``(B + A/t)^p w(t)``: A = 0,
-B = 1 over x* (the result is then scaled by (x*)^p), and over x** the
-segment of ``x** = B + A/t`` read from ``maximal_curve``, the only code that
-derives x**.  A piece is cut into cells at the weight-piece starts inside it.
-On a pure-power weight piece a cell is exact when A = 0, or for integer p up
-to 12 through the binomial expansion, each term a difference of the
-antiderivative ``c t^e / e`` (``c log t`` for e = 0).  The list walk takes
-each cell from its two ends with the weight algebra's closed form
-(:func:`_cell_integral`, which the Gamma subgradient's segment integrals
-share); the array pass evaluates the antiderivative once per cut, as the next cell's lower
-value.  A log piece with A = 0 is one ``power_log_integral`` call.
-Every other cell goes to one batched ``integrate_cells`` call at relative
-tolerance 1e-9 per cell.  Below ``ARRAY_MIN_PIECES`` pieces of x* the pass is
-a forward walk over lists; from there up it runs on the arrays of x*, weight
-piece by weight piece, with the walk's bits (over x**, on the segment
-arrays the curve keeps from the same size up): numpy does only +, -, * and
-/, and every power and log is CPython's.  Beyond the support the norm over x**
-adds the analytic tail ``A^p integral t^(-p) w``, convergent exactly when
+Both Lorentz norms come from one pass over the pieces of x*.  On each piece
+the integrand is ``(B + A/t)^p w(t)``: A = 0, B = 1 over x* (the result is
+then scaled by (x*)^p), and over x** the segment of ``x** = B + A/t`` read
+from ``maximal_curve``, the only code that derives x**.  Below
+``ARRAY_MIN_PIECES`` pieces of x* the pass is the weight algebra's cell walk,
+:func:`weights._cell_walk`, which W, W_p and both Lorentz subgradients share:
+a closed form per cell where there is one, and one batched quadrature at
+relative tolerance 1e-9 per cell for the rest.  From there up
+:func:`_lorentz_cells` computes the same cells, to the walk's bits, on the
+arrays of x* and of the curve's segments.  Beyond the support the norm over
+x** adds the analytic tail ``A^p integral t^(-p) w``, convergent exactly when
 the weight lies in D_p.
 """
 
@@ -34,16 +26,10 @@ import numpy as np
 from .errors import DivergentIntegralError, SchemaError, require_alpha, require_exponent
 from .orlicz import (OrliczSpec, _amemiya_subgradient, _luxemburg_subgradient, _norm_on_cells,
                      luxemburg_norm, orlicz_norm)
-from .quadrature import integrate_cells
 from .rearrange import MaximalCurve, maximal_curve, rearrange
 from .step import ARRAY_MIN_PIECES, StepFunction, _settle, indicator
-from .weights import (WeightPiece, WeightSpec, _power_integral, exponent_shift,
+from .weights import (_BINOMIAL, WeightPiece, WeightSpec, _cell_walk, _quadrature, exponent_shift,
                       power_log_integral, require_D_p, tail_integral_diverges)
-
-GAMMA_REL_TOL = 1e-9
-# The terms (C(n, j), n - j, j) of the binomial expansion of (B + A/t)^n for
-# each integer exponent n up to 12, those taken in closed form.
-_BINOMIAL = {n: [(math.comb(n, j), n - j, j) for j in range(n + 1)] for n in range(1, 13)}
 
 
 def _require_weight_domain(w: WeightSpec, alpha: float) -> None:
@@ -58,89 +44,26 @@ def _lorentz_integral(star: StepFunction, w: WeightSpec, p: float, curve: Maxima
     """``integral (x*)^p w`` (given x**'s ``curve``, ``integral (x**)^p w``)
     over the support of x*.
 
-    Each piece (t0, t1, v) of x* gives one segment where the integrand is
-    ``(B + A/t)^p w(t)``.  Over x* the segment is (t0, t1) with A = 0, B = 1,
-    and the integrals of its cells add up to its weight integral, scaled by
-    v^p.  Over x** it is the curve's segment ending at t1, with its A and B,
-    and all cells add up in order.  A closed-form cell is computed from its
-    own two ends, so nothing but the weight piece passes from cell to cell.
-    ``quadrature`` sends every cell to quadrature.  From ``ARRAY_MIN_PIECES`` pieces of x* up, where the curve
-    keeps its segments as arrays, :func:`_lorentz_cells` computes the same
-    cells on arrays.
+    Each piece (t0, t1, v) of x* gives one segment of :func:`weights._cell_walk`:
+    over x* (t0, t1) with A = 0, B = 1, its sum scaled by v^p; over x** the
+    curve's segment ending at t1, with its A and B, all cells added in order.
+    ``quadrature`` sends every cell to quadrature.  From ``ARRAY_MIN_PIECES``
+    pieces of x* up, :func:`_lorentz_cells` computes the same cells on arrays.
     """
     if len(star.pieces) >= ARRAY_MIN_PIECES:
         return _lorentz_cells(star, w, p, curve, quadrature)
-    over_curve = curve is not None
-    expansion = _BINOMIAL.get(p)
-    pieces = iter(w.pieces)
-    nxt = 0.0  # end of the current weight piece
     total = 0.0
-    parts: list[float] = []  # the cells over x**, in order
-    quad = []  # (index in parts, lo, hi, A, B, c, a, b) of each cell left to quadrature
-    for k, (t0, t1, v) in enumerate(star.pieces):
-        lo, (A, B) = (curve.breakpoints[k], curve.coeffs[k]) if over_curve else (t0, (0.0, 1.0))
-        inc = 0.0
-        while True:
-            while nxt <= lo:
-                pc = next(pieces)
-                nxt = pc.t1
-            hi = nxt if nxt < t1 else t1
-            part = None if quadrature else _cell_integral(pc.c, pc.a, pc.b, lo, hi, A, B, p, expansion)
-            if part is None:
-                quad.append((len(parts), lo, hi, A, B, pc.c, pc.a, pc.b))
-                part = 0.0
-            if over_curve:
-                parts.append(part)
-            else:
-                inc += part
-            if hi == t1:
-                break
-            lo = hi
-        if not over_curve:
+    if curve is None:
+        lo, hi, v = zip(*star.pieces)
+        for v_k, inc in zip(v, _cell_walk(w, p, 0.0, lo, hi, repeat(0.0), repeat(1.0))[1]):
             if math.isinf(inc):
                 raise DivergentIntegralError("weight is not locally integrable near 0")
-            total += v ** p * inc
-    if quad:
-        idx, *cols = zip(*quad)
-        for i, part in zip(idx, _quadrature(p, *(np.array(col) for col in cols)).tolist()):
-            parts[i] = part
-    for part in parts:
+            total += v_k ** p * inc
+        return total
+    A, B = zip(*curve.coeffs)
+    for part in _cell_walk(w, p, 0.0, curve.breakpoints, curve.breakpoints[1:], A, B, quadrature)[0]:
         total += part
     return total
-
-
-def _cell_integral(c: float, a: float, b: float, lo: float, hi: float, A: float, B: float,
-                   p: float, expansion: list[tuple[int, int, int]] | None) -> float | None:
-    """``integral_lo^hi (B + A/t)^p c t^a log(e+t)^b dt`` in closed form, or
-    None where quadrature must take it.  With A = 0 (or p = 0) it is B^p
-    times the weight integral; on a power piece (b = 0) with A != 0, the sum
-    of the binomial expansion's terms for integer p up to 12."""
-    if c == 0.0:
-        return 0.0
-    if A == 0.0 or p == 0.0:
-        if b == 0.0:
-            return B ** p * _power_integral(c, a + 1.0, lo, hi)
-        return B ** p * power_log_integral(c, a, b, lo, hi)
-    if b == 0.0 and expansion:
-        part = 0.0
-        for cb, nj, j in expansion:
-            part += cb * B ** nj * A ** j * _power_integral(c, (a - j) + 1.0, lo, hi)
-        return part
-    return None
-
-
-def _quadrature(p: float, lo: np.ndarray, hi: np.ndarray, A: np.ndarray, B: np.ndarray,
-                c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The integrals of ``(B + A/t)^p c t^a log(e+t)^b`` over the cells
-    (lo, hi), in one batched call.  Where every b is 0 the log factor is left
-    out, which changes no bit: its power is exactly 1."""
-    if b.any():
-        def f(ts: np.ndarray, k: np.ndarray) -> np.ndarray:
-            return (B[k] + A[k] / ts) ** p * c[k] * ts ** a[k] * np.log(np.e + ts) ** b[k]
-    else:
-        def f(ts: np.ndarray, k: np.ndarray) -> np.ndarray:
-            return (B[k] + A[k] / ts) ** p * c[k] * ts ** a[k]
-    return integrate_cells(f, lo, hi, rel_tol=GAMMA_REL_TOL)
 
 
 def _powers(xs: np.ndarray, e: float) -> np.ndarray:
@@ -283,31 +206,6 @@ def _lorentz_cells(star: StepFunction, w: WeightSpec, p: float, curve: MaximalCu
     return float(np.cumsum(np.concatenate(([0.0], parts)))[-1])
 
 
-def _segment_integrals(w: WeightSpec, q: float, shift: float, lo: np.ndarray, hi: np.ndarray,
-                       A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """``integral (B + A/t)^q t^(-shift) w(t) dt`` over each segment (lo, hi),
-    cut at the weight-piece starts inside it: :func:`_cell_integral` where it
-    has a closed form, one batched quadrature for the rest."""
-    out = np.zeros(len(lo))
-    expansion = _BINOMIAL.get(q)
-    quad = []  # (segment, lo, hi, A, B, c, a, b) of each cell left to quadrature
-    for k, (t0, t1, a_k, b_k) in enumerate(zip(lo.tolist(), hi.tolist(), A.tolist(), B.tolist())):
-        for pc in w.pieces:
-            cl, ch = max(t0, pc.t0), min(t1, pc.t1)
-            if cl >= ch:
-                continue
-            e = exponent_shift(pc.a, shift)
-            part = _cell_integral(pc.c, e, pc.b, cl, ch, a_k, b_k, q, expansion)
-            if part is None:
-                quad.append((k, cl, ch, a_k, b_k, pc.c, e, pc.b))
-            else:
-                out[k] += part
-    if quad:
-        idx, *cols = zip(*quad)
-        np.add.at(out, np.array(idx), _quadrature(q, *(np.array(col) for col in cols)))
-    return out
-
-
 def _gamma_slopes(w: WeightSpec, p: float, m: np.ndarray, widths: np.ndarray,
                   starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """``d integral (x**)^p w / d m_k``, divided by p, for the cells of values
@@ -322,9 +220,9 @@ def _gamma_slopes(w: WeightSpec, p: float, m: np.ndarray, widths: np.ndarray,
     The first cell starts at 0, so its Q (often divergent there) is never needed.
     """
     before = np.concatenate(([0.0], np.cumsum(m * widths)))
-    A = before[:-1] - m * starts
-    P = _segment_integrals(w, p - 1.0, 0.0, starts, ends, A, m)
-    Q = np.concatenate(([0.0], _segment_integrals(w, p - 1.0, 1.0, starts[1:], ends[1:], A[1:], m[1:])))
+    lo, hi, A, B = starts.tolist(), ends.tolist(), (before[:-1] - m * starts).tolist(), m.tolist()
+    P = np.array(_cell_walk(w, p - 1.0, 0.0, lo, hi, A, B)[1])
+    Q = np.array([0.0] + _cell_walk(w, p - 1.0, 1.0, lo[1:], hi[1:], A[1:], B[1:])[1])
     tail = float(before[-1]) ** (p - 1.0) * w.wp_tail_integral(p, float(ends[-1]))
     after = np.concatenate((np.cumsum(Q[::-1])[-2::-1], [0.0])) + tail
     return P - starts * Q + widths * after
@@ -339,7 +237,9 @@ def _homogeneous_root(x: StepFunction, p: float, integral) -> float:
     overflow reaches the batched quadrature.
     """
     star = rearrange(x)
-    sup = star.pieces[0][2] if star.pieces else 0.0
+    if not star.pieces:
+        return 0.0
+    sup = star.pieces[0][2]
     try:
         if math.isfinite(sup ** p):
             total = integral(x)
@@ -477,8 +377,8 @@ class _Lorentz(SpaceHandle):
             if over_curve:
                 slopes = _gamma_slopes(w, p, m, wd, starts, ends)
             else:
-                slopes = m ** (p - 1.0) * np.array(
-                    [w.integral(t0, t1) for t0, t1 in zip(starts.tolist(), ends.tolist())])
+                slopes = m ** (p - 1.0) * np.array(_cell_walk(
+                    w, 0.0, 0.0, starts.tolist(), ends.tolist(), repeat(0.0), repeat(1.0))[1])
             g = np.zeros(len(vals))
             g[order] = value ** (1.0 - p) * slopes * np.sign(vals[order])
             return g

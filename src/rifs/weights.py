@@ -6,6 +6,10 @@ form (b = 0) or decidable: divergence of improper integrals is settled by the
 piece exponents, never by numeric integration.  Numeric quadrature is used
 only to evaluate convergent b != 0 integrals.
 
+W, W_inf, the W_p tails and the Lorentz list pass and subgradients take their
+integrals through one pointer walk over ascending segments, :func:`_cell_walk`:
+a closed form per cell where there is one, one batched quadrature for the rest.
+
 Divergence rules for a tail piece ``c * t^a * log(e+t)^b`` (c > 0):
   * integral to infinity diverges  iff  a > -1, or a = -1 and b >= -1;
   * integral from 0 diverges       iff  a <= -1  (the log factor tends to 1).
@@ -21,11 +25,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DivergentIntegralError, SchemaError, WeightDomainError, require_exponent
-from .quadrature import integrate, integrate_to_infinity
+from .quadrature import integrate, integrate_cells, integrate_to_infinity
 
 _EDGE_TOL = 1e-12
 # Relative tolerance of the quadrature behind every b != 0 piece integral.
 _REL_TOL = 1e-10
+# The terms (C(n, j), n - j, j) of the binomial expansion of (B + A/t)^n for
+# each integer exponent n up to 12, those taken in closed form.
+_BINOMIAL = {n: [(math.comb(n, j), n - j, j) for j in range(n + 1)] for n in range(1, 13)}
 
 
 def tail_integral_diverges(a: float, b: float) -> bool:
@@ -92,6 +99,84 @@ def power_log_integral(c: float, a: float, b: float, lo: float, hi: float) -> fl
     if math.isinf(hi):
         return integrate_to_infinity(f, lo, rel_tol=_REL_TOL)
     return integrate(f, lo, hi, rel_tol=_REL_TOL)
+
+
+def _cell_integral(c: float, a: float, b: float, lo: float, hi: float, A: float, B: float,
+                   p: float, expansion: list[tuple[int, int, int]] | None) -> float | None:
+    """``integral_lo^hi (B + A/t)^p c t^a log(e+t)^b dt`` in closed form, or
+    None where quadrature must take it.  With A = 0 (or p = 0) it is B^p
+    times the weight integral; on a power piece (b = 0) with A != 0, the sum
+    of the binomial expansion's terms for integer p up to 12."""
+    if c == 0.0:
+        return 0.0
+    if A == 0.0 or p == 0.0:
+        if b == 0.0:
+            return B ** p * _power_integral(c, a + 1.0, lo, hi)
+        return B ** p * power_log_integral(c, a, b, lo, hi)
+    if b == 0.0 and expansion:
+        part = 0.0
+        for cb, nj, j in expansion:
+            part += cb * B ** nj * A ** j * _power_integral(c, (a - j) + 1.0, lo, hi)
+        return part
+    return None
+
+
+def _quadrature(p: float, lo: np.ndarray, hi: np.ndarray, A: np.ndarray, B: np.ndarray,
+                c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The integrals of ``(B + A/t)^p c t^a log(e+t)^b`` over the cells
+    (lo, hi), in one batched call at relative tolerance 1e-9 per cell; where
+    every b is 0 the log factor, whose power is exactly 1, is left out."""
+    if b.any():
+        def f(ts: np.ndarray, k: np.ndarray) -> np.ndarray:
+            return (B[k] + A[k] / ts) ** p * c[k] * ts ** a[k] * np.log(np.e + ts) ** b[k]
+    else:
+        def f(ts: np.ndarray, k: np.ndarray) -> np.ndarray:
+            return (B[k] + A[k] / ts) ** p * c[k] * ts ** a[k]
+    return integrate_cells(f, lo, hi, rel_tol=1e-9)
+
+
+def _cell_walk(w: WeightSpec, q: float, shift: float, lo: Iterable[float], hi: Iterable[float],
+               A: Iterable[float], B: Iterable[float], quadrature: bool = False) -> tuple[list, list]:
+    """The integrals of ``(B_k + A_k/t)^q t^(-shift) w(t)`` over the cells of
+    each segment (lo_k, hi_k), clipped to w's domain, in order, and each
+    segment's sum.  The weight-piece starts cut a segment into cells; the
+    segments ascend, so the piece pointer only moves forward and n segments
+    over m pieces cost O(n + m).  A cell takes :func:`_cell_integral` where it
+    has a closed form.  The rest, or every cell with ``quadrature``, share one
+    :func:`_quadrature` call, whose values go into the cells in place and are
+    added to their segment after its closed forms.  A segment ends at a cell
+    that makes its sum infinite."""
+    expansion = _BINOMIAL.get(q)
+    end, inf = w.domain_end, math.inf
+    pieces = iter(w.pieces)
+    nxt = 0.0  # end of the current weight piece
+    cells: list[float] = []
+    sums: list[float] = []
+    quad = []  # (cell, segment, lo, hi, A, B, c, a, b) of each cell left to quadrature
+    for t0, t1, a_k, b_k in zip(lo, hi, A, B):
+        if t1 > end:
+            t1 = end
+        total = 0.0
+        while t0 < t1 and total != inf:
+            while nxt <= t0:
+                pc = next(pieces)
+                nxt = pc.t1
+            e = exponent_shift(pc.a, shift) if shift else pc.a
+            cut = nxt if nxt < t1 else t1
+            part = None if quadrature else _cell_integral(pc.c, e, pc.b, t0, cut, a_k, b_k, q, expansion)
+            if part is None:
+                quad.append((len(cells), len(sums), t0, cut, a_k, b_k, pc.c, e, pc.b))
+                part = 0.0
+            cells.append(part)
+            total += part
+            t0 = cut
+        sums.append(total)
+    if quad:
+        idx, seg, *cols = zip(*quad)
+        for i, k, part in zip(idx, seg, _quadrature(q, *map(np.array, cols)).tolist()):
+            cells[i] = part
+            sums[k] += part
+    return cells, sums
 
 
 @dataclass(frozen=True)
@@ -167,20 +252,9 @@ class WeightSpec:
         return out
 
     def integral(self, lo: float, hi: float, p: float = 0.0) -> float:
-        """``integral_lo^hi t^(-p) w(t) dt`` over the pieces meeting (lo, hi);
-        inf when it diverges."""
-        total = 0.0
-        for pc in self.pieces:
-            if pc.t0 >= hi:
-                break
-            if pc.t1 <= lo:
-                continue
-            part = power_log_integral(pc.c, exponent_shift(pc.a, p), pc.b,
-                                      max(lo, pc.t0), min(hi, pc.t1))
-            if math.isinf(part):
-                return math.inf
-            total += part
-        return total
+        """``integral_lo^hi t^(-p) w(t) dt``, hi clipped to the domain end: 0.0
+        for lo >= hi, inf when it diverges."""
+        return _cell_walk(self, 0.0, p, (lo,), (hi,), (0.0,), (1.0,))[1][0]
 
     def W(self, t: float) -> float:
         """``W(t) = integral_0^t w``; inf when w is not integrable at 0."""

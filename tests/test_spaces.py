@@ -466,6 +466,10 @@ def test_gamma_rejects_weight_on_the_exact_D_p_boundary():
 
 # -------------------------------------------------------- cell subgradients
 
+# A nonincreasing weight in D_p: its starts cut cells, and its log piece sends
+# cells to batched quadrature.  Its tail is a power, because the quadrature of
+# a log tail is good to about 1e-10 relative, not to this test's 1e-12.
+W_CUT = WeightSpec.make([(0, 0.7, 1, -0.5, 0), (0.7, 2, 0.8, -0.5, -1), (2, "inf", 0.5, -0.5, 0)])
 SUBGRADIENT_SPACES = [
     SpaceHandle.orlicz_space(OrliczSpec.power(2)),
     SpaceHandle.orlicz_space(OrliczSpec.exp_minus_one()),
@@ -474,8 +478,8 @@ SUBGRADIENT_SPACES = [
     SpaceHandle.orlicz_space(OrliczSpec.power(3), flavor="orlicz"),
     SpaceHandle.orlicz_space(OrliczSpec.exp_minus_one(), flavor="orlicz"),
     SpaceHandle.orlicz_space(OrliczSpec.shifted_power(1.0, 2.0), flavor="orlicz"),
-] + [make(p, WeightSpec.power(-0.5)) for make in (SpaceHandle.lorentz_lambda, SpaceHandle.lorentz_gamma)
-     for p in (1.5, 2.0, 3.0)]
+] + [make(p, w) for make in (SpaceHandle.lorentz_lambda, SpaceHandle.lorentz_gamma)
+     for p in (1.5, 2.0, 3.0) for w in (WeightSpec.power(-0.5), W_CUT)]
 
 
 @st.composite

@@ -15,6 +15,7 @@ from rifs import (
     StepFunction,
     TrialConfig,
     WeightSpec,
+    dukm_sequence_run,
     gamma_norm,
     hlp_dominates,
     in_D_p,
@@ -58,11 +59,20 @@ ROWS = {
         StepFunction.zero(),
         CandidateSet.make([indicator(0, 1), indicator(1, 2)], hull=True),
         SpaceHandle.orlicz_space(OrliczSpec.power(2)), tol=INF),
+    "hull-max-line-searches-nan": lambda: project_hull(
+        StepFunction.zero(),
+        CandidateSet.make([indicator(0, 1), indicator(1, 2)], hull=True),
+        SpaceHandle.orlicz_space(OrliczSpec.power(2)), max_line_searches=NAN),
     "hull-members-different-domain": lambda: project_hull(
         indicator(0, 1),
         CandidateSet.make([StepFunction.make([(0, 0.5, 1.0)], 1.0),
                            StepFunction.make([(0.5, 1, 2.0)], 1.0)], hull=True),
         SpaceHandle.orlicz_space(OrliczSpec.power(2))),
+    "trial-seed-negative": lambda: TrialConfig(seed=-1),
+    "trial-seed-fractional": lambda: TrialConfig(seed=1.5),
+    "trial-trials-fractional": lambda: TrialConfig(trials=2.5),
+    "trial-max-pieces-fractional": lambda: TrialConfig(max_pieces=2.5),
+    "dukm-n-max-zero": lambda: dukm_sequence_run(SpaceHandle.orlicz_space(OrliczSpec.power(1)), 0),
     "trial-tolerance-nan": lambda: TrialConfig(tolerance=NAN),
     "trial-tolerance-negative": lambda: TrialConfig(tolerance=-1.0),
     "trial-value-range-inf": lambda: TrialConfig(value_range=(0.1, INF)),
@@ -81,6 +91,7 @@ ROWS = {
     "values-nan": lambda: X2.values([0.5, NAN]),
     "weight-value-nan": lambda: W.value(NAN),
     "weight-values-nan": lambda: W.values([0.5, NAN]),
+    "dominates-tol-inf": lambda: hlp_dominates(indicator(0, 1, 2.0), indicator(0, 1), tol=INF),
     "dominates-different-domains": lambda: hlp_dominates(
         StepFunction.make([(0, 0.5, 1.0)], 1.0), StepFunction.make([(0, 2, 1.0)])),
     "k-upper-bound-different-domains": lambda: k_upper_bound_check(
