@@ -68,7 +68,9 @@ def _lorentz_integral(star: StepFunction, w: WeightSpec, p: float, curve: Maxima
 
 def _powers(xs: np.ndarray, e: float) -> np.ndarray:
     """``x ** e`` at every x, by CPython's pow, whose last bit numpy's does
-    not always match."""
+    not always match; xs itself for e = 1, where pow returns x."""
+    if e == 1:
+        return xs
     return np.fromiter(map(pow, xs.tolist(), repeat(e)), float, len(xs))
 
 

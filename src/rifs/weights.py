@@ -4,7 +4,12 @@
 Restricting weights to power-log pieces keeps every integral either in closed
 form (b = 0) or decidable: divergence of improper integrals is settled by the
 piece exponents, never by numeric integration.  Numeric quadrature is used
-only to evaluate convergent b != 0 integrals.
+only to evaluate convergent b != 0 integrals, and :func:`power_log_integral`
+maps their singular ends away first: a tail [s, inf) through t = s e^(w/q),
+q > 0 its decay exponent, to the exp-sinh rule, and a piece from 0 with
+a < 0 through t = hi u^(1/(a+1)) to a bounded integrand on [0, 1].  Each
+leaves c times a factor outside the quadrature, so its relative error does
+not depend on c.
 
 W, W_inf, the W_p tails and the Lorentz list pass and subgradients take their
 integrals through one pointer walk over ascending segments, :func:`_cell_walk`:
@@ -81,23 +86,46 @@ def power_log_integral(c: float, a: float, b: float, lo: float, hi: float) -> fl
     if b == 0.0:
         return _power_integral(c, a + 1.0, lo, hi)
 
-    if a == -1.0 and math.isinf(hi):
-        # b < -1 here.  Split 1/t = 1/(e+t) + e/(t(e+t)): the first term is the
-        # closed form in z = log(e+t); the second has a bounded substituted
-        # integrand, which adaptive quadrature handles.
-        z0 = math.log(math.e + lo)
-        leading = z0 ** (b + 1.0) / (-(b + 1.0))
+    if math.isinf(hi):
+        # t = lo e^(w/q) with q the decay exponent, log(e + t) taken in logs.
+        q = 1.0 if a == -1.0 else -(a + 1.0)
+        shift = math.log(lo)
 
-        def remainder(ts: np.ndarray) -> np.ndarray:
-            return np.log(np.e + ts) ** b * math.e / (ts * (math.e + ts))
+        def log_e_plus_t(ws: np.ndarray) -> np.ndarray:
+            return np.logaddexp(1.0, shift + ws / q)
 
-        return c * (leading + integrate_to_infinity(remainder, lo, rel_tol=_REL_TOL))
+        if a == -1.0:
+            # b < -1 here.  Split 1/t = 1/(e+t) + e/(t(e+t)): the first term is
+            # the closed form in z = log(e+t), and the second becomes
+            # log(e+t)^b e/(e+t) dw.
+            z0 = math.log(math.e + lo)
+            leading = z0 ** (b + 1.0) / (-(b + 1.0))
+
+            def remainder(ws: np.ndarray) -> np.ndarray:
+                z = log_e_plus_t(ws)
+                return np.exp(b * np.log(z) + 1.0 - z)
+
+            return c * (leading + integrate_to_infinity(remainder, rel_tol=_REL_TOL))
+
+        # c t^a dt = c lo^(a+1)/q e^-w dw.
+        def tail(ws: np.ndarray) -> np.ndarray:
+            return np.exp(b * np.log(log_e_plus_t(ws)) - ws)
+
+        return c * lo ** (a + 1.0) / q * integrate_to_infinity(tail, rel_tol=_REL_TOL)
+
+    if lo == 0.0 and a < 0.0:
+        # t = hi u^(1/(a+1)) turns c t^a dt into c hi^(a+1)/(a+1) du and leaves
+        # a bounded integrand on [0, 1].
+        r = 1.0 / (a + 1.0)
+
+        def head(us: np.ndarray) -> np.ndarray:
+            return np.log(np.e + hi * us ** r) ** b
+
+        return c * hi ** (a + 1.0) / (a + 1.0) * integrate(head, 0.0, 1.0, rel_tol=_REL_TOL)
 
     def f(ts: np.ndarray) -> np.ndarray:
         return c * ts ** a * np.log(np.e + ts) ** b
 
-    if math.isinf(hi):
-        return integrate_to_infinity(f, lo, rel_tol=_REL_TOL)
     return integrate(f, lo, hi, rel_tol=_REL_TOL)
 
 
@@ -121,17 +149,36 @@ def _cell_integral(c: float, a: float, b: float, lo: float, hi: float, A: float,
     return None
 
 
+def _shared(v: np.ndarray, exponent: bool) -> float | np.ndarray:
+    """v's one value where every cell shares it, else v.  A shared exponent
+    -1, 0.5 or 2 stays an array: numpy takes those scalar powers by
+    reciprocal, sqrt and square, whose last bit its array pow does not always
+    match."""
+    one = float(v[0])
+    if (v == one).all() and not (exponent and one in (-1.0, 0.5, 2.0)):
+        return one
+    return v
+
+
 def _quadrature(p: float, lo: np.ndarray, hi: np.ndarray, A: np.ndarray, B: np.ndarray,
                 c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The integrals of ``(B + A/t)^p c t^a log(e+t)^b`` over the cells
     (lo, hi), in one batched call at relative tolerance 1e-9 per cell; where
-    every b is 0 the log factor, whose power is exactly 1, is left out."""
-    if b.any():
+    every b is 0 the log factor, whose power is exactly 1, is left out.  A c,
+    a or b that every cell shares enters as a scalar (see :func:`_shared`),
+    which spares a gather per level and, for an exponent 1, a pow."""
+    logs = b.any()
+    c, a, b = _shared(c, False), _shared(a, True), _shared(b, True)
+
+    def at(v: float | np.ndarray, k: np.ndarray) -> float | np.ndarray:
+        return v[k] if isinstance(v, np.ndarray) else v
+
+    if logs:
         def f(ts: np.ndarray, k: np.ndarray) -> np.ndarray:
-            return (B[k] + A[k] / ts) ** p * c[k] * ts ** a[k] * np.log(np.e + ts) ** b[k]
+            return (B[k] + A[k] / ts) ** p * at(c, k) * ts ** at(a, k) * np.log(np.e + ts) ** at(b, k)
     else:
         def f(ts: np.ndarray, k: np.ndarray) -> np.ndarray:
-            return (B[k] + A[k] / ts) ** p * c[k] * ts ** a[k]
+            return (B[k] + A[k] / ts) ** p * at(c, k) * ts ** at(a, k)
     return integrate_cells(f, lo, hi, rel_tol=1e-9)
 
 

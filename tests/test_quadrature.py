@@ -1,13 +1,14 @@
 """Adaptive Gauss-Kronrod quadrature: batched cells against one-cell runs, the
-subdivision cap, and the Gamma norm's forced quadrature path."""
+subdivision cap, the scale-free error estimate, and the Gamma norm's forced
+quadrature path; the exp-sinh rule's cap."""
 
 import math
 
 import numpy as np
 import pytest
 
-from rifs import QuadratureCapError, StepFunction, WeightSpec, gamma_norm
-from rifs.quadrature import integrate, integrate_cells
+from rifs import QuadratureCapError, StepFunction, WeightSpec, gamma_norm, scale
+from rifs.quadrature import integrate, integrate_cells, integrate_to_infinity
 
 # (lo, hi, A, B, a, b) per cell of (B + A/t)^1.5 t^a log(e+t)^b: smooth cells,
 # cells with an integrable singularity at 0 that need deep refinement, and an
@@ -67,6 +68,25 @@ def test_nan_integrand_hits_the_cap():
         integrate_cells(with_nan_cell, lo, hi, max_subdiv=50)
     with pytest.raises(QuadratureCapError):
         integrate(lambda ts: np.full_like(ts, np.nan), 0.0, 1.0, max_subdiv=50)
+    with pytest.raises(QuadratureCapError):
+        integrate_to_infinity(lambda ws: np.full_like(ws, np.nan))
+
+
+def test_endpoint_singularity_meets_the_tolerance():
+    assert integrate(lambda ts: ts ** -0.9, 0.0, 1.0) == pytest.approx(10.0, rel=1e-9, abs=0.0)
+
+
+def test_gamma_quadrature_does_not_depend_on_the_scale_of_x():
+    # The error estimate is taken relative to each panel's value, so a tiny
+    # x refines as x does.
+    w = WeightSpec.power(-0.5)
+    x = StepFunction.make([(0, 1, 3), (1.5, 2, 1), (2.2, 4, 0.5), (5, 5.5, 2)])
+    for p in (1.5, 2.0):
+        at_one = gamma_norm(x, p, w, method="quadrature")
+        assert at_one == pytest.approx(gamma_norm(x, p, w), rel=1e-9)
+        for c in (1e-20, 1e-60, 1e-100):
+            assert gamma_norm(scale(x, c), p, w, method="quadrature") == pytest.approx(
+                c * at_one, rel=1e-9, abs=0.0)
 
 
 def test_gamma_forced_quadrature_agrees_with_closed_form():

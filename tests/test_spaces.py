@@ -467,9 +467,10 @@ def test_gamma_rejects_weight_on_the_exact_D_p_boundary():
 # -------------------------------------------------------- cell subgradients
 
 # A nonincreasing weight in D_p: its starts cut cells, and its log piece sends
-# cells to batched quadrature.  Its tail is a power, because the quadrature of
-# a log tail is good to about 1e-10 relative, not to this test's 1e-12.
+# cells to batched quadrature.  W_LOG_TAIL ends in a log piece instead, whose
+# tail integral the exp-sinh rule takes.
 W_CUT = WeightSpec.make([(0, 0.7, 1, -0.5, 0), (0.7, 2, 0.8, -0.5, -1), (2, "inf", 0.5, -0.5, 0)])
+W_LOG_TAIL = WeightSpec.make([(0, 0.7, 1, -0.5, 0), (0.7, 2, 0.8, -0.5, 0), (2, "inf", 0.8, -0.5, -1)])
 SUBGRADIENT_SPACES = [
     SpaceHandle.orlicz_space(OrliczSpec.power(2)),
     SpaceHandle.orlicz_space(OrliczSpec.exp_minus_one()),
@@ -479,7 +480,9 @@ SUBGRADIENT_SPACES = [
     SpaceHandle.orlicz_space(OrliczSpec.exp_minus_one(), flavor="orlicz"),
     SpaceHandle.orlicz_space(OrliczSpec.shifted_power(1.0, 2.0), flavor="orlicz"),
 ] + [make(p, w) for make in (SpaceHandle.lorentz_lambda, SpaceHandle.lorentz_gamma)
-     for p in (1.5, 2.0, 3.0) for w in (WeightSpec.power(-0.5), W_CUT)]
+     for p in (1.5, 2.0, 3.0) for w in (WeightSpec.power(-0.5), W_CUT)] + [
+    make(p, W_LOG_TAIL) for make in (SpaceHandle.lorentz_lambda, SpaceHandle.lorentz_gamma)
+    for p in (1.5, 2.0)]
 
 
 @st.composite
@@ -523,6 +526,21 @@ def test_cell_subgradient_is_a_subgradient(space, drawn):
     h = 1e-4 * np.abs(v)  # a step of each cell's own scale, far inside any tie
     numeric = np.array([(norm_of(v + e) - norm_of(v - e)) / (2.0 * hk) for hk, e in zip(h, np.diag(h))])
     assert np.allclose(g, numeric, rtol=1e-6, atol=1e-6 * np.abs(numeric).max()), (g, numeric)
+
+
+def test_gamma_subgradient_on_a_log_tail_near_a_zero_cell():
+    # u differs from v = (0, 1) only by 5.8e-47 on the first cell, so N(u) and
+    # N(v) are one integral split at two support ends, 3 and 2: the log-tail
+    # integrals from each must agree to the test's 1e-12.
+    lo, hi = np.array([0.0, 1.0]), np.array([1.0, 3.0])
+    v, u = np.array([0.0, 1.0]), np.array([5.8e-47, 1.0])
+    for p in (1.5, 2.0):
+        space = SpaceHandle.lorentz_gamma(p, W_LOG_TAIL)
+        norm_of = space._cell_norm(lo, hi)
+        value = norm_of(v)
+        g = space._cell_subgradient(lo, hi)(v, value)
+        nu = norm_of(u)
+        assert nu >= value + float(np.dot(g, u - v)) - 1e-12 * max(1.0, nu), p
 
 
 def test_amemiya_subgradient_is_none_where_the_solve_misses_the_stationary_point():

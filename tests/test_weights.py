@@ -160,6 +160,69 @@ def test_W_matches_scipy_on_multi_piece_log_weight():
     assert w.wp_tail_integral(2.0, 1.0) == pytest.approx(wp_expected, rel=1e-7)
 
 
+# Windows in x for tails taken on t = s e^x: scipy's default map of [s, inf)
+# is itself off by 3.5e-8 on the W_p tail below.
+X_WINDOWS = [0.0] + [2.0 ** k for k in range(11)] + [INF]
+
+
+def _tail_reference(c, a, b, s):
+    """``integral_s^inf c t^a log(e+t)^b dt`` by scipy on t = s e^x, window by window."""
+    ls = math.log(s)
+
+    def g(x):
+        return math.exp((a + 1.0) * (ls + x)) * np.logaddexp(1.0, ls + x) ** b
+
+    return c * math.fsum(quad(g, x0, x1, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                         for x0, x1 in zip(X_WINDOWS, X_WINDOWS[1:]))
+
+
+def _head_reference(c, a, b, hi):
+    """``integral_0^hi c t^a log(e+t)^b dt`` for -1 < a < 0, by scipy on t = hi u^(1/(a+1))."""
+    r = 1.0 / (a + 1.0)
+    mapped, _ = quad(lambda u: math.log(math.e + hi * u ** r) ** b, 0.0, 1.0,
+                     epsabs=0.0, epsrel=1e-13, limit=200, points=[0.9, 0.95, 0.99])
+    return c * hi ** (a + 1.0) / (a + 1.0) * mapped
+
+
+@pytest.mark.parametrize("c,a,b,s", [
+    (1.0, -1.05, -0.5, 3000.0),  # a slow tail
+    (1e-12, -3.0, -2.0, 3000.0),  # a small one
+])
+def test_log_tail_matches_mapped_reference(c, a, b, s):
+    assert power_log_integral(c, a, b, s, INF) == pytest.approx(
+        _tail_reference(c, a, b, s), rel=1e-12, abs=0.0)
+
+
+def test_wp_tail_on_the_log_tail_weight_matches_mapped_reference():
+    w = WeightSpec.make([(0, 1, 1.0, -0.5, 0.0), (1, INF, 1.0, -0.5, 1.0)])
+    assert w.wp_tail_integral(2.0, 3000.0) == pytest.approx(
+        _tail_reference(1.0, -2.5, 1.0, 3000.0), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("c", [1.0, 1e-12, 1e-20])
+def test_log_head_matches_mapped_reference(c):
+    assert power_log_integral(c, -0.7, 1.3, 0.0, 1.0) == pytest.approx(
+        _head_reference(c, -0.7, 1.3, 1.0), rel=1e-12, abs=0.0)
+
+
+def test_W_on_a_head_close_to_the_origin_divergence():
+    # t^-0.99 log(e+t)^-1.5 from 0: the mapped integrand rises like u^100.
+    w = WeightSpec.make([(0, 1, 1.0, -0.99, -1.5), (1, INF, 1.0, -3.0, 0.0)])
+    for t in (0.5, 1.0):
+        assert w.W(t) == pytest.approx(_head_reference(1.0, -0.99, -1.5, t), rel=1e-12, abs=0.0)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from([(-0.7, 1.3, 0.0, 1.0), (-0.99, -1.5, 0.0, 0.5), (0.5, 2.0, 0.3, 4.0),
+                        (-2.5, 1.0, 3000.0, INF), (-1.05, -0.5, 1.5, INF), (-1.0, -2.0, 3.0, INF)]),
+       st.floats(0.1, 10.0), st.integers(-300, 300))
+def test_piece_integral_scales_with_c(piece, c, k):
+    a, b, lo, hi = piece
+    base = power_log_integral(c, a, b, lo, hi)
+    assert power_log_integral(math.ldexp(c, k), a, b, lo, hi) == pytest.approx(
+        math.ldexp(base, k), rel=1e-12, abs=0.0)
+
+
 def test_origin_wp_divergence_rule():
     assert WeightSpec.power(-0.5).origin_wp_diverges(2.0)     # a - p = -2.5
     assert not WeightSpec.power(1.5).origin_wp_diverges(2.0)  # a - p = -0.5
