@@ -5,13 +5,16 @@ with an actual projection.
 
 Desk-scale scope: candidate sets are finite lists of step functions; the
 hull case optimizes a convex objective over the probability simplex by
-coordinate-pair descent.  Each line search walks the residual along one
-simplex edge and minimizes with :func:`optimize.brent_min`, whose end probes
-return a boundary optimum exactly.  Pair descent can stall at a kink of the
-norm, above the hull minimum, so a result carries its own certificate: the
-Frank-Wolfe gap at the returned coefficients, for a subgradient of the norm
-that each space supplies.  By convexity the gap bounds how far the distance
-lies above the hull minimum (Jaggi, *Revisiting Frank-Wolfe*, ICML 2013).
+coordinate-pair descent, on one table: the common cells of the target and
+the members, their values there, and the point settled from those values,
+with no step-function algebra between.  Each line search walks the residual
+along one simplex edge and minimizes with :func:`optimize.brent_min`, whose
+end probes return a boundary optimum exactly.  Pair descent can stall at a
+kink of the norm, above the hull minimum, so a result carries its own
+certificate: the Frank-Wolfe gap at the returned coefficients, for a
+subgradient of the norm that each space supplies.  By convexity the gap
+bounds how far the distance lies above the hull minimum (Jaggi, *Revisiting
+Frank-Wolfe*, ICML 2013).
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .optimize import brent_min
 from .orlicz import OrliczSpec
 from .rearrange import hlp_dominates, rearrange
 from .spaces import SpaceHandle, norm
-from .step import StepFunction, add, scale
+from .step import StepFunction, _settle, _walk, add, scale
 
 TIE_TOL = 1e-10
 
@@ -103,21 +106,14 @@ class ProjectionResult:
         }
 
 
-def _combination(members: tuple[StepFunction, ...], theta) -> StepFunction:
-    out = StepFunction.zero(members[0].alpha)
-    for coeff, m in zip(theta, members):
-        if coeff != 0.0:
-            out = add(out, scale(m, coeff))
-    return out
-
-
 class _HullObjective:
-    """``theta -> || x - sum theta_i a_i ||`` over a precomputed common cell
-    decomposition, so line searches avoid repeated piecewise algebra.  Every
-    evaluation goes through ``residual_norm``, the space's norm of the
-    function with value ``vals[k]`` on cell k, bound once to the cells, and
-    every gap through ``subgradient``, the space's subgradient there (None
-    where the space has none)."""
+    """``theta -> || x - sum theta_i a_i ||`` on the common cells of x and the
+    members: the one table a hull request works on, which owns the cells, the
+    values on them and the point settled from them.  Every evaluation goes
+    through ``residual_norm``, the space's norm of the function with value
+    ``vals[k]`` on cell k, bound once to the cells, and every gap through
+    ``subgradient``, the space's subgradient there (None where the space has
+    none)."""
 
     def __init__(self, x: StepFunction, members: tuple[StepFunction, ...],
                  space: SpaceHandle):
@@ -125,18 +121,24 @@ class _HullObjective:
             raise SchemaError("function and space live on different domains")
         if any(m.alpha != x.alpha for m in members):
             raise SchemaError("operands live on different domains")
-        bps: set[float] = set(x.breakpoints())
-        for m in members:
-            bps.update(m.breakpoints())
-        edges = sorted(bps)
-        self.lo = np.array(edges[:-1]) if len(edges) > 1 else np.empty(0)
-        self.hi = np.array(edges[1:]) if len(edges) > 1 else np.empty(0)
-        mids = 0.5 * (self.lo + self.hi)
+        edges = sorted({t for f in (x, *members) for p in f.pieces for t in p[:2]})
+        mids = [0.5 * (a + b) for a, b in zip(edges, edges[1:])]
+        self.alpha = x.alpha
+        self.lo, self.hi = np.array(edges[:-1]), np.array(edges[1:])
         self.residual_norm = space._cell_norm(self.lo, self.hi)
         self.subgradient = space._cell_subgradient(self.lo, self.hi)
-        self.xv = x.values(mids) if len(mids) else mids
-        self.member_vals = np.array([m.values(mids) for m in members]) \
-            if len(mids) else np.zeros((len(members), 0))
+        # One forward walk per function gives the values of ``values(mids)``.
+        self.xv = np.array(_walk(x.pieces, mids))
+        self.member_vals = np.array([_walk(m.pieces, mids) for m in members])
+
+    def point(self, theta) -> StepFunction:
+        """``sum theta_i a_i`` settled from the cells.  Each cell sums
+        ``theta_i a_i`` from 0.0 in member order over the nonzero
+        coefficients, the arithmetic of ``out = add(out, scale(a_i, theta_i))``."""
+        terms = (c * m for c, m in zip(theta, self.member_vals) if c != 0.0)
+        vals = sum(terms, np.zeros(len(self.lo)))
+        cells = zip(self.lo.tolist(), self.hi.tolist(), vals.tolist())
+        return StepFunction(self.alpha, _settle(cells, self.alpha))
 
     def residual(self, theta) -> np.ndarray:
         """``x - sum theta_i a_i`` on the common cells."""
@@ -183,13 +185,15 @@ def project_hull(x: StepFunction, A: CandidateSet, space: SpaceHandle,
                  tol: float = 1e-6, max_line_searches: int = 100_000) -> ProjectionResult:
     """Minimize ``|| x - sum theta_i a_i ||`` over the probability simplex.
 
-    Coordinate-pair descent from the best vertex, and from the barycenter when
-    that run ends uncertified, keeping the better run.  Each step moves mass
-    delta from a_j to a_i along the simplex edge: the residual
-    ``r0 = x - theta . M`` is formed once, each trial is
-    ``r0 - delta (a_i - a_j)``, and :func:`optimize.brent_min` minimizes to a
-    width of ``min(1e-10, 1e-3 tol)``, reusing the known value at delta = 0.
-    The objective is convex (a norm composed with an affine map), so when the
+    One :class:`_HullObjective` owns the cells, the values on them, the vertex
+    values and the minimizer point, settled from the cells.  Coordinate-pair
+    descent from the best vertex, and from the barycenter when that run ends
+    uncertified, keeping the better run.  Each step moves mass delta from a_j
+    to a_i along the simplex edge: the residual ``r0 = x - theta . M`` is
+    formed once, each trial is ``r0 - delta (a_i - a_j)``, and
+    :func:`optimize.brent_min` minimizes to a width of
+    ``min(1e-10, 1e-3 tol)``, reusing the known value at delta = 0.  The
+    objective is convex (a norm composed with an affine map), so when the
     optimum along an edge is an end, the end probe returns it exactly, and a
     coefficient driven to 0 is exactly 0.0.
 
@@ -215,8 +219,8 @@ def project_hull(x: StepFunction, A: CandidateSet, space: SpaceHandle,
     objective = _HullObjective(x, members, space)
     line_tol = min(1e-10, tol * 1e-3)
 
-    vertex_vals = [objective(tuple(1.0 if j == i else 0.0 for j in range(n)))
-                   for i in range(n)]
+    # theta @ M at a vertex is the member's row exactly: the objective's values.
+    vertex_vals = [objective.residual_norm(objective.xv - m) for m in objective.member_vals]
     best_vertex = min(range(n), key=lambda i: vertex_vals[i])
     starts = [tuple(1.0 if j == best_vertex else 0.0 for j in range(n)),
               tuple(1.0 / n for _ in range(n))]
@@ -226,7 +230,7 @@ def project_hull(x: StepFunction, A: CandidateSet, space: SpaceHandle,
     searches = 0
     for theta in starts:
         theta = list(theta)
-        val = objective(theta)
+        val = objective(theta) if runs else vertex_vals[best_vertex]
         trace.append((tuple(theta), val))
         gap = objective.gap(theta, val)
         while gap > tol:
@@ -261,19 +265,22 @@ def project_hull(x: StepFunction, A: CandidateSet, space: SpaceHandle,
 
     best_val, best_theta, _ = min(runs, key=lambda run: run[0])
     gap = max(0.0, min(best_val - run_val + run_gap for run_val, _, run_gap in runs))
-    point = _combination(members, best_theta)
-    minimizer = Minimizer(best_theta, point, gap)
+    minimizer = Minimizer(best_theta, objective.point(best_theta), gap)
     return ProjectionResult(best_val, (minimizer,), searches, tuple(trace))
 
 
 def minimizing_sequence(x: StepFunction, A: CandidateSet, space: SpaceHandle,
                         n: int, tol: float = 1e-6) -> list[StepFunction]:
     """First n iterates ``a_k - x`` along the optimizer trajectory, with
-    norms nonincreasing toward dist(x, A)."""
-    if n <= 0:
+    norms nonincreasing toward dist(x, A).  n must be an integer >= 0."""
+    _require_count("n", n, 0)
+    if n == 0:
         return []
     if A.hull:
         result = project_hull(x, A, space, tol=tol)
+        # a_k - x is the combination with x as a last member at -1.0: each
+        # cell adds -1.0 * x, which is subtracting x exactly.
+        objective = _HullObjective(x, (*A.members, x), space)
         snapshots = []
         best = math.inf
         for coeffs, val in result.certificate:
@@ -283,7 +290,7 @@ def minimizing_sequence(x: StepFunction, A: CandidateSet, space: SpaceHandle,
         chosen = snapshots[:n]
         while len(chosen) < n:
             chosen.append(snapshots[-1])
-        return [add(_combination(A.members, c), scale(x, -1.0)) for c in chosen]
+        return [objective.point((*c, -1.0)) for c in chosen]
     result = project_finite(x, A, space)
     best_point = result.minimizers[0].point
     return [add(best_point, scale(x, -1.0)) for _ in range(n)]

@@ -30,6 +30,8 @@ from rifs import (
     rearrange,
     scale,
 )
+from rifs.approx import _HullObjective
+from rifs.step import MERGE_TOL
 
 L2 = SpaceHandle.orlicz_space(OrliczSpec.power(2))
 
@@ -310,6 +312,96 @@ def test_minimizing_sequence_gaps_decrease_on_hull():
 def test_minimizing_sequence_empty_for_zero_count():
     A = _members(indicator(0, 1))
     assert minimizing_sequence(StepFunction.zero(), A, L2, 0) == []
+
+
+# ------------------------------------------------ the point from the cell table
+
+def _combination_oracle(members, theta):
+    """The minimizer point by step-function algebra: ``add(out, scale(a_i,
+    theta_i))`` from zero over the nonzero coefficients."""
+    out = StepFunction.zero(members[0].alpha)
+    for coeff, m in zip(theta, members):
+        if coeff != 0.0:
+            out = add(out, scale(m, coeff))
+    return out
+
+
+def _random_function(rng, alpha):
+    """1-3 pieces on [0, min(alpha, 6)) with values of either sign."""
+    k = int(rng.integers(1, 4))
+    ends = np.sort(rng.uniform(0.0, min(alpha, 6.0), 2 * k)).tolist()
+    values = (rng.choice([-1.0, 1.0], k) * rng.uniform(0.1, 3.0, k)).tolist()
+    return StepFunction.make(list(zip(ends[::2], ends[1::2], values)), alpha)
+
+
+def _point_cases():
+    """1-12 members on both domains, some with an empty target or a zero
+    member, then an optimum on a face."""
+    rng = np.random.default_rng(26)
+    for k in range(36):
+        alpha = math.inf if k % 2 else 1.0
+        x = StepFunction.zero(alpha) if k % 8 < 2 else _random_function(rng, alpha)
+        members = [_random_function(rng, alpha) for _ in range(1 + k % 12)]
+        if k % 5 == 0:
+            members[-1] = StepFunction.zero(alpha)
+        yield x, members
+    yield StepFunction.zero(), [indicator(0, 1, 3.0), indicator(0, 1), indicator(1, 2, 0.2)]
+
+
+def _iterate_coefficients(result):
+    """The coefficients minimizing_sequence keeps: those of the trace entries
+    whose norm does not rise."""
+    kept, best = [], math.inf
+    for coeffs, val in result.certificate:
+        if val <= best:
+            best = val
+            kept.append(coeffs)
+    return kept
+
+
+def test_hull_point_and_iterates_match_step_function_algebra():
+    """The point settled from the cell table has the pieces of the add/scale
+    chain, each iterate ``a_k - x`` those of ``add(point, scale(x, -1))``, and
+    the table's values are those of ``StepFunction.values`` at the cell
+    midpoints, bit for bit."""
+    zero_coefficients = 0
+    for x, members in _point_cases():
+        space = L2 if x.alpha == math.inf else SpaceHandle.orlicz_space(OrliczSpec.power(2), alpha=1.0)
+        A = _members(*members, hull=True)
+        objective = _HullObjective(x, A.members, space)
+        mids = 0.5 * (objective.lo + objective.hi)
+        assert objective.xv.tobytes() == x.values(mids).tobytes()
+        assert objective.member_vals.tobytes() == np.array(
+            [m.values(mids) for m in members]).reshape(len(members), len(mids)).tobytes()
+        r = project_hull(x, A, space)
+        theta = r.minimizers[0].coefficients
+        zero_coefficients += theta.count(0.0)
+        assert r.minimizers[0].point == _combination_oracle(A.members, theta)
+        chosen = _iterate_coefficients(r)[:4]
+        seq = minimizing_sequence(x, A, space, len(chosen))
+        assert seq == [add(_combination_oracle(A.members, c), scale(x, -1.0)) for c in chosen]
+    assert zero_coefficients > 0
+
+
+def test_hull_point_across_breakpoints_closer_than_merge_tol():
+    """x's second piece starts 5e-13 before the members meet at 1, and make
+    snaps it to x's first end.  The add/scale chain never sees x's cut and
+    keeps 1; the cell table cuts at both, drops the sliver between them when
+    it settles, and snaps the next cell to x's cut.  The two points agree to
+    ``MERGE_TOL``, and so do the iterates."""
+    cut = 1.0 - 0.5 * MERGE_TOL
+    x = StepFunction.make([(0.0, cut, 1.0), (1.0, 2.0, 1.5)])
+    A = _members(indicator(0, 1), indicator(1, 2, 2.0), hull=True)
+    r = project_hull(x, A, L2)
+    theta = r.minimizers[0].coefficients
+    assert theta == pytest.approx((0.4, 0.6), abs=1e-6)
+    oracle = _combination_oracle(A.members, theta)
+    point = r.minimizers[0].point
+    assert point != oracle and point.approx_equal(oracle)
+    chosen = _iterate_coefficients(r)
+    seq = minimizing_sequence(x, A, L2, len(chosen))
+    for got, c in zip(seq, chosen):
+        assert got.approx_equal(add(_combination_oracle(A.members, c), scale(x, -1.0)))
 
 
 # --------------------------------------------------------------- K-upper bound

@@ -24,6 +24,7 @@ from rifs import (
     lambda_norm,
     luxemburg_norm,
     maximal_curve,
+    minimizing_sequence,
     norm,
     project_hull,
     weight_Wp,
@@ -63,6 +64,18 @@ ROWS = {
         StepFunction.zero(),
         CandidateSet.make([indicator(0, 1), indicator(1, 2)], hull=True),
         SpaceHandle.orlicz_space(OrliczSpec.power(2)), max_line_searches=NAN),
+    "minimizing-sequence-n-fractional": lambda: minimizing_sequence(
+        StepFunction.zero(), CandidateSet.make([indicator(0, 1), indicator(1, 2)], hull=True),
+        SpaceHandle.orlicz_space(OrliczSpec.power(2)), 2.5),
+    "minimizing-sequence-n-nan": lambda: minimizing_sequence(
+        StepFunction.zero(), CandidateSet.make([indicator(0, 1), indicator(1, 2)], hull=True),
+        SpaceHandle.orlicz_space(OrliczSpec.power(2)), NAN),
+    "minimizing-sequence-n-inf": lambda: minimizing_sequence(
+        StepFunction.zero(), CandidateSet.make([indicator(0, 1), indicator(1, 2)], hull=True),
+        SpaceHandle.orlicz_space(OrliczSpec.power(2)), INF),
+    "minimizing-sequence-n-negative": lambda: minimizing_sequence(
+        StepFunction.zero(), CandidateSet.make([indicator(0, 1)]),
+        SpaceHandle.orlicz_space(OrliczSpec.power(2)), -1),
     "hull-members-different-domain": lambda: project_hull(
         indicator(0, 1),
         CandidateSet.make([StepFunction.make([(0, 0.5, 1.0)], 1.0),
