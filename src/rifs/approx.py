@@ -4,17 +4,16 @@ and the dominated-approximation experiment combining the hypothesis checks
 with an actual projection.
 
 Desk-scale scope: candidate sets are finite lists of step functions; the
-hull case optimizes a convex objective over the probability simplex by
-coordinate-pair descent, on one table: the common cells of the target and
-the members, their values there, and the point settled from those values,
-with no step-function algebra between.  Each line search walks the residual
-along one simplex edge and minimizes with :func:`optimize.brent_min`, whose
-end probes return a boundary optimum exactly.  Pair descent can stall at a
-kink of the norm, above the hull minimum, so a result carries its own
-certificate: the Frank-Wolfe gap at the returned coefficients, for a
-subgradient of the norm that each space supplies.  By convexity the gap
-bounds how far the distance lies above the hull minimum (Jaggi, *Revisiting
-Frank-Wolfe*, ICML 2013).
+hull case optimizes a convex objective over the probability simplex by a
+vertex run of coordinate-pair descent, then cutting planes, on one table:
+the common cells of the target and the members, their values there, and the
+point settled from those values.  Each line search minimizes along one
+simplex edge with :func:`optimize.brent_min`, whose end probes return a
+boundary optimum exactly.  A result carries its own certificate, a bound on
+how far the distance lies above the hull minimum: the Frank-Wolfe gap for a
+subgradient of the norm that each space supplies (Jaggi, ICML 2013), or,
+where pair descent stalls at a kink, ``best - minimum`` of Kelley's
+piecewise-linear model built from those subgradients (*J. SIAM* 8, 1960).
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import numpy as np
 
 from .deciders import orlicz_koc_decider
 from .errors import NonConvergenceError, SchemaError, _require_count
-from .optimize import brent_min
+from .optimize import MatrixGame, brent_min
 from .orlicz import OrliczSpec
 from .rearrange import hlp_dominates, rearrange
 from .spaces import SpaceHandle, norm
@@ -111,9 +110,9 @@ class _HullObjective:
     members: the one table a hull request works on, which owns the cells, the
     values on them and the point settled from them.  Every evaluation goes
     through ``residual_norm``, the space's norm of the function with value
-    ``vals[k]`` on cell k, bound once to the cells, and every gap through
-    ``subgradient``, the space's subgradient there (None where the space has
-    none)."""
+    ``vals[k]`` on cell k, bound once to the cells, and every cut and gap
+    through ``subgradient``, the space's subgradient there (None where the
+    space has none)."""
 
     def __init__(self, x: StepFunction, members: tuple[StepFunction, ...],
                  space: SpaceHandle):
@@ -130,6 +129,7 @@ class _HullObjective:
         # One forward walk per function gives the values of ``values(mids)``.
         self.xv = np.array(_walk(x.pieces, mids))
         self.member_vals = np.array([_walk(m.pieces, mids) for m in members])
+        self.cuts: list[tuple[tuple[float, ...], float, list[float]]] = []
 
     def point(self, theta) -> StepFunction:
         """``sum theta_i a_i`` settled from the cells.  Each cell sums
@@ -147,22 +147,40 @@ class _HullObjective:
     def __call__(self, theta) -> float:
         return self.residual_norm(self.residual(theta))
 
+    def cut(self, theta, val: float):
+        """``e = M g``, g the norm's subgradient at the residual (0 at a zero
+        one), so that ``f(theta') >= val + <e, theta - theta'>``; kept in
+        ``cuts``.  None where the space has no subgradient there."""
+        if val == 0.0:
+            e = [0.0] * len(theta)
+        elif self.subgradient is None or (g := self.subgradient(self.residual(theta), val)) is None:
+            return None
+        else:
+            e = (self.member_vals @ g).tolist()
+        self.cuts.append((tuple(theta), val, e))
+        return e
+
     def gap(self, theta, val: float) -> float:
         """The Frank-Wolfe gap ``<d, theta> - min_i d_i`` at theta, whose
-        objective value is val, for the subgradient ``d = -M g`` of the
-        objective, g the norm's subgradient at the residual.  By convexity it
-        bounds ``val - min over the simplex``.  0 at a zero residual, inf
-        where the space has no subgradient (there) or it does not come out
-        finite."""
-        if val == 0.0:
-            return 0.0
-        g = None if self.subgradient is None else self.subgradient(self.residual(theta), val)
-        if g is None:
+        objective value is val, for the subgradient ``d = -e`` of the
+        objective (:meth:`cut`).  By convexity it bounds ``val - min over the
+        simplex``.  0 at a zero residual, inf where the space has no
+        subgradient (there) or it does not come out finite."""
+        e = self.cut(theta, val)
+        if e is None:
             return math.inf
-        # With e = M g = -d, the gap is max_i e_i - <e, theta>.
-        e = (self.member_vals @ g).tolist()
         gap = max(e) - sum(t * ei for t, ei in zip(theta, e))
         return max(gap, 0.0) if math.isfinite(gap) else math.inf
+
+
+def _cut_row(theta, val: float, e) -> list[float] | None:
+    """The cut at theta on each vertex i, ``val + <e, theta> - e_i``; None
+    where there is no cut (e is None) or it does not come out finite."""
+    if e is None:
+        return None
+    base = val + sum(t * ei for t, ei in zip(theta, e))
+    row = [base - ei for ei in e]
+    return row if all(map(math.isfinite, row)) else None
 
 
 def project_finite(x: StepFunction, A: CandidateSet, space: SpaceHandle) -> ProjectionResult:
@@ -186,27 +204,31 @@ def project_hull(x: StepFunction, A: CandidateSet, space: SpaceHandle,
     """Minimize ``|| x - sum theta_i a_i ||`` over the probability simplex.
 
     One :class:`_HullObjective` owns the cells, the values on them, the vertex
-    values and the minimizer point, settled from the cells.  Coordinate-pair
-    descent from the best vertex, and from the barycenter when that run ends
-    uncertified, keeping the better run.  Each step moves mass delta from a_j
-    to a_i along the simplex edge: the residual ``r0 = x - theta . M`` is
-    formed once, each trial is ``r0 - delta (a_i - a_j)``, and
+    values and the minimizer point, settled from the cells.  First a vertex
+    run: coordinate-pair descent from the best vertex.  Each step moves mass
+    delta from a_j to a_i: the residual ``r0 = x - theta . M`` is formed
+    once, each trial is ``r0 - delta (a_i - a_j)``, and
     :func:`optimize.brent_min` minimizes to a width of
     ``min(1e-10, 1e-3 tol)``, reusing the known value at delta = 0.  The
-    objective is convex (a norm composed with an affine map), so when the
-    optimum along an edge is an end, the end probe returns it exactly, and a
-    coefficient driven to 0 is exactly 0.0.
+    objective is convex, so an optimum at an edge's end is returned exactly,
+    and a coefficient driven to 0 is exactly 0.0.  The Frank-Wolfe gap
+    (:meth:`_HullObjective.gap`) is taken at the start and after each pass,
+    and the run stops, certified, once it is at most tol; otherwise when no
+    pass improves by tol, which at a kink of the norm can stall short.
 
-    The Frank-Wolfe gap of the objective (:meth:`_HullObjective.gap`) is taken
-    at each start and after each pass.  It bounds how far the run's value lies
-    above the hull minimum, and a run stops, certified, as soon as it is at
-    most tol.  Otherwise passes end when no pair improves by more than tol,
-    which at a kink of the norm can leave the run short of the minimum.
-    ``Minimizer.gap`` is the kept run's bound, tightened by the other run's
-    (the minimum lies at least its value minus its gap below it): at most tol
-    for a certified result, above it for an uncertified one, and inf where
-    the space has no subgradient.  ``iterations`` counts every line search,
-    including those a probe ends.
+    Only then cutting planes: every gap's cut is a row of the model
+    ``max_k cut_k``, and each step minimizes it over the simplex
+    (:class:`optimize.MatrixGame`), evaluates the objective and its cut
+    there, and keeps the best iterate.  The phase stops when
+    ``best - model minimum <= tol``, when a new cut causes no pivot (the
+    model can no longer move), or where the space has no subgradient.
+    ``Minimizer.gap`` is the smaller of the vertex run's gap and
+    ``best - model minimum``: at most tol when certified, inf where the space
+    has no subgradient.  ``iterations`` counts line searches (those a probe
+    ends too) and cutting-plane steps; ``max_line_searches`` caps it and
+    raises :class:`NonConvergenceError` with the best iterate.
+    ``certificate`` holds the run's start and improving steps, then every
+    point the phase evaluated.
     """
     if not 0 < tol < math.inf:
         raise SchemaError("project_hull requires 0 < tol < inf")
@@ -218,20 +240,14 @@ def project_hull(x: StepFunction, A: CandidateSet, space: SpaceHandle,
 
     objective = _HullObjective(x, members, space)
     line_tol = min(1e-10, tol * 1e-3)
-
-    # theta @ M at a vertex is the member's row exactly: the objective's values.
-    vertex_vals = [objective.residual_norm(objective.xv - m) for m in objective.member_vals]
-    best_vertex = min(range(n), key=lambda i: vertex_vals[i])
-    starts = [tuple(1.0 if j == best_vertex else 0.0 for j in range(n)),
-              tuple(1.0 / n for _ in range(n))]
-
-    runs: list[tuple[float, tuple[float, ...], float]] = []  # (value, theta, gap)
-    trace: list[tuple[tuple[float, ...], float]] = []
-    searches = 0
-    for theta in starts:
-        theta = list(theta)
-        val = objective(theta) if runs else vertex_vals[best_vertex]
-        trace.append((tuple(theta), val))
+    with np.errstate(over="ignore"):  # |x|^p may overflow; the power form rescales
+        # theta @ M at a vertex is the member's row exactly: the objective's values.
+        vertex_vals = [objective.residual_norm(objective.xv - m) for m in objective.member_vals]
+        best_vertex = min(range(n), key=lambda i: vertex_vals[i])
+        theta = [1.0 if j == best_vertex else 0.0 for j in range(n)]
+        val = vertex_vals[best_vertex]
+        trace = [(tuple(theta), val)]
+        searches = 0
         gap = objective.gap(theta, val)
         while gap > tol:
             improved = 0.0
@@ -259,14 +275,30 @@ def project_hull(x: StepFunction, A: CandidateSet, space: SpaceHandle,
             gap = objective.gap(theta, val)
             if improved < tol:
                 break
-        runs.append((val, tuple(theta), gap))
-        if gap <= tol:
-            break
 
-    best_val, best_theta, _ = min(runs, key=lambda run: run[0])
-    gap = max(0.0, min(best_val - run_val + run_gap for run_val, _, run_gap in runs))
-    minimizer = Minimizer(best_theta, objective.point(best_theta), gap)
-    return ProjectionResult(best_val, (minimizer,), searches, tuple(trace))
+        rows = [row for cut in objective.cuts if (row := _cut_row(*cut))] if gap > tol else []
+        if rows:
+            theta = tuple(theta)
+            game = MatrixGame(rows)
+            while True:
+                point, lower = game.solution()
+                if val - lower <= tol:
+                    break
+                if searches >= max_line_searches:
+                    raise NonConvergenceError(
+                        "hull projection exceeded the line-search cap", best=(theta, val))
+                searches += 1
+                point_val = objective(point)
+                trace.append((tuple(point), point_val))
+                if point_val < val:
+                    theta, val = tuple(point), point_val
+                row = _cut_row(point, point_val, objective.cut(point, point_val))
+                if row is None or not game.add(row):
+                    break
+            gap = min(gap, max(val - lower, 0.0))
+
+    minimizer = Minimizer(tuple(theta), objective.point(theta), gap)
+    return ProjectionResult(val, (minimizer,), searches, tuple(trace))
 
 
 def minimizing_sequence(x: StepFunction, A: CandidateSet, space: SpaceHandle,

@@ -1,4 +1,5 @@
-"""Scalar search primitives: line minimization and monotone root finding.
+"""Search primitives: line minimization, monotone root finding, and the
+linear program of a matrix game.
 
 :func:`brent_min` minimizes the convex hull objective along a simplex edge:
 golden section with parabolic interpolation (Brent, *Algorithms for
@@ -6,6 +7,10 @@ Minimization without Derivatives*, 1973, ch. 5) after a probe at each end.
 :func:`newton_level` solves ``F(s) = 1`` for a nondecreasing F by Newton
 steps in log-log coordinates kept inside a bracket; the Luxemburg and Amemiya
 norms of a smooth psi use it.
+:class:`MatrixGame` solves ``min over the simplex of max_k (P theta)_k`` for a
+payoff matrix P that grows a row at a time.  Where the hull projection's
+vertex run ends uncertified, its cutting planes minimize their
+piecewise-linear model with it, and stop when an added cut causes no pivot.
 
 :func:`golden_section_min` (plain golden section) and :func:`bisect_level`
 (monotone bisection) have no caller in the library: every Orlicz norm is now
@@ -25,6 +30,7 @@ _CGOLD = 1.0 - _INVPHI  # golden-section step as a share of the longer side
 _MAX_ITER = 400
 _REL_WIDTH = 1e-13  # the stop of both bisect_level and newton_level
 _LEVEL_TOL = 1e-10
+_LP_TOL = 1e-12  # sign and pivot tolerance on MatrixGame's scaled tableau
 
 
 def golden_section_min(
@@ -230,3 +236,111 @@ def newton_level(
         last, before_last = abs(t - s), last
         s = t
     return s
+
+
+class MatrixGame:
+    """``min over theta in the simplex of max_k (P theta)_k``, the rows of P
+    given up front and then one at a time.
+
+    The game is the LP ``max sum y  s.t.  (P/S + C) y <= 1, y >= 0``, whose
+    optimum gives ``theta = y / sum y`` and the game value
+    ``(1 / sum y - C) S``.  S is the power of two just above the first row's
+    largest magnitude, so dividing by it is exact, and ``C = 1 - min(first
+    row) / S`` makes that row at least 1 everywhere: the value of the scaled
+    game is at least 1, rows added later only raise it, and the LP stays
+    bounded.
+
+    A Tucker tableau holds every variable (y, then the slack of each row) as
+    a row: its value minus a combination of the current nonbasic variables,
+    a nonbasic one being minus its unit row; row 0 is the objective.  y
+    starts nonbasic and the slacks at 1.  The first rows are solved by primal
+    simplex pivots.  An added row's slack ``1 - a.y`` is ``-a`` times the y
+    rows plus 1, already in the nonbasic columns, and dual simplex pivots
+    restore feasibility (the objective row stays optimal).  Both choose by
+    Bland's rule, the least label among the eligible variables, so neither
+    cycles.  A nonbasic y keeps its value exactly 0.0.
+    """
+
+    def __init__(self, rows):
+        rows = [[float(v) for v in r] for r in rows]
+        self.n = n = len(rows[0])
+        self.scale = math.ldexp(1.0, math.frexp(max(map(abs, rows[0])))[1])
+        self.shift = 1.0 - min(rows[0]) / self.scale
+        # Row 0 is the objective sum y = 0 - sum (-1) y; then y, then the slacks.
+        self.table = [[-1.0] * n + [0.0]]
+        self.table += [[-1.0 if j == k else 0.0 for j in range(n)] + [0.0] for k in range(n)]
+        self.table += [[v / self.scale + self.shift for v in r] + [1.0] for r in rows]
+        self.nonbasic = list(range(1, n + 1))  # the row of the variable in each column
+        self._primal()
+
+    def add(self, row) -> bool:
+        """Add a row; False when it causes no pivot, so the solution stands."""
+        n, T = self.n, self.table
+        a = [v / self.scale + self.shift for v in row]
+        # The new slack 1 - a.y, with each y replaced by its row.
+        new = [1.0 if j == n else 0.0 for j in range(n + 1)]
+        for ak, yrow in zip(a, T[1:n + 1]):
+            new = [x - ak * y for x, y in zip(new, yrow)]
+        T.append(new)
+        return self._dual() + self._primal() > 0
+
+    def solution(self) -> tuple[list[float], float]:
+        """``(theta, value)`` at the current basis."""
+        y = [max(row[-1], 0.0) for row in self.table[1:self.n + 1]]
+        total = sum(y)
+        return [v / total for v in y], (1.0 / total - self.shift) * self.scale
+
+    def _pivot(self, r: int, s: int) -> None:
+        """The variable of column s enters the basis and that of row r leaves."""
+        T = self.table
+        p = T[r][s]
+        prow = [v / p for v in T[r]]
+        for i, row in enumerate(T):
+            f = row[s]
+            if f != 0.0 and i != r:
+                new = [x - f * y for x, y in zip(row, prow)]
+                new[s] = -f / p
+                T[i] = new
+        T[r] = [0.0] * (self.n + 1)
+        T[r][s] = -1.0
+        self.nonbasic[s] = r
+
+    def _primal(self) -> int:
+        """Pivots until no reduced cost is negative; the tableau is feasible."""
+        pivots = 0
+        T = self.table
+        while True:
+            cols = [j for j, c in enumerate(T[0][:-1]) if c < -_LP_TOL]
+            if not cols:
+                return pivots
+            s = min(cols, key=self.nonbasic.__getitem__)
+            best, r = math.inf, None
+            for i in range(1, len(T)):
+                c = T[i][s]
+                if c > _LP_TOL and T[i][-1] / c < best:
+                    best, r = T[i][-1] / c, i
+            if r is None:  # unbounded: cannot happen while C holds
+                return pivots
+            self._pivot(r, s)
+            pivots += 1
+
+    def _dual(self) -> int:
+        """Pivots until no variable is negative; the objective row is optimal."""
+        pivots = 0
+        T = self.table
+        while True:
+            r = next((i for i in range(1, len(T)) if T[i][-1] < -_LP_TOL), None)
+            if r is None:
+                return pivots
+            row = T[r]
+            best, s = math.inf, None
+            for j in range(self.n):
+                c = row[j]
+                if c < -_LP_TOL:
+                    q = T[0][j] / -c
+                    if q < best or (q == best and self.nonbasic[j] < self.nonbasic[s]):
+                        best, s = q, j
+            if s is None:  # infeasible: cannot happen, y = 0 is feasible
+                return pivots
+            self._pivot(r, s)
+            pivots += 1

@@ -134,6 +134,8 @@ class OrliczSpec:
         return float(vs[1] / ts[1])
 
     def psi(self, u: float) -> float:
+        if math.isnan(u):
+            raise SchemaError("psi needs a point u, got nan")
         return float(self.psi_many(u))
 
     def psi_many(self, us: np.ndarray) -> np.ndarray:

@@ -301,6 +301,8 @@ class WeightSpec:
     def integral(self, lo: float, hi: float, p: float = 0.0) -> float:
         """``integral_lo^hi t^(-p) w(t) dt``, hi clipped to the domain end: 0.0
         for lo >= hi, inf when it diverges."""
+        if math.isnan(lo) or math.isnan(hi):
+            raise SchemaError("weight integral needs points lo and hi, got nan")
         return _cell_walk(self, 0.0, p, (lo,), (hi,), (0.0,), (1.0,))[1][0]
 
     def W(self, t: float) -> float:

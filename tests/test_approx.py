@@ -6,6 +6,7 @@ Hull results are certified against exhaustive simplex grid search.
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from rifs import (
     rearrange,
     scale,
 )
+from rifs import approx
 from rifs.approx import _HullObjective
 from rifs.step import MERGE_TOL
 
@@ -288,6 +290,102 @@ def test_hull_certified_vertex_needs_no_line_search():
     assert r.minimizers[0].gap == 0.0
     assert r.minimizers[0].coefficients == (0.0, 0.0, 1.0)
     assert r.distance == math.sqrt(0.5)
+
+
+# ------------------------------------------------ the cutting-plane phase
+
+def _sampled_minimum(x, members, space):
+    """The least norm on the simplex grid and on 500 Dirichlet samples, an
+    upper bound of the hull minimum."""
+    best = _simplex_grid_oracle(x, members, space, resolution=1e-3 if len(members) == 2 else 1e-2)
+    for theta in np.random.default_rng(11).dirichlet(np.ones(len(members)), 500):
+        point = StepFunction.zero(x.alpha)
+        for c, m in zip(theta, members):
+            point = add(point, scale(m, float(c)))
+        best = min(best, norm(space, add(x, scale(point, -1.0))))
+    return best
+
+
+@pytest.mark.parametrize("k", range(len(STALL_WITNESSES)))
+def test_stall_witnesses_certify_within_tol_of_the_sampled_minimum(k):
+    space, x, members = STALL_WITNESSES[k]
+    x, members = StepFunction.make(x), [StepFunction.make(m) for m in members]
+    r = project_hull(x, _members(*members, hull=True), space)
+    assert r.minimizers[0].gap <= 1e-6
+    assert r.distance <= _sampled_minimum(x, members, space) + 1e-6
+
+
+def _phase_instance(c=1.0):
+    """An L2 request whose vertex run ends uncertified at tol = 1e-6, its
+    target and members scaled by c."""
+    cfg = TrialConfig(seed=14, trials=1)
+    x = scale(random_step(cfg, 0, stream=0), c)
+    return x, _members(*(scale(random_step(cfg, 0, stream=s), c) for s in (1, 2, 3)), hull=True)
+
+
+@pytest.fixture
+def games(monkeypatch):
+    """The MatrixGame of each hull request that enters the phase."""
+    made = []
+
+    class Recorded(approx.MatrixGame):
+        def __init__(self, rows):
+            super().__init__(rows)
+            made.append(self)
+
+    monkeypatch.setattr(approx, "MatrixGame", Recorded)
+    return made
+
+
+@pytest.mark.parametrize("k", [-500, -20, 20, 500])
+def test_hull_phase_terminates_at_extreme_scales(k, games):
+    """At c = 2^k the phase ends within 200 steps with a finite gap and no
+    warning: by the certificate, or where tol is below what the scaled LP
+    resolves, when a cut causes no pivot."""
+    c = 2.0 ** k
+    x, A = _phase_instance(c)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = project_hull(x, A, L2, tol=1e-6 * min(1.0, c), max_line_searches=200)
+    assert len(games) == 1
+    assert math.isfinite(r.minimizers[0].gap)
+    unscaled = project_hull(*_phase_instance(), L2)
+    assert r.distance == pytest.approx(c * unscaled.distance, rel=1e-6)
+
+
+def test_l2_overflowing_powers_do_not_warn():
+    """|x|^2 overflows at 2^520: the power closed form rescales, and the hull
+    request, like ``luxemburg_norm``, raises no warning."""
+    x, A = _phase_instance(2.0 ** 520)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = project_hull(x, A, L2)
+    assert math.isfinite(r.distance) and r.distance > 0.0
+
+
+def test_hull_cap_inside_the_phase_raises_with_the_best_iterate(games):
+    from rifs import NonConvergenceError
+
+    x, A = _phase_instance()
+    full = project_hull(x, A, L2)
+    assert len(games) == 1
+    for cut_off in (1, 2, 3):
+        with pytest.raises(NonConvergenceError) as exc:
+            project_hull(x, A, L2, max_line_searches=full.iterations - cut_off)
+        # The steps the cap cut off are the trace's last entries.
+        seen = full.certificate[:-cut_off]
+        best = min(range(len(seen)), key=lambda i: (seen[i][1], i))
+        assert exc.value.best == seen[best]
+
+
+def test_minimizing_sequence_over_a_phase_request(games):
+    x, A = _phase_instance()
+    r = project_hull(x, A, L2)
+    assert len(games) == 1
+    seq = minimizing_sequence(x, A, L2, len(r.certificate))
+    norms = [norm(L2, s) for s in seq]
+    assert all(a >= b for a, b in zip(norms, norms[1:]))
+    assert norms[-1] == pytest.approx(r.distance, rel=1e-12)
 
 
 # --------------------------------------------------------- minimizing sequence

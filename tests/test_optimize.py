@@ -1,13 +1,15 @@
 """Scalar line minimization: the probes at the ends, the evaluation count on a
 smooth minimum, kinks, and objectives that are +inf off their domain.  The
 level solver: one step for a power, a few from a start far off, and its
-safeguards where F is nearly a step, zero, or overflows."""
+safeguards where F is nearly a step, zero, or overflows.  The matrix game
+against scipy's ``linprog``, a row at a time."""
 
 import math
 
+import numpy as np
 import pytest
 
-from rifs.optimize import brent_min, golden_section_min, newton_level
+from rifs.optimize import MatrixGame, brent_min, golden_section_min, newton_level
 
 
 def _counted(f):
@@ -136,3 +138,61 @@ def test_level_past_a_zero_region_and_an_overflow():
     s = newton_level(f, 0.0, 0.5, 10.0, 10.0)
     assert s == pytest.approx(1.001, rel=1e-13, abs=0.0)
     assert len(calls) <= 40
+
+
+# ------------------------------------------------------------- matrix games
+
+def _game_value(P):
+    """``min over the simplex of max_k (P theta)_k`` by scipy's ``linprog``
+    over (theta, z): minimize z subject to ``P theta <= z``.  HiGHS takes
+    payoffs near 1 only, so P is scaled by a power of two, which is exact."""
+    optimize = pytest.importorskip("scipy.optimize")
+    unit = math.ldexp(1.0, math.frexp(float(np.abs(P).max()))[1])
+    P = P / unit
+    K, n = P.shape
+    res = optimize.linprog(np.r_[np.zeros(n), 1.0], A_ub=np.c_[P, -np.ones(K)], b_ub=np.zeros(K),
+                           A_eq=np.r_[np.ones(n), 0.0][None], b_eq=[1.0],
+                           bounds=[(0.0, None)] * n + [(None, None)], method="highs")
+    assert res.status == 0, res.message
+    return res.fun * unit
+
+
+def _games():
+    """Random games with n = 2-12 and K = 1-40 over six decades, then
+    degenerate ones: every row twice, constant rows, identical columns, a
+    zero first row, and payoffs of 2^500 and 2^-500."""
+    rng = np.random.default_rng(28)
+    for k in range(40):
+        n, K = int(rng.integers(2, 13)), int(rng.integers(1, 41))
+        yield pytest.param(rng.normal(size=(K, n)) * 10.0 ** rng.uniform(-3.0, 3.0), id=f"random-{k}")
+    P = rng.normal(size=(8, 5))
+    yield pytest.param(np.repeat(P, 2, axis=0), id="duplicates")
+    constant = P.copy()
+    constant[::2] = rng.normal(size=(4, 1))
+    yield pytest.param(constant, id="constant-rows")
+    yield pytest.param(np.full((3, 4), 0.25), id="constant-game")
+    columns = rng.normal(size=(12, 6))
+    columns[:, 2] = columns[:, 4] = columns[:, 0]
+    yield pytest.param(columns, id="identical-columns")
+    yield pytest.param(np.vstack([np.zeros(4), rng.normal(size=(6, 4))]), id="zero-first-row")
+    for k in (-500, 500):
+        yield pytest.param(rng.normal(size=(10, 4)) * 2.0 ** k, id=f"scale-2^{k}")
+
+
+@pytest.mark.parametrize("P", _games())
+def test_matrix_game_matches_linprog_row_by_row(P):
+    """After each added row the value agrees with linprog's to 1e-12 of the
+    payoffs' magnitude (the value itself may be 0), theta lies on the
+    simplex, and ``max_k (P theta)_k`` is the value.  A row added twice in a
+    row causes no pivot the second time."""
+    game = MatrixGame(P[:1])
+    for k in range(1, len(P) + 1):
+        if k > 1:
+            pivoted = game.add(P[k - 1])
+            if (P[k - 1] == P[k - 2]).all():
+                assert not pivoted
+        theta, value = game.solution()
+        size = np.abs(P[:k]).max()
+        assert abs(value - _game_value(P[:k])) <= 1e-12 * size
+        assert min(theta) >= 0.0 and abs(sum(theta) - 1.0) <= 1e-12
+        assert abs(max(P[:k] @ np.array(theta)) - value) <= 1e-12 * size

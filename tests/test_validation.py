@@ -104,6 +104,13 @@ ROWS = {
     "values-nan": lambda: X2.values([0.5, NAN]),
     "weight-value-nan": lambda: W.value(NAN),
     "weight-values-nan": lambda: W.values([0.5, NAN]),
+    "weight-W-nan": lambda: W.W(NAN),
+    "weight-integral-hi-nan": lambda: W.integral(0.0, NAN),
+    "weight-integral-lo-nan": lambda: W.integral(NAN, 1.0),
+    "weight-wp-tail-integral-nan": lambda: W.wp_tail_integral(2.0, NAN),
+    "weight-Wp-s-nan": lambda: W.Wp(2.0, NAN),
+    "psi-power-nan": lambda: OrliczSpec.power(2).psi(NAN),
+    "psi-table-nan": lambda: OrliczSpec.table([(1, 1), (2, 3)]).psi(NAN),
     "dominates-tol-inf": lambda: hlp_dominates(indicator(0, 1, 2.0), indicator(0, 1), tol=INF),
     "dominates-different-domains": lambda: hlp_dominates(
         StepFunction.make([(0, 0.5, 1.0)], 1.0), StepFunction.make([(0, 2, 1.0)])),
