@@ -9,11 +9,12 @@ vertex run of coordinate-pair descent, then cutting planes, on one table:
 the common cells of the target and the members, their values there, and the
 point settled from those values.  Each line search minimizes along one
 simplex edge with :func:`optimize.brent_min`, whose end probes return a
-boundary optimum exactly.  A result carries its own certificate, a bound on
-how far the distance lies above the hull minimum: the Frank-Wolfe gap for a
-subgradient of the norm that each space supplies (Jaggi, ICML 2013), or,
-where pair descent stalls at a kink, ``best - minimum`` of Kelley's
-piecewise-linear model built from those subgradients (*J. SIAM* 8, 1960).
+boundary optimum exactly, to a width no finer than its values can resolve.
+A result carries its own certificate, a bound on how far the distance lies
+above the hull minimum: the Frank-Wolfe gap for a subgradient of the norm
+that each space supplies (Jaggi, ICML 2013), or, where pair descent stalls
+at a kink, ``best - minimum`` of Kelley's piecewise-linear model built from
+those subgradients (*J. SIAM* 8, 1960).
 """
 
 from __future__ import annotations
@@ -209,7 +210,8 @@ def project_hull(x: StepFunction, A: CandidateSet, space: SpaceHandle,
     delta from a_j to a_i: the residual ``r0 = x - theta . M`` is formed
     once, each trial is ``r0 - delta (a_i - a_j)``, and
     :func:`optimize.brent_min` minimizes to a width of
-    ``min(1e-10, 1e-3 tol)``, reusing the known value at delta = 0.  The
+    ``max(1e-3 tol, 2**-26)``, reusing the known value at delta = 0: within
+    sqrt(eps) = 2**-26 of a nonzero minimum, values agree to rounding.  The
     objective is convex, so an optimum at an edge's end is returned exactly,
     and a coefficient driven to 0 is exactly 0.0.  The Frank-Wolfe gap
     (:meth:`_HullObjective.gap`) is taken at the start and after each pass,
@@ -239,7 +241,7 @@ def project_hull(x: StepFunction, A: CandidateSet, space: SpaceHandle,
         raise SchemaError("hull projection is desk-scale: at most 12 members")
 
     objective = _HullObjective(x, members, space)
-    line_tol = min(1e-10, tol * 1e-3)
+    line_tol = max(1e-3 * tol, 2.0 ** -26)
     with np.errstate(over="ignore"):  # |x|^p may overflow; the power form rescales
         # theta @ M at a vertex is the member's row exactly: the objective's values.
         vertex_vals = [objective.residual_norm(objective.xv - m) for m in objective.member_vals]

@@ -3,7 +3,9 @@ linear program of a matrix game.
 
 :func:`brent_min` minimizes the convex hull objective along a simplex edge:
 golden section with parabolic interpolation (Brent, *Algorithms for
-Minimization without Derivatives*, 1973, ch. 5) after a probe at each end.
+Minimization without Derivatives*, 1973, ch. 5) after a probe at each end
+that a known interior value does not rule out.  The caller sets its width;
+the hull projection floors it at sqrt(eps), as Brent's ``localmin`` does.
 :func:`newton_level` solves ``F(s) = 1`` for a nondecreasing F by Newton
 steps in log-log coordinates kept inside a bracket; the Luxemburg and Amemiya
 norms of a smooth psi use it.
@@ -24,6 +26,8 @@ from __future__ import annotations
 
 import math
 from typing import Callable
+
+from .errors import SchemaError
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _CGOLD = 1.0 - _INVPHI  # golden-section step as a share of the longer side
@@ -73,11 +77,16 @@ def brent_min(
     instead of calling f at t.  First each end is probed: with
     ``h = tol * max(1, |lo|, |hi|)``, a finite ``f(lo) <= f(lo + h)`` puts the
     minimum of a convex f in [lo, lo + h], and lo itself is returned (the same
-    at hi), so a minimum on the boundary comes back exactly.  Otherwise the
+    at hi), so a minimum on the boundary comes back exactly.  Where ``known``
+    lies strictly inside (lo, hi) and below f at an end, that end cannot be
+    the minimum and its inner point is not probed.  Otherwise the
     bracket between the neighbours of the best probed point shrinks by Brent's
     steps to ``b - a <= tol * max(1, |a|, |b|)``.  A parabolic step is taken
     only through three finite values, so f may be +inf off its domain.
+    Raises :class:`SchemaError` unless 0 < tol < inf and lo <= hi are finite.
     """
+    if not (0 < tol < math.inf and -math.inf < lo <= hi < math.inf):
+        raise SchemaError("brent_min requires 0 < tol < inf and finite lo <= hi")
     a, b = float(lo), float(hi)
     h = tol * max(1.0, abs(a), abs(b))
     seen: list[tuple[float, float]] = [known] if known is not None else []
@@ -96,9 +105,11 @@ def brent_min(
     ends = ((a, a + h), (b, b - h))
     if known is not None and known[0] == b:
         ends = ends[::-1]  # the known end costs one call to probe
+    # An end above a known interior value is not the minimum of a convex f.
+    cap = known[1] if known is not None and a < known[0] < b else math.inf
     for end, inner in ends:
         fe = at(end)
-        if fe < math.inf and fe <= at(inner):
+        if fe < math.inf and fe <= cap and fe <= at(inner):
             return end, fe
 
     # The best probed point, its neighbours as the bracket, and the next two

@@ -38,6 +38,38 @@ def test_known_end_value_is_not_recomputed():
     assert calls == [-1e-10]
 
 
+def test_end_above_a_known_interior_value_gets_no_inner_probe():
+    # f(0) = 1.09 lies below both f(-1) and f(1), so convexity already rules
+    # out either end as the minimum: neither -1 + h nor 1 - h is probed.
+    f, calls = _counted(lambda t: (t - 0.3) ** 2 + 1.0)
+    t, val = brent_min(f, -1.0, 1.0, tol=1e-10, known=(0.0, f(0.0)))
+    calls = calls[1:]  # the call that made known
+    assert calls[:2] == [-1.0, 1.0]
+    assert -1.0 + 1e-10 not in calls and 1.0 - 1e-10 not in calls
+    assert abs(t - 0.3) <= 1e-9
+    assert val == pytest.approx(1.0, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("want", [-1.0, 1.0])
+def test_end_below_a_known_interior_value_is_probed_and_exact(want):
+    # f(0) = 9 lies above f(want) = 4, so that end keeps both probes and comes
+    # back exactly; the other end, f = 16, is ruled out by f(0).
+    f, calls = _counted(lambda t: (t - 3.0 * want) ** 2)
+    t, val = brent_min(f, -1.0, 1.0, tol=1e-10, known=(0.0, 9.0))
+    assert (t, val) == (want, 4.0)
+    assert want - want * 1e-10 in calls
+    assert -want + want * 1e-10 not in calls
+
+
+def test_end_at_a_known_interior_value_is_probed_and_exact():
+    # f = max(0, t) is 0 both at -1 and at the known -0.5: the end at -1 is
+    # not ruled out, so it is probed and returned exactly.
+    f, calls = _counted(lambda t: max(0.0, t))
+    t, val = brent_min(f, -1.0, 1.0, tol=1e-10, known=(-0.5, 0.0))
+    assert (t, val) == (-1.0, 0.0)
+    assert calls == [-1.0, -1.0 + 1e-10]
+
+
 @pytest.mark.parametrize("c", [-0.7, -0.2, 0.0, 1e-12, 0.123456789, 0.3, 0.5, 0.999])
 def test_quadratic_minimum_in_at_most_15_evaluations(c):
     f, calls = _counted(lambda t: (t - c) ** 2)

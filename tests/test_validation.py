@@ -30,11 +30,17 @@ from rifs import (
     weight_Wp,
     young_conjugate,
 )
+from rifs.optimize import brent_min
 
 NAN, INF = math.nan, math.inf
 X = indicator(0.0, 1.0, 2.0)
 X2 = StepFunction.make([(0, 1, 2.0), (2, 3, 1.0)])
 W = WeightSpec.power(-0.5)
+
+
+def _bowl(t):
+    return (t - 0.3) ** 2 + 1.0
+
 
 ROWS = {
     "power-p-nan": lambda: luxemburg_norm(X, OrliczSpec.power(NAN)),
@@ -111,6 +117,12 @@ ROWS = {
     "weight-Wp-s-nan": lambda: W.Wp(2.0, NAN),
     "psi-power-nan": lambda: OrliczSpec.power(2).psi(NAN),
     "psi-table-nan": lambda: OrliczSpec.table([(1, 1), (2, 3)]).psi(NAN),
+    # f = (t - 0.3)^2 + 1 on [0, 1]: each of these returned (0.0, 1.09).
+    "brent-min-tol-zero": lambda: brent_min(_bowl, 0.0, 1.0, tol=0.0),
+    "brent-min-tol-negative": lambda: brent_min(_bowl, 0.0, 1.0, tol=-1.0),
+    "brent-min-tol-inf": lambda: brent_min(_bowl, 0.0, 1.0, tol=INF),
+    "brent-min-tol-nan": lambda: brent_min(_bowl, 0.0, 1.0, tol=NAN),
+    "brent-min-reversed": lambda: brent_min(lambda t: (t - 0.3) ** 2, 1.0, 0.0),
     "dominates-tol-inf": lambda: hlp_dominates(indicator(0, 1, 2.0), indicator(0, 1), tol=INF),
     "dominates-different-domains": lambda: hlp_dominates(
         StepFunction.make([(0, 0.5, 1.0)], 1.0), StepFunction.make([(0, 2, 1.0)])),
