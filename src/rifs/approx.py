@@ -5,10 +5,11 @@ with an actual projection.
 
 Desk-scale scope: candidate sets are finite lists of step functions; the
 hull case optimizes a convex objective over the probability simplex by a
-vertex run of coordinate-pair descent, then cutting planes, on one table:
-the common cells of the target and the members, their values there, and the
-point settled from those values.  Each line search minimizes along one
-simplex edge with :func:`optimize.brent_min`, whose end probes return a
+vertex run of coordinate-pair descent with Powell's pattern searches
+(*Comput. J.* 7, 1964), then cutting planes, on one table: the common cells
+of the target and the members, their values there, and the point settled
+from those values.  Each line search minimizes along one simplex edge or one
+pass's pattern with :func:`optimize.brent_min`, whose end probes return a
 boundary optimum exactly, to a width no finer than its values can resolve.
 A result carries its own certificate, a bound on how far the distance lies
 above the hull minimum: the Frank-Wolfe gap for a subgradient of the norm
@@ -206,17 +207,25 @@ def project_hull(x: StepFunction, A: CandidateSet, space: SpaceHandle,
 
     One :class:`_HullObjective` owns the cells, the values on them, the vertex
     values and the minimizer point, settled from the cells.  First a vertex
-    run: coordinate-pair descent from the best vertex.  Each step moves mass
-    delta from a_j to a_i: the residual ``r0 = x - theta . M`` is formed
-    once, each trial is ``r0 - delta (a_i - a_j)``, and
-    :func:`optimize.brent_min` minimizes to a width of
-    ``max(1e-3 tol, 2**-26)``, reusing the known value at delta = 0: within
+    run: coordinate-pair descent from the best vertex.  Each line search
+    moves theta along a direction d with sum 0, clipped to the simplex: the
+    residual ``r0 = x - theta . M`` is formed once, each trial is
+    ``r0 - t (d . M)``, and :func:`optimize.brent_min` minimizes to a width
+    of ``max(1e-3 tol, 2**-26)``, reusing the known value at t = 0: within
     sqrt(eps) = 2**-26 of a nonzero minimum, values agree to rounding.  The
-    objective is convex, so an optimum at an edge's end is returned exactly,
-    and a coefficient driven to 0 is exactly 0.0.  The Frank-Wolfe gap
-    (:meth:`_HullObjective.gap`) is taken at the start and after each pass,
-    and the run stops, certified, once it is at most tol; otherwise when no
-    pass improves by tol, which at a kink of the norm can stall short.
+    objective is convex, so an optimum at a clip's end is returned exactly,
+    and a coefficient driven to 0 is exactly 0.0.  A pass searches each edge
+    ``d = e_i - e_j``.  The Frank-Wolfe gap (:meth:`_HullObjective.gap`) is
+    taken at the start and after each pass, and the run stops, certified,
+    once it is at most tol; otherwise when no pass improves by tol, which at
+    a kink of the norm can stall short.  A pass that improves by tol and
+    ends uncertified is followed by a search along its pattern
+    ``theta_end - theta_start`` and a new gap, and the next pass ends with a
+    search along that pattern before its gap.  Both ends of that pass are
+    then line minima along the pattern, so its own pattern is conjugate to
+    it (Powell, 1964).  In L2, ``f**2`` is a quadratic with the line minima
+    of f, so on 3 members the second pattern search reaches an interior
+    optimum where pair descent would zigzag toward it.
 
     Only then cutting planes: every gap's cut is a row of the model
     ``max_k cut_k``, and each step minimizes it over the simplex
@@ -250,33 +259,56 @@ def project_hull(x: StepFunction, A: CandidateSet, space: SpaceHandle,
         val = vertex_vals[best_vertex]
         trace = [(tuple(theta), val)]
         searches = 0
+
+        def search(d, step) -> float:
+            """One line search along theta + t d, clipped to the simplex: d
+            lists (i, d_i) with d_i != 0 and sum 0, and step is d @ M.
+            Returns the improvement."""
+            nonlocal theta, val, searches
+            if searches >= max_line_searches:
+                raise NonConvergenceError(
+                    "hull projection exceeded the line-search cap", best=(tuple(theta), val))
+            lo, hi = -math.inf, math.inf
+            for i, di in d:
+                if di > 0.0:
+                    lo = max(lo, -theta[i] / di)
+                else:
+                    hi = min(hi, -theta[i] / di)
+            if not 1e-15 < hi - lo < math.inf:
+                return 0.0
+            r0 = objective.residual(theta)
+            t, new_val = brent_min(lambda t: objective.residual_norm(r0 - t * step),
+                                   lo, hi, tol=line_tol, known=(0.0, val))
+            searches += 1
+            if not new_val < val - 1e-15:
+                return 0.0
+            theta = list(theta)
+            for i, di in d:  # a coefficient the clip drives to its end is exactly 0.0
+                theta[i] = 0.0 if t == -theta[i] / di else theta[i] + t * di
+            improved, val = val - new_val, new_val
+            trace.append((tuple(theta), val))
+            return improved
+
         gap = objective.gap(theta, val)
+        M = objective.member_vals
+        edges = [(((i, 1.0), (j, -1.0)), M[i] - M[j])
+                 for i in range(n) for j in range(i + 1, n)] if gap > tol else []
+        pattern = None
         while gap > tol:
-            improved = 0.0
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if searches >= max_line_searches:
-                        raise NonConvergenceError(
-                            "hull projection exceeded the line-search cap",
-                            best=(tuple(theta), val))
-                    lo, hi = -theta[i], theta[j]
-                    if hi - lo <= 1e-15:
-                        continue
-                    r0 = objective.residual(theta)
-                    edge = objective.member_vals[i] - objective.member_vals[j]
-                    delta, new_val = brent_min(
-                        lambda t: objective.residual_norm(r0 - t * edge),
-                        lo, hi, tol=line_tol, known=(0.0, val))
-                    searches += 1
-                    if new_val < val - 1e-15:
-                        theta[i] += delta
-                        theta[j] -= delta
-                        improved += val - new_val
-                        val = new_val
-                        trace.append((tuple(theta), val))
+            start = theta
+            improved = sum(search(*edge) for edge in edges)
+            if pattern is not None:
+                improved += search(*pattern)
             gap = objective.gap(theta, val)
             if improved < tol:
                 break
+            if gap > tol:
+                # Powell's pattern: two line minima along the last pattern
+                # span a direction conjugate to it.
+                d = [b - a for a, b in zip(start, theta)]
+                pattern = ([(i, di) for i, di in enumerate(d) if di], np.array(d) @ M)
+                if search(*pattern):
+                    gap = objective.gap(theta, val)
 
         rows = [row for cut in objective.cuts if (row := _cut_row(*cut))] if gap > tol else []
         if rows:

@@ -1,18 +1,21 @@
 """Search primitives: line minimization, monotone root finding, and the
 linear program of a matrix game.
 
-:func:`brent_min` minimizes the convex hull objective along a simplex edge:
-golden section with parabolic interpolation (Brent, *Algorithms for
-Minimization without Derivatives*, 1973, ch. 5) after a probe at each end
-that a known interior value does not rule out.  The caller sets its width;
-the hull projection floors it at sqrt(eps), as Brent's ``localmin`` does.
+:func:`brent_min` minimizes the convex hull objective along a simplex edge or
+a pattern direction: golden section with parabolic interpolation (Brent,
+*Algorithms for Minimization without Derivatives*, 1973, ch. 5) after a probe
+at each end that a known interior value does not rule out.  The caller sets
+its width; the hull projection floors it at sqrt(eps), as Brent's
+``localmin`` does.
 :func:`newton_level` solves ``F(s) = 1`` for a nondecreasing F by Newton
 steps in log-log coordinates kept inside a bracket; the Luxemburg and Amemiya
 norms of a smooth psi use it.
 :class:`MatrixGame` solves ``min over the simplex of max_k (P theta)_k`` for a
 payoff matrix P that grows a row at a time.  Where the hull projection's
-vertex run ends uncertified, its cutting planes minimize their
-piecewise-linear model with it, and stop when an added cut causes no pivot.
+vertex run ends uncertified (at a kink of the norm, or, rarely in L2, where
+passes stop improving before the gap closes), its cutting planes minimize
+their piecewise-linear model with it, and stop when an added cut causes no
+pivot.
 
 :func:`golden_section_min` (plain golden section) and :func:`bisect_level`
 (monotone bisection) have no caller in the library: every Orlicz norm is now

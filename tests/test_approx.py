@@ -31,7 +31,7 @@ from rifs import (
     rearrange,
     scale,
 )
-from rifs import approx
+from rifs import approx, optimize
 from rifs.approx import _HullObjective
 from rifs.step import MERGE_TOL
 
@@ -315,12 +315,20 @@ def test_stall_witnesses_certify_within_tol_of_the_sampled_minimum(k):
     assert r.distance <= _sampled_minimum(x, members, space) + 1e-6
 
 
-def _phase_instance(c=1.0):
-    """An L2 request whose vertex run ends uncertified at tol = 1e-6, its
-    target and members scaled by c."""
-    cfg = TrialConfig(seed=14, trials=1)
+def _l2_instance(seed, c=1.0, members=3):
+    """An L2 request drawn from TrialConfig(seed), its target and members
+    scaled by c."""
+    cfg = TrialConfig(seed=seed, trials=1)
     x = scale(random_step(cfg, 0, stream=0), c)
-    return x, _members(*(scale(random_step(cfg, 0, stream=s), c) for s in (1, 2, 3)), hull=True)
+    return x, _members(*(scale(random_step(cfg, 0, stream=s), c)
+                         for s in range(1, members + 1)), hull=True)
+
+
+def _phase_instance(c=1.0):
+    """An L2 request whose vertex run ends uncertified at tol = 1e-6: its
+    passes stop improving by tol while the Frank-Wolfe gap is still above
+    it."""
+    return _l2_instance(72, c)
 
 
 @pytest.fixture
@@ -386,6 +394,70 @@ def test_minimizing_sequence_over_a_phase_request(games):
     norms = [norm(L2, s) for s in seq]
     assert all(a >= b for a, b in zip(norms, norms[1:]))
     assert norms[-1] == pytest.approx(r.distance, rel=1e-12)
+
+
+def test_l2_hulls_certify_in_the_vertex_run(games):
+    """Pattern and conjugate searches settle L2 hulls on 3 members, whose
+    objective has the line minima of a quadratic, without cutting planes."""
+    entered = []
+    for seed in range(60):
+        r = project_hull(*_l2_instance(seed), L2)
+        assert r.minimizers[0].gap <= 1e-6, seed
+        if games:
+            entered.append(seed)
+            games.clear()
+    assert entered == []
+
+
+def _direction_steps(certificate):
+    """The trace entries that move more than two coefficients at once, which
+    only a direction search does: a pair search moves two."""
+    return [k for k in range(1, len(certificate))
+            if sum(a != b for a, b in zip(certificate[k - 1][0], certificate[k][0])) > 2]
+
+
+def test_direction_search_at_a_face_gives_an_exact_zero_coefficient(games):
+    # Two direction searches stop at faces of the simplex.  Summing
+    # theta_i + t d_i at the end t = -theta_i / d_i leaves -2.8e-17 here.
+    r = project_hull(*_l2_instance(183, members=5), L2)
+    assert games == [] and r.minimizers[0].gap <= 1e-6
+    at_face = 0
+    for k in _direction_steps(r.certificate):
+        before, after = r.certificate[k - 1][0], r.certificate[k][0]
+        assert abs(math.fsum(after) - 1.0) <= 1e-12
+        for b, a in zip(before, after):
+            if b > 1e-12 >= abs(a):
+                assert a == 0.0
+                at_face += 1
+    assert at_face >= 2
+
+
+def test_hull_cap_on_a_direction_search_raises_with_the_best_iterate(monkeypatch):
+    from rifs import NonConvergenceError
+
+    x, A = _l2_instance(183, members=5)
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return optimize.brent_min(*args, **kw)
+
+    monkeypatch.setattr(approx, "brent_min", counted)
+    full = project_hull(x, A, L2)
+    assert full.iterations == len(calls)
+    bests = []
+    for cap in range(full.iterations):
+        with pytest.raises(NonConvergenceError) as exc:
+            project_hull(x, A, L2, max_line_searches=cap)
+        bests.append(exc.value.best)
+    steps = [k for k in _direction_steps(full.certificate) if full.certificate[k] in bests]
+    assert steps
+    for k in steps:
+        # The search that made entry k is number bests.index(entry k); the
+        # cap one below it falls on that search.
+        refused = bests[bests.index(full.certificate[k]) - 1]
+        seen = full.certificate[:k]
+        assert refused == seen[min(range(k), key=lambda i: (seen[i][1], i))]
 
 
 # --------------------------------------------------------- minimizing sequence
