@@ -4,18 +4,19 @@ and the dominated-approximation experiment combining the hypothesis checks
 with an actual projection.
 
 Desk-scale scope: candidate sets are finite lists of step functions; the
-hull case optimizes a convex objective over the probability simplex by a
-vertex run of coordinate-pair descent with Powell's pattern searches
-(*Comput. J.* 7, 1964), then cutting planes, on one table: the common cells
-of the target and the members, their values there, and the point settled
-from those values.  Each line search minimizes along one simplex edge or one
-pass's pattern with :func:`optimize.brent_min`, whose end probes return a
-boundary optimum exactly, to a width no finer than its values can resolve.
-A result carries its own certificate, a bound on how far the distance lies
-above the hull minimum: the Frank-Wolfe gap for a subgradient of the norm
-that each space supplies (Jaggi, ICML 2013), or, where pair descent stalls
-at a kink, ``best - minimum`` of Kelley's piecewise-linear model built from
-those subgradients (*J. SIAM* 8, 1960).
+hull case optimizes a convex objective over the probability simplex on one
+table: the common cells of the target and the members, their values there,
+and the point settled from those values.  The norm picks the route: Wolfe's
+minimum-norm point on the cells' Gram matrix for a Hilbert norm (*Math.
+Programming* 11, 1976), Kelley's cutting planes from every vertex's cut for
+a kinked norm (*J. SIAM* 8, 1960), and otherwise a vertex run of
+coordinate-pair descent with Powell's pattern searches (*Comput. J.* 7,
+1964), whose line searches (:func:`optimize.brent_min`) return a boundary
+optimum exactly.  A result carries its own certificate, a bound on how far
+the distance lies above the hull minimum: the Frank-Wolfe gap for a
+subgradient of the norm that each space supplies (Jaggi, ICML 2013), or
+``best - minimum`` of Kelley's piecewise-linear model built from those
+subgradients, which follows any route that ends uncertified.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .deciders import orlicz_koc_decider
 from .errors import NonConvergenceError, SchemaError, _require_count
-from .optimize import MatrixGame, brent_min
+from .optimize import MatrixGame, _MinNormPoint, brent_min
 from .orlicz import OrliczSpec
 from .rearrange import hlp_dominates, rearrange
 from .spaces import SpaceHandle, norm
@@ -206,40 +207,56 @@ def project_hull(x: StepFunction, A: CandidateSet, space: SpaceHandle,
     """Minimize ``|| x - sum theta_i a_i ||`` over the probability simplex.
 
     One :class:`_HullObjective` owns the cells, the values on them, the vertex
-    values and the minimizer point, settled from the cells.  First a vertex
-    run: coordinate-pair descent from the best vertex.  Each line search
-    moves theta along a direction d with sum 0, clipped to the simplex: the
-    residual ``r0 = x - theta . M`` is formed once, each trial is
-    ``r0 - t (d . M)``, and :func:`optimize.brent_min` minimizes to a width
-    of ``max(1e-3 tol, 2**-26)``, reusing the known value at t = 0: within
+    values and the minimizer point, settled from the cells.  The run starts
+    at the best vertex and takes the Frank-Wolfe gap there
+    (:meth:`_HullObjective.gap`), a bound on the excess over the hull minimum;
+    at most tol, the vertex is the answer.  Otherwise the space's kind picks
+    the route.
+
+    A Hilbert norm (``_cell_gram``: an Orlicz power psi with p = 2) makes the
+    objective's square a quadratic over the simplex, with the Gram matrix
+    ``G = D diag(w) D^T`` of the rows ``D = a_i - x`` on the cells, each
+    scaled by a power of two so that G neither overflows nor goes subnormal.
+    Wolfe's minimum-norm point (:class:`optimize._MinNormPoint`) solves it
+    from the best vertex in finitely many corral steps, and each iterate's
+    norm is evaluated on the cells; members off the final corral get exactly
+    0.0.  The best iterate is certified by the library's gap there, never by
+    G.
+
+    A kinked norm (``_kinked``: Lambda, Gamma, and an Orlicz psi with
+    psi'(0) > 0 or a piecewise-linear psi) goes straight to cutting planes,
+    seeded with the cut of every vertex, whose value is known.
+
+    Any other space (a smooth norm that is not Hilbert, or one with no
+    subgradient at the best vertex) runs the vertex run: coordinate-pair
+    descent from the best vertex.  Each line search moves theta along a
+    direction d with sum 0, clipped to the simplex: the residual
+    ``r0 = x - theta . M`` is formed once, each trial is ``r0 - t (d . M)``,
+    and :func:`optimize.brent_min` minimizes to a width of
+    ``max(1e-3 tol, 2**-26)``, reusing the known value at t = 0: within
     sqrt(eps) = 2**-26 of a nonzero minimum, values agree to rounding.  The
     objective is convex, so an optimum at a clip's end is returned exactly,
     and a coefficient driven to 0 is exactly 0.0.  A pass searches each edge
-    ``d = e_i - e_j``.  The Frank-Wolfe gap (:meth:`_HullObjective.gap`) is
-    taken at the start and after each pass, and the run stops, certified,
-    once it is at most tol; otherwise when no pass improves by tol, which at
-    a kink of the norm can stall short.  A pass that improves by tol and
-    ends uncertified is followed by a search along its pattern
-    ``theta_end - theta_start`` and a new gap, and the next pass ends with a
-    search along that pattern before its gap.  Both ends of that pass are
-    then line minima along the pattern, so its own pattern is conjugate to
-    it (Powell, 1964).  In L2, ``f**2`` is a quadratic with the line minima
-    of f, so on 3 members the second pattern search reaches an interior
-    optimum where pair descent would zigzag toward it.
+    ``d = e_i - e_j``.  The gap is taken after each pass, and the run stops,
+    certified, once it is at most tol; otherwise when no pass improves by
+    tol.  A pass that improves by tol and ends uncertified is followed by a
+    search along its pattern ``theta_end - theta_start`` and a new gap, and
+    the next pass ends with a search along that pattern before its gap, so
+    its own pattern is conjugate to it (Powell, 1964).
 
-    Only then cutting planes: every gap's cut is a row of the model
-    ``max_k cut_k``, and each step minimizes it over the simplex
-    (:class:`optimize.MatrixGame`), evaluates the objective and its cut
-    there, and keeps the best iterate.  The phase stops when
+    Cutting planes follow any route that ends uncertified: every gap's cut
+    is a row of the model ``max_k cut_k``, and each step minimizes it over
+    the simplex (:class:`optimize.MatrixGame`), evaluates the objective and
+    its cut there, and keeps the best iterate.  The phase stops when
     ``best - model minimum <= tol``, when a new cut causes no pivot (the
     model can no longer move), or where the space has no subgradient.
-    ``Minimizer.gap`` is the smaller of the vertex run's gap and
+    ``Minimizer.gap`` is the smaller of the route's gap and
     ``best - model minimum``: at most tol when certified, inf where the space
-    has no subgradient.  ``iterations`` counts line searches (those a probe
-    ends too) and cutting-plane steps; ``max_line_searches`` caps it and
-    raises :class:`NonConvergenceError` with the best iterate.
-    ``certificate`` holds the run's start and improving steps, then every
-    point the phase evaluated.
+    has no subgradient.  ``iterations`` counts corral steps, line searches
+    (those a probe ends too) and cutting-plane steps; ``max_line_searches``
+    caps it and raises :class:`NonConvergenceError` with the best iterate.
+    ``certificate`` holds the start, then each corral step's iterate or the
+    vertex run's improving steps, then every point the phase evaluated.
     """
     if not 0 < tol < math.inf:
         raise SchemaError("project_hull requires 0 < tol < inf")
@@ -255,19 +272,35 @@ def project_hull(x: StepFunction, A: CandidateSet, space: SpaceHandle,
         # theta @ M at a vertex is the member's row exactly: the objective's values.
         vertex_vals = [objective.residual_norm(objective.xv - m) for m in objective.member_vals]
         best_vertex = min(range(n), key=lambda i: vertex_vals[i])
-        theta = [1.0 if j == best_vertex else 0.0 for j in range(n)]
-        val = vertex_vals[best_vertex]
+        vertices = [[1.0 if j == i else 0.0 for j in range(n)] for i in range(n)]
+        theta, val = vertices[best_vertex], vertex_vals[best_vertex]
         trace = [(tuple(theta), val)]
         searches = 0
 
-        def search(d, step) -> float:
-            """One line search along theta + t d, clipped to the simplex: d
-            lists (i, d_i) with d_i != 0 and sum 0, and step is d @ M.
-            Returns the improvement."""
-            nonlocal theta, val, searches
+        def step() -> None:
+            """Counts one step against the cap."""
+            nonlocal searches
             if searches >= max_line_searches:
                 raise NonConvergenceError(
                     "hull projection exceeded the line-search cap", best=(tuple(theta), val))
+            searches += 1
+
+        def visit(point) -> float:
+            """One step to point: its value joins the trace, and the best
+            iterate is kept."""
+            nonlocal theta, val
+            step()
+            point_val = objective(point)
+            trace.append((tuple(point), point_val))
+            if point_val < val:
+                theta, val = point, point_val
+            return point_val
+
+        def search(d, step_vals) -> float:
+            """One line search along theta + t d, clipped to the simplex: d
+            lists (i, d_i) with d_i != 0 and sum 0, and step_vals is d @ M.
+            Returns the improvement."""
+            nonlocal theta, val
             lo, hi = -math.inf, math.inf
             for i, di in d:
                 if di > 0.0:
@@ -276,10 +309,10 @@ def project_hull(x: StepFunction, A: CandidateSet, space: SpaceHandle,
                     hi = min(hi, -theta[i] / di)
             if not 1e-15 < hi - lo < math.inf:
                 return 0.0
+            step()
             r0 = objective.residual(theta)
-            t, new_val = brent_min(lambda t: objective.residual_norm(r0 - t * step),
+            t, new_val = brent_min(lambda t: objective.residual_norm(r0 - t * step_vals),
                                    lo, hi, tol=line_tol, known=(0.0, val))
-            searches += 1
             if not new_val < val - 1e-15:
                 return 0.0
             theta = list(theta)
@@ -290,42 +323,50 @@ def project_hull(x: StepFunction, A: CandidateSet, space: SpaceHandle,
             return improved
 
         gap = objective.gap(theta, val)
+        gram = space._cell_gram(objective.lo, objective.hi) if gap > tol else None
         M = objective.member_vals
-        edges = [(((i, 1.0), (j, -1.0)), M[i] - M[j])
-                 for i in range(n) for j in range(i + 1, n)] if gap > tol else []
-        pattern = None
-        while gap > tol:
-            start = theta
-            improved = sum(search(*edge) for edge in edges)
-            if pattern is not None:
-                improved += search(*pattern)
+        if gram is not None:
+            # Powers of two keep G's entries normal whatever the scale of x.
+            D = M - objective.xv
+            D = np.ldexp(D, -math.frexp(np.abs(D).max())[1])
+            gram = np.ldexp(gram, -math.frexp(gram.max())[1])
+            wolfe = _MinNormPoint(((D * gram) @ D.T).tolist(), best_vertex)
+            while (j := wolfe.entering()) is not None:
+                visit(wolfe.add(j))
             gap = objective.gap(theta, val)
-            if improved < tol:
-                break
-            if gap > tol:
-                # Powell's pattern: two line minima along the last pattern
-                # span a direction conjugate to it.
-                d = [b - a for a, b in zip(start, theta)]
-                pattern = ([(i, di) for i, di in enumerate(d) if di], np.array(d) @ M)
-                if search(*pattern):
-                    gap = objective.gap(theta, val)
+        elif space._kinked and tol < gap < math.inf:
+            # The best vertex's cut came with its gap.
+            for vertex, vertex_val in zip(vertices, vertex_vals):
+                if vertex is not theta:
+                    objective.cut(vertex, vertex_val)
+        else:
+            edges = [(((i, 1.0), (j, -1.0)), M[i] - M[j])
+                     for i in range(n) for j in range(i + 1, n)] if gap > tol else []
+            pattern = None
+            while gap > tol:
+                start = theta
+                improved = sum(search(*edge) for edge in edges)
+                if pattern is not None:
+                    improved += search(*pattern)
+                gap = objective.gap(theta, val)
+                if improved < tol:
+                    break
+                if gap > tol:
+                    # Powell's pattern: two line minima along the last pattern
+                    # span a direction conjugate to it.
+                    d = [b - a for a, b in zip(start, theta)]
+                    pattern = ([(i, di) for i, di in enumerate(d) if di], np.array(d) @ M)
+                    if search(*pattern):
+                        gap = objective.gap(theta, val)
 
         rows = [row for cut in objective.cuts if (row := _cut_row(*cut))] if gap > tol else []
         if rows:
-            theta = tuple(theta)
             game = MatrixGame(rows)
             while True:
                 point, lower = game.solution()
                 if val - lower <= tol:
                     break
-                if searches >= max_line_searches:
-                    raise NonConvergenceError(
-                        "hull projection exceeded the line-search cap", best=(theta, val))
-                searches += 1
-                point_val = objective(point)
-                trace.append((tuple(point), point_val))
-                if point_val < val:
-                    theta, val = tuple(point), point_val
+                point_val = visit(point)
                 row = _cut_row(point, point_val, objective.cut(point, point_val))
                 if row is None or not game.add(row):
                     break

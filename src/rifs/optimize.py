@@ -11,11 +11,12 @@ its width; the hull projection floors it at sqrt(eps), as Brent's
 steps in log-log coordinates kept inside a bracket; the Luxemburg and Amemiya
 norms of a smooth psi use it.
 :class:`MatrixGame` solves ``min over the simplex of max_k (P theta)_k`` for a
-payoff matrix P that grows a row at a time.  Where the hull projection's
-vertex run ends uncertified (at a kink of the norm, or, rarely in L2, where
-passes stop improving before the gap closes), its cutting planes minimize
-their piecewise-linear model with it, and stop when an added cut causes no
-pivot.
+payoff matrix P that grows a row at a time.  The hull projection's cutting
+planes minimize their piecewise-linear model with it, and stop when an added
+cut causes no pivot.
+:class:`_MinNormPoint` is Wolfe's minimum-norm point of a convex hull given
+by a Gram matrix, which the hull projection runs where the norm is a Hilbert
+norm.
 
 :func:`golden_section_min` (plain golden section) and :func:`bisect_level`
 (monotone bisection) have no caller in the library: every Orlicz norm is now
@@ -37,7 +38,9 @@ _CGOLD = 1.0 - _INVPHI  # golden-section step as a share of the longer side
 _MAX_ITER = 400
 _REL_WIDTH = 1e-13  # the stop of both bisect_level and newton_level
 _LEVEL_TOL = 1e-10
-_LP_TOL = 1e-12  # sign and pivot tolerance on MatrixGame's scaled tableau
+# Sign and pivot tolerance on MatrixGame's scaled tableau, and Wolfe's test
+# relative to the largest |p_i|^2.
+_LP_TOL = 1e-12
 
 
 def golden_section_min(
@@ -358,3 +361,87 @@ class MatrixGame:
                 return pivots
             self._pivot(r, s)
             pivots += 1
+
+
+def _affine_minimizer(G, S) -> list[float] | None:
+    """The weights alpha, summing to 1, of the least-norm point of the affine
+    hull of the points S (indices into the Gram matrix G).  At that point
+    ``G_SS alpha = |X|^2 1``, so ``(1 1^T + G_SS) z = 1`` gives alpha as z over
+    its sum; the matrix is ``[1 P]^T [1 P]``, positive definite exactly for
+    affinely independent points, and solved by Cholesky.  None where a pivot
+    comes out <= 0: S is affinely dependent to rounding."""
+    L: list[list[float]] = []
+    for i, si in enumerate(S):
+        row: list[float] = []
+        for j in range(i + 1):
+            v = 1.0 + G[si][S[j]] - sum(a * b for a, b in zip(row, L[j] if j < i else row))
+            if j < i:
+                row.append(v / L[j][j])
+            elif v > 0.0:
+                row.append(math.sqrt(v))
+            else:
+                return None
+        L.append(row)
+    k = len(S)
+    y: list[float] = []
+    for i in range(k):
+        y.append((1.0 - sum(a * b for a, b in zip(L[i], y))) / L[i][i])
+    z = [0.0] * k
+    for i in reversed(range(k)):
+        z[i] = (y[i] - sum(L[m][i] * z[m] for m in range(i + 1, k))) / L[i][i]
+    total = sum(z)
+    return [v / total for v in z]
+
+
+class _MinNormPoint:
+    """The least-norm point of the convex hull of points p_i given by their
+    Gram matrix ``G[i][j] = <p_i, p_j>`` (lists), one corral step at a time
+    (Wolfe, *Math. Programming* 11, 1976).
+
+    The corral S holds the points of positive weight ``lam`` (summing to 1),
+    ``X = sum lam_s p_s``, and starts at the point ``start``.
+    :meth:`entering` is Wolfe's test: the j least in ``<X, p_j>``, or None
+    once ``|X|^2 - <X, p_j> <= 1e-12 max_i |p_i|^2`` (X is optimal to what G
+    resolves), or, from rounding only, where j is already in S or the last
+    step did not lower ``|X|^2``.  :meth:`add` puts j into S at weight 0 and
+    runs the minor cycles: alpha is the affine minimizer of S, and while some
+    ``alpha_s <= 0``, lam steps toward alpha until the first such weight is
+    0.0 and its point leaves S.  Each step lowers ``|X|^2``, so a point never
+    enters twice and the steps are finitely many.
+    """
+
+    def __init__(self, G, start: int):
+        self.G = G
+        self.corral, self.lam = [start], [1.0]
+        self.tol = _LP_TOL * max(G[i][i] for i in range(len(G)))
+        self.last = math.inf  # |X|^2 at the last test that let a point enter
+
+    def entering(self) -> int | None:
+        """The point to add next, or None where X is the minimum."""
+        G, S, lam = self.G, self.corral, self.lam
+        dots = [sum(l * G[s][j] for s, l in zip(S, lam)) for j in range(len(G))]
+        norm2 = sum(l * dots[s] for s, l in zip(S, lam))
+        j = min(range(len(G)), key=dots.__getitem__)
+        if norm2 - dots[j] <= self.tol or j in S or not norm2 < self.last:
+            return None
+        self.last = norm2
+        return j
+
+    def add(self, j: int) -> list[float]:
+        """Adds the point j to the corral; returns every point's weight."""
+        S, lam = self.corral + [j], self.lam + [0.0]
+        while (alpha := _affine_minimizer(self.G, S)) is not None:
+            if min(alpha) > 0.0:
+                lam = alpha
+                break
+            # How far toward alpha each weight with alpha_s <= 0 reaches 0.
+            ratios = [math.inf if a > 0.0 else l / (l - a) if l > 0.0 else 0.0
+                      for l, a in zip(lam, alpha)]
+            t = min(ratios)
+            lam = [0.0 if r == t else l + t * (a - l) for l, a, r in zip(lam, alpha, ratios)]
+            S, lam = [s for s, l in zip(S, lam) if l > 0.0], [l for l in lam if l > 0.0]
+        self.corral, self.lam = [s for s, l in zip(S, lam) if l > 0.0], [l for l in lam if l > 0.0]
+        weights = [0.0] * len(self.G)
+        for s, l in zip(self.corral, self.lam):
+            weights[s] = l
+        return weights

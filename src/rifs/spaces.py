@@ -387,6 +387,15 @@ class _Lorentz(SpaceHandle):
 
         return subgradient
 
+    def _cell_gram(self, lo: np.ndarray, hi: np.ndarray) -> None:
+        """None: the hull takes Lambda and Gamma as kinked (:attr:`_kinked`),
+        not as Hilbert norms, even at a constant weight where Lambda_2 is L2."""
+        return None
+
+    # x* reorders the cells where two values of |f| tie, so both norms have
+    # kinks there.
+    _kinked = True
+
     def _phi(self, t: float) -> float:
         w = self.weight
         return (w.W(t) + w.Wp(self.p, t) if self.over_curve else w.W(t)) ** (1.0 / self.p)
@@ -439,6 +448,24 @@ class _Orlicz(SpaceHandle):
         if self.flavor == "luxemburg":
             return lambda vals, value: _luxemburg_subgradient(widths, vals, value, psi)
         return lambda vals, value: _amemiya_subgradient(widths, vals, psi)
+
+    def _cell_gram(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
+        """The weights w with ``||f||^2 = sum_k w_k f_k^2`` for the function
+        with value ``f_k`` on cell k, where the norm is a Hilbert norm: for a
+        power psi with p = 2, ``coef`` times the widths (Luxemburg) and 4
+        ``coef`` times them (Amemiya, twice the Luxemburg norm).  None
+        elsewhere."""
+        psi = self.orlicz
+        if psi.family != "power" or psi.p != 2.0:
+            return None
+        return (psi.coef if self.flavor == "luxemburg" else 4.0 * psi.coef) * (hi - lo)
+
+    @property
+    def _kinked(self) -> bool:
+        """Whether psi has a kink, and so both norms: at 0 (psi'(0) > 0, as
+        for exp - 1 and power p = 1) or beyond it (a piecewise-linear psi:
+        a table, or shifted_power with p = 1)."""
+        return self.orlicz.slope_at_zero > 0.0 or self.orlicz._kinks is not None
 
     def _phi(self, t: float) -> float:
         return norm(self, indicator(0.0, t, 1.0, self.alpha))

@@ -324,10 +324,14 @@ def _l2_instance(seed, c=1.0, members=3):
                          for s in range(1, members + 1)), hull=True)
 
 
+# A kinked norm goes straight to the cutting-plane phase.  exp - 1's norm
+# solves on |x| / sup|x|, so it stays homogeneous at 2^-500 and 2^500.
+PHASE_SPACE = SpaceHandle.orlicz_space(OrliczSpec.exp_minus_one())
+
+
 def _phase_instance(c=1.0):
-    """An L2 request whose vertex run ends uncertified at tol = 1e-6: its
-    passes stop improving by tol while the Frank-Wolfe gap is still above
-    it."""
+    """The draw of TrialConfig seed 72, scaled by c: in PHASE_SPACE its phase
+    takes 6 steps at tol = 1e-6."""
     return _l2_instance(72, c)
 
 
@@ -354,10 +358,10 @@ def test_hull_phase_terminates_at_extreme_scales(k, games):
     x, A = _phase_instance(c)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        r = project_hull(x, A, L2, tol=1e-6 * min(1.0, c), max_line_searches=200)
+        r = project_hull(x, A, PHASE_SPACE, tol=1e-6 * min(1.0, c), max_line_searches=200)
     assert len(games) == 1
     assert math.isfinite(r.minimizers[0].gap)
-    unscaled = project_hull(*_phase_instance(), L2)
+    unscaled = project_hull(*_phase_instance(), PHASE_SPACE)
     assert r.distance == pytest.approx(c * unscaled.distance, rel=1e-6)
 
 
@@ -375,11 +379,11 @@ def test_hull_cap_inside_the_phase_raises_with_the_best_iterate(games):
     from rifs import NonConvergenceError
 
     x, A = _phase_instance()
-    full = project_hull(x, A, L2)
+    full = project_hull(x, A, PHASE_SPACE)
     assert len(games) == 1
     for cut_off in (1, 2, 3):
         with pytest.raises(NonConvergenceError) as exc:
-            project_hull(x, A, L2, max_line_searches=full.iterations - cut_off)
+            project_hull(x, A, PHASE_SPACE, max_line_searches=full.iterations - cut_off)
         # The steps the cap cut off are the trace's last entries.
         seen = full.certificate[:-cut_off]
         best = min(range(len(seen)), key=lambda i: (seen[i][1], i))
@@ -388,10 +392,10 @@ def test_hull_cap_inside_the_phase_raises_with_the_best_iterate(games):
 
 def test_minimizing_sequence_over_a_phase_request(games):
     x, A = _phase_instance()
-    r = project_hull(x, A, L2)
+    r = project_hull(x, A, PHASE_SPACE)
     assert len(games) == 1
-    seq = minimizing_sequence(x, A, L2, len(r.certificate))
-    norms = [norm(L2, s) for s in seq]
+    seq = minimizing_sequence(x, A, PHASE_SPACE, len(r.certificate))
+    norms = [norm(PHASE_SPACE, s) for s in seq]
     assert all(a >= b for a, b in zip(norms, norms[1:]))
     assert norms[-1] == pytest.approx(r.distance, rel=1e-12)
 
@@ -409,6 +413,10 @@ def test_l2_hulls_certify_in_the_vertex_run(games):
     assert entered == []
 
 
+# Pattern searches run on smooth norms that are not Hilbert norms.
+SMOOTH = SpaceHandle.orlicz_space(OrliczSpec.power(3))
+
+
 def _direction_steps(certificate):
     """The trace entries that move more than two coefficients at once, which
     only a direction search does: a pair search moves two."""
@@ -417,9 +425,10 @@ def _direction_steps(certificate):
 
 
 def test_direction_search_at_a_face_gives_an_exact_zero_coefficient(games):
-    # Two direction searches stop at faces of the simplex.  Summing
-    # theta_i + t d_i at the end t = -theta_i / d_i leaves -2.8e-17 here.
-    r = project_hull(*_l2_instance(183, members=5), L2)
+    # Two direction searches stop at faces of the simplex.  The clip sets
+    # each such coefficient to 0.0 rather than summing theta_i + t d_i at the
+    # end t = -theta_i / d_i, which need not give 0.0.
+    r = project_hull(*_l2_instance(183, members=5), SMOOTH)
     assert games == [] and r.minimizers[0].gap <= 1e-6
     at_face = 0
     for k in _direction_steps(r.certificate):
@@ -443,12 +452,12 @@ def test_hull_cap_on_a_direction_search_raises_with_the_best_iterate(monkeypatch
         return optimize.brent_min(*args, **kw)
 
     monkeypatch.setattr(approx, "brent_min", counted)
-    full = project_hull(x, A, L2)
+    full = project_hull(x, A, SMOOTH)
     assert full.iterations == len(calls)
     bests = []
     for cap in range(full.iterations):
         with pytest.raises(NonConvergenceError) as exc:
-            project_hull(x, A, L2, max_line_searches=cap)
+            project_hull(x, A, SMOOTH, max_line_searches=cap)
         bests.append(exc.value.best)
     steps = [k for k in _direction_steps(full.certificate) if full.certificate[k] in bests]
     assert steps
@@ -458,6 +467,94 @@ def test_hull_cap_on_a_direction_search_raises_with_the_best_iterate(monkeypatch
         refused = bests[bests.index(full.certificate[k]) - 1]
         seen = full.certificate[:k]
         assert refused == seen[min(range(k), key=lambda i: (seen[i][1], i))]
+
+
+# ------------------------------------------------ Wolfe's route for L2
+
+def _certified_by_wolfe(x, members, games):
+    """The L2 projection, checked to certify without cutting planes and to
+    land within the QP oracle's distance."""
+    r = project_hull(x, _members(*members, hull=True), L2)
+    assert games == [] and r.minimizers[0].gap <= 1e-6
+    d_qp = _l2_qp_distance(x, members)
+    assert d_qp - 1e-9 <= r.distance <= d_qp + 1e-6 * max(1.0, d_qp)
+    return r
+
+
+def test_wolfe_route_with_duplicate_members(games):
+    cfg = TrialConfig(seed=5, trials=1)
+    x = random_step(cfg, 0, stream=0)
+    a, b = random_step(cfg, 0, stream=1), random_step(cfg, 0, stream=2)
+    r = _certified_by_wolfe(x, [a, b, a, b, a], games)
+    assert math.fsum(r.minimizers[0].coefficients) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_wolfe_route_with_a_member_equal_to_the_target():
+    x = StepFunction.make([(0, 1, 2.0), (1.5, 3, -1.0)])
+    A = _members(indicator(0, 2), x, indicator(1, 4, 3.0), hull=True)
+    r = project_hull(x, A, L2)
+    assert r.distance == 0.0
+    assert r.minimizers[0].gap == 0.0
+
+
+def test_wolfe_route_with_three_collinear_members(games):
+    # a, 2a and 3a lie on one line; x = 2.5 a + b with b off a's support
+    # projects between 2a and 3a, so a itself gets an exact 0.0.
+    a = indicator(0, 1)
+    x = add(scale(a, 2.5), indicator(1, 2, 0.7))
+    r = _certified_by_wolfe(x, [a, scale(a, 2.0), scale(a, 3.0)], games)
+    theta = r.minimizers[0].coefficients
+    assert theta[0] == 0.0
+    assert theta[1:] == pytest.approx((0.5, 0.5), abs=1e-9)
+    assert r.distance == pytest.approx(0.7, abs=1e-12)
+
+
+def test_wolfe_route_at_the_member_cap_matches_the_qp_oracle(games):
+    for seed in range(20):
+        cfg = TrialConfig(seed=seed, trials=1)
+        x = random_step(cfg, 0, stream=0)
+        _certified_by_wolfe(x, [random_step(cfg, 0, stream=s) for s in range(1, 13)], games)
+
+
+def test_amemiya_l2_hull_is_twice_the_luxemburg_one():
+    """Amemiya's norm of power p = 2 is twice Luxemburg's: its Gram weights
+    are 4 times theirs, the same after scaling by powers of two."""
+    amemiya = SpaceHandle.orlicz_space(OrliczSpec.power(2), flavor="orlicz")
+    for seed in range(30):
+        x, A = _l2_instance(seed, members=4)
+        lux, ame = project_hull(x, A, L2), project_hull(x, A, amemiya)
+        assert ame.minimizers[0].coefficients == lux.minimizers[0].coefficients
+        assert ame.distance == pytest.approx(2.0 * lux.distance, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("k", [-520, 520])
+def test_wolfe_route_is_homogeneous_at_extreme_scales(k, games):
+    """At c = 2^+-520 the squares in G would overflow or go subnormal: scaled
+    by powers of two, the distance is c times the unscaled one."""
+    c = 2.0 ** k
+    for seed in range(20):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = project_hull(*_l2_instance(seed, c, members=5), L2, tol=1e-6 * c)
+        unscaled = project_hull(*_l2_instance(seed, members=5), L2)
+        assert r.distance == pytest.approx(c * unscaled.distance, rel=1e-12, abs=0.0)
+    assert games == []
+
+
+def test_hull_cap_on_corral_steps_raises_with_the_best_iterate(games):
+    from rifs import NonConvergenceError
+
+    x, A = _l2_instance(6, members=5)
+    full = project_hull(x, A, L2)
+    assert games == []
+    # The start, then one entry per corral step.
+    assert len(full.certificate) == full.iterations + 1 >= 4
+    for cut_off in (1, 2, 3):
+        with pytest.raises(NonConvergenceError) as exc:
+            project_hull(x, A, L2, max_line_searches=full.iterations - cut_off)
+        seen = full.certificate[:-cut_off]
+        best = min(range(len(seen)), key=lambda i: (seen[i][1], i))
+        assert exc.value.best == seen[best]
 
 
 # --------------------------------------------------------- minimizing sequence
