@@ -19,9 +19,10 @@ import numpy as np
 from .deciders import _embedding_verdict, l1_embedding_limit, phi_decades, phi_infinity
 from .errors import SchemaError, _require_count
 from .orlicz import OrliczSpec
-from .rearrange import distribution, equimeasurable, hlp_dominates, maximal_curve, rearrange
+from .rearrange import (_eval_increasing, distribution, equimeasurable, hlp_dominates, maximal_curve,
+                        rearrange)
 from .spaces import SpaceHandle, fundamental_function, norm
-from .step import StepFunction, add, indicator, scale
+from .step import StepFunction, _walk, add, indicator, scale
 from .weights import WeightSpec
 
 
@@ -64,7 +65,12 @@ class ProbeReport:
 
 
 def _rng(cfg: TrialConfig, trial: int, stream: int = 0) -> np.random.Generator:
-    return np.random.default_rng([cfg.seed, trial, stream])
+    key = [cfg.seed, trial, stream]
+    # numpy reads each entry below 2**32 as that one uint32 word, so the array
+    # seeds the same stream as the list and skips its per-entry coercion.
+    if (cfg.seed | trial | stream) >> 32 == 0:
+        key = np.array(key, np.uint32)
+    return np.random.default_rng(key)
 
 
 def random_step(cfg: TrialConfig, trial: int, stream: int = 0,
@@ -78,11 +84,13 @@ def random_step(cfg: TrialConfig, trial: int, stream: int = 0,
     rng = _rng(cfg, trial, stream)
     n = int(rng.integers(1, cfg.max_pieces + 1))
     lo, hi = cfg.length_range
-    lengths = np.exp(rng.uniform(math.log(lo), math.log(hi), n))
-    gaps = rng.uniform(0.0, 1.0, n)
-    values = rng.uniform(cfg.value_range[0], cfg.value_range[1], n)
+    lengths = np.exp(rng.uniform(math.log(lo), math.log(hi), n)).tolist()
+    gaps = rng.uniform(0.0, 1.0, n).tolist()
+    values = rng.uniform(cfg.value_range[0], cfg.value_range[1], n).tolist()
     if not nonneg:
-        values = values * rng.choice([-1.0, 1.0], n)
+        # choice([-1.0, 1.0], n) draws these indices, from the same state;
+        # -v is v * -1.0 to the bit.
+        values = [v if k else -v for v, k in zip(values, rng.integers(0, 2, n).tolist())]
     pieces = []
     cursor = 0.0
     for g, length, v in zip(gaps, lengths, values):
@@ -98,12 +106,15 @@ def random_step(cfg: TrialConfig, trial: int, stream: int = 0,
 def _shuffled_partner(cfg: TrialConfig, trial: int, x: StepFunction) -> StepFunction:
     """Equimeasurable partner: same lengths and values, fresh layout."""
     rng = _rng(cfg, trial, stream=7)
-    order = rng.permutation(len(x.pieces))
+    n = len(x.pieces)
+    order = rng.permutation(n).tolist()
+    # One call draws the gaps one by one, as n calls of one draw would.
+    gaps = rng.uniform(0.0, 1.0, n).tolist()
     pieces = []
     cursor = 0.0
-    for idx in order:
+    for idx, g in zip(order, gaps):
         t0, t1, v = x.pieces[idx]
-        cursor += rng.uniform(0.0, 1.0)
+        cursor += g
         pieces.append((cursor, cursor + (t1 - t0), v))
         cursor += t1 - t0
     if x.alpha == 1.0 and cursor > 0.99:
@@ -161,8 +172,9 @@ def run_core_suite(cfg: TrialConfig,
                 break
 
         curve = maximal_curve(x)
-        for s in curve.breakpoints[1:]:
-            if xs.value_at(s) > curve.eval(s) + tol:
+        ends = curve.breakpoints[1:]
+        for s, below, above in zip(ends, _walk(xs.pieces, ends), _eval_increasing(curve, ends)):
+            if below > above + tol:
                 record(trial, "star-below-starstar", {"t": s}, x)
                 break
         if any(a < -tol for a, _ in curve.coeffs):
@@ -178,8 +190,8 @@ def run_core_suite(cfg: TrialConfig,
         xy = add(x, y)
         cs, cx, cy = maximal_curve(xy), curve, maximal_curve(y)
         points = sorted({t for t in cs.breakpoints + cx.breakpoints + cy.breakpoints if t > 0})
-        for t in points:
-            if cs.eval(t) > cx.eval(t) + cy.eval(t) + tol:
+        for t, s, a, b in zip(points, *(_eval_increasing(c, points) for c in (cs, cx, cy))):
+            if s > a + b + tol:
                 record(trial, "starstar-subadditive", {"t": t}, x)
                 break
 

@@ -117,6 +117,19 @@ class MaximalCurve:
         return arr[ks, 1] + arr[ks, 0] / ts
 
 
+def _eval_increasing(curve: MaximalCurve, ts: list[float]) -> list[float]:
+    """``curve.eval`` at the increasing points ts > 0, by one forward pass: k
+    counts the breakpoints below t, which is where ``eval`` bisects to."""
+    bps, coeffs = curve.breakpoints, curve.coeffs
+    n, k, out = len(bps), 0, []
+    for t in ts:
+        while k < n and bps[k] < t:
+            k += 1
+        a, b = coeffs[k - 1]
+        out.append(b + a / t)
+    return out
+
+
 def maximal_curve(x: StepFunction) -> MaximalCurve:
     """x** of x.  Like x*, it is computed once and kept on x: every later call
     returns the same curve, which all callers share and must not alter."""
@@ -173,13 +186,15 @@ def hlp_dominates(x: StepFunction, y: StepFunction, tol: float | None = None) ->
     # One pass over the merged breakpoints: i and j count the breakpoints of
     # each curve below t, which is where ``eval`` would bisect to.
     sx, sy = cx.breakpoints, cy.breakpoints
+    kx, ky = cx.coeffs, cy.coeffs
+    nx, ny = len(sx), len(sy)
     i = j = 0
     for t in sorted(sx[1:] + sy[1:]):
-        while i < len(sx) and sx[i] < t:
+        while i < nx and sx[i] < t:
             i += 1
-        while j < len(sy) and sy[j] < t:
+        while j < ny and sy[j] < t:
             j += 1
-        (ax, bx), (ay, by) = cx.coeffs[i - 1], cy.coeffs[j - 1]
+        (ax, bx), (ay, by) = kx[i - 1], ky[j - 1]
         if bx + ax / t > by + ay / t + tol:
             return False
     return True

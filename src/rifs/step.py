@@ -43,14 +43,15 @@ MERGE_TOL = 1e-12
 # Piece count (of both operands together, for binary operations; of x* for
 # the Lorentz norms) from which make, the binary operations, the
 # rearrangement and the Lorentz cell pass run on arrays.  Best of 15 timings
-# on a shared 2-vCPU VM, list vs array path: ``add`` of 16 + 16 pieces 67 vs
-# 80 us, of 32 + 32 132 vs 88 us; ``rearrange`` of 48 pieces 36 vs 44 us, of
-# 64 52 vs 46 us; ``make`` of 64 pieces 120 vs 139 us, of 96 182 vs 152 us;
-# the Lambda pass (p = 2, w = t^-1/2) on 64 pieces of x* 46 vs 64 us, on 128
-# 89 vs 82 us; the Gamma pass on 64 pieces 144 vs 183 us (p = 2) and 174 vs
-# 179 us (p = 1.5), on 96 219 vs 214 and 221 vs 192 us.  make and the Lorentz
-# pass cross over between 64 and 128 pieces, and pay up to 1.4x just above
-# the threshold.  One threshold near the crossovers, so that 1-5 piece inputs
+# (median of three) on a shared 2-vCPU VM, list vs array path: ``add`` of
+# 16 + 16 pieces 41 vs 77 us, of 32 + 32 79 vs 85 us; ``rearrange`` of 48
+# pieces 36 vs 52 us, of 64 49 vs 44 us; ``make`` of 64 pieces 40 vs 58 us,
+# of 96 61 vs 65 us; the Lambda norm (p = 2, w = t^-1/2, x* and x** known)
+# on 64 pieces of x* 41 vs 34 us, on 128 82 vs 46 us; the Gamma norm on 64
+# pieces 105 vs 82 us (p = 2) and 124 vs 111 us (p = 1.5), on 96 153 vs 100
+# and 158 vs 119 us.  The Lorentz norms gain from arrays at 64 pieces, while
+# add and make cross over above 64 and 96 and pay up to 1.45x just above the
+# threshold.  One threshold between the crossovers, so that 1-5 piece inputs
 # never pay for array set-up.
 ARRAY_MIN_PIECES = 64
 
@@ -79,6 +80,7 @@ def _settle(cells: Iterable[Piece], alpha: float, width_tol: float = MERGE_TOL) 
     ``MERGE_TOL`` of the previous end snaps to it; one further left raises.
     """
     out: list[Piece] = []
+    end = None  # the last kept piece is (start, end, value), not yet in out
     for t0, t1, v in cells:
         if not (math.isfinite(v) and math.isfinite(t1)):
             raise SchemaError("piece endpoints and values must be finite")
@@ -86,21 +88,24 @@ def _settle(cells: Iterable[Piece], alpha: float, width_tol: float = MERGE_TOL) 
             if not _close(t1, alpha):
                 raise SchemaError(f"piece ends beyond alpha={alpha}: {t1}")
             t1 = alpha
-        if v == 0.0 or t1 - t0 <= width_tol * max(1.0, abs(t1)):
+        # The width test against width_tol * max(1, |t1|), spelled without calls.
+        if v == 0.0 or t1 - t0 <= width_tol * (t1 if t1 > 1.0 else -t1 if t1 < -1.0 else 1.0):
             continue
-        if out:
-            pt0, pt1, pv = out[-1]
-            if t0 == pt1 or _close(t0, pt1):
-                t0 = pt1
+        if end is not None:
+            if t0 == end or _close(t0, end):
                 # Merging requires exactly equal values: merging nearly equal
                 # ones would shift the distribution function at levels in
                 # between, breaking exact equimeasurability.
-                if v == pv:
-                    out[-1] = (pt0, t1, v)
+                if v == value:
+                    end = t1
                     continue
-            elif t0 < pt1:
+                t0 = end
+            elif t0 < end:
                 raise SchemaError(f"pieces overlap near t={t0}")
-        out.append((t0, t1, v))
+            out.append((start, end, value))
+        start, end, value = t0, t1, v
+    if end is not None:
+        out.append((start, end, value))
     return tuple(out)
 
 
@@ -148,10 +153,10 @@ def _canonical(pieces: Iterable[Sequence[float]], alpha: float) -> tuple[Piece, 
         t0, t1, v = float(t0), float(t1), float(v)
         if not (math.isfinite(t0) and math.isfinite(t1)):
             raise SchemaError("piece endpoints and values must be finite")
-        if t0 < 0 and _close(t0, 0.0):
-            t0 = 0.0
         if t0 < 0:
-            raise SchemaError(f"piece starts before 0: {t0}")
+            if not _close(t0, 0.0):
+                raise SchemaError(f"piece starts before 0: {t0}")
+            t0 = 0.0
         cells.append((t0, t1, v))
     cells.sort(key=_start)
     return _settle(cells, alpha)
@@ -335,10 +340,14 @@ def _pointwise(x: StepFunction, y: StepFunction, op, op_array) -> StepFunction:
     if x.alpha != y.alpha:
         raise SchemaError("operands live on different domains")
     if len(x.pieces) + len(y.pieces) < ARRAY_MIN_PIECES:
+        # The breakpoints are sorted and >= 0, so ``_close(last, t)`` is
+        # ``t - last <= MERGE_TOL * max(1, t)``: |a - b| and b - a round alike.
         cuts: list[float] = []
+        last = -math.inf
         for t in sorted([t for f in (x, y) for p in f.pieces for t in p[:2]]):
-            if not cuts or not _close(cuts[-1], t):
+            if t - last > MERGE_TOL * (t if t > 1.0 else 1.0):
                 cuts.append(t)
+                last = t
         mids = [0.5 * (a + b) for a, b in zip(cuts, cuts[1:])]
         vals = map(op, _walk(x.pieces, mids), _walk(y.pieces, mids))
         return StepFunction(x.alpha, _settle(zip(cuts, cuts[1:], vals), x.alpha))

@@ -400,9 +400,9 @@ def test_minimizing_sequence_over_a_phase_request(games):
     assert norms[-1] == pytest.approx(r.distance, rel=1e-12)
 
 
-def test_l2_hulls_certify_in_the_vertex_run(games):
-    """Pattern and conjugate searches settle L2 hulls on 3 members, whose
-    objective has the line minima of a quadratic, without cutting planes."""
+def test_l2_hulls_certify_without_cutting_planes(games):
+    """L2 hulls on 3 members take Wolfe's route: the minimum-norm point of
+    their Gram matrix certifies each one, so none reaches the cutting planes."""
     entered = []
     for seed in range(60):
         r = project_hull(*_l2_instance(seed), L2)

@@ -24,6 +24,7 @@ from rifs import (
     run_kmono_suite,
     skm_probe,
 )
+from rifs.harness import _shuffled_partner
 
 INF = math.inf
 W_HALF = WeightSpec.power(-0.5)
@@ -52,6 +53,160 @@ def test_random_step_alpha_one_fits_domain():
     for trial in range(50):
         x = random_step(cfg, trial, alpha=1.0)
         assert x.support_end <= 1.0
+
+
+# float.hex of random_step(TrialConfig(seed), trial, stream).pieces, one piece a
+# line as "seed trial stream t0 t1 v"; the stream 7 lines are the pieces of
+# _shuffled_partner(cfg, trial, random_step(cfg, trial, 0)), which draws from
+# stream 7.  Fixtures across the tests are chosen by TrialConfig seed, so a
+# changed draw must fail here first.
+PINNED_DRAWS = """
+0 0 0 0x1.3698f6e301db6p-1 0x1.7bda61638faa2p-1 0x1.ba21062bedbd5p-4
+0 0 0 0x1.78ad7a11c057ap+0 0x1.8790f1344ff21p+0 -0x1.4b11871585821p+1
+0 0 0 0x1.095df98df8e74p+1 0x1.102b5f9bc3752p+1 0x1.94457dac0f62ap-3
+0 0 0 0x1.87dbd39f8b208p+1 0x1.0434e79313406p+2 -0x1.1ba5e9fe7586fp+1
+0 0 0 0x1.386bd96665007p+2 0x1.9532b2b4b7340p+2 0x1.380372791c31bp-1
+0 0 1 0x1.c8d9c0e2b5d80p-4 0x1.4adab8f3e0ab0p-2 -0x1.6a871260d7bf5p+1
+0 0 1 0x1.b8ecbc81486c8p-2 0x1.b38820cbc1cefp-1 -0x1.0743c542450bbp+0
+0 0 1 0x1.807660ac2c442p+0 0x1.a5b3b55671ca8p+0 -0x1.4918a00a3805cp-1
+0 0 1 0x1.017866a77d6b2p+1 0x1.0d23c00a1e354p+1 -0x1.1e9e7e0e97978p+0
+0 0 1 0x1.7efe4f1b805b3p+1 0x1.8b97918fa08e6p+1 -0x1.f4e0ed134cf98p-2
+0 0 2 0x1.c484bda70567ep-1 0x1.202b861dacf39p+0 0x1.6a28923266075p-1
+0 0 2 0x1.c97f9b5348d40p+0 0x1.3c6feaf9a4a70p+1 0x1.00c64b857108dp+1
+0 0 7 0x1.947a7b839621cp-3 0x1.05cb1a4c097aap-2 -0x1.4b11871585821p+1
+0 0 7 0x1.f5b67cf1de442p-1 0x1.36fb51d91bf82p+1 0x1.380372791c31bp-1
+0 0 7 0x1.83aaf8df4f4f3p+1 0x1.021c7a32f557cp+2 -0x1.1ba5e9fe7586fp+1
+0 0 7 0x1.25fd0a35e0bcbp+2 0x1.2ea53785f2768p+2 0x1.ba21062bedbd5p-4
+0 0 7 0x1.44104f74b4337p+2 0x1.4777027b997a6p+2 0x1.94457dac0f62ap-3
+0 1 0 0x1.e02ce67c855d0p-5 0x1.cbd169457d70cp-2 0x1.9d42eb4226e0dp-4
+0 1 0 0x1.5ef237b0df293p-1 0x1.a51eee1d66354p+0 -0x1.1a303b4c8e627p+1
+0 1 0 0x1.37667ec35335cp+1 0x1.08bab39e92b22p+2 -0x1.e4f8ed321356fp+0
+0 1 1 0x1.f705f510f6848p-1 0x1.1c36266154318p+0 0x1.5faacb1c44a2fp+1
+0 1 1 0x1.b745f7527b516p+0 0x1.d4dddeb4906f8p+0 0x1.1364cd148d386p+1
+0 1 1 0x1.2d4143c122884p+1 0x1.efa9fcdbe0a54p+1 -0x1.5b9f29d221faap+1
+0 1 1 0x1.30da9491ffa3ap+2 0x1.3bd15bb701e2ap+2 -0x1.c7e678b920eddp+0
+0 1 2 0x1.6918c56365030p-3 0x1.4954639f2510cp-2 0x1.603381422f8c6p-1
+0 1 2 0x1.472fcfd9da3dfp-1 0x1.e1c3f2b9dddc6p+0 -0x1.ca82f7e66d366p-2
+0 1 2 0x1.0b22a2aedb47bp+1 0x1.15497eb602c3dp+1 0x1.d2f5d16ea78a1p+0
+0 1 7 0x1.d15ed5ebecc1cp-1 0x1.de553d3aed018p+0 -0x1.1a303b4c8e627p+1
+0 1 7 0x1.ee24ca136c390p+0 0x1.290bde9873b52p+1 0x1.9d42eb4226e0dp-4
+0 1 7 0x1.96a3547b9ad17p+1 0x1.38591e7ab6800p+2 -0x1.e4f8ed321356fp+0
+3 0 0 0x1.ea8c6c6a7c232p-2 0x1.3298f189ab9d2p-1 -0x1.993a5869c6523p+0
+3 0 0 0x1.84623e16332f7p-1 0x1.b82bfdeb89663p+0 0x1.594c599c6b17cp+0
+3 0 0 0x1.3a1c9eba9d337p+1 0x1.70eb4a8b064b1p+1 -0x1.cd3d401b3b7c9p+0
+3 0 0 0x1.7f78188f0a7a3p+1 0x1.8886a9bd38ec8p+1 -0x1.1eaf757fc027dp+1
+3 0 0 0x1.ba9a6daaf2cbcp+1 0x1.da3b436408d43p+1 0x1.6fc4331e25b3dp+1
+3 0 1 0x1.366a9ad196024p-2 0x1.0f87f9b29cb3dp-1 0x1.36c174be3fcd3p+0
+3 0 1 0x1.1f58786717c33p+0 0x1.72475f29abe3ep+0 -0x1.05946e204df37p+1
+3 0 2 0x1.1d84eeb18cae8p-1 0x1.acbf79a8c73adp-1 0x1.25f1f1d7cf5e4p+0
+3 0 2 0x1.5e9f68b69bd56p+0 0x1.7c689db0db16ep+0 0x1.aa7cba0f3d4c3p-1
+3 0 2 0x1.2aa7a6f677f37p+1 0x1.9cc33f42a078dp+1 -0x1.3f85946222810p+0
+3 0 2 0x1.c8878a58181c4p+1 0x1.377e1bde184c5p+2 0x1.a02c1889a0e52p-3
+3 0 2 0x1.38542c448ae5fp+2 0x1.3c925f56f9258p+2 0x1.16794b3f84dfbp+1
+3 0 7 0x1.9672b0fcf6febp-1 0x1.c134375eeb4ddp+0 0x1.594c599c6b17cp+0
+3 0 7 0x1.52e39394e9a58p+1 0x1.6238426a05086p+1 -0x1.993a5869c6523p+0
+3 0 7 0x1.9b68752bc03d0p+1 0x1.a4770659eeaf5p+1 -0x1.1eaf757fc027dp+1
+3 0 7 0x1.d0f0703ceec4ep+1 0x1.f09145f604cd5p+1 0x1.6fc4331e25b3dp+1
+3 0 7 0x1.00e503a7c1137p+2 0x1.1c4c598ff59f4p+2 -0x1.cd3d401b3b7c9p+0
+3 1 0 0x1.508d30ccaa0d4p-2 0x1.1b3f93b259f12p-1 -0x1.ddc01ae393652p-1
+3 1 0 0x1.1322c9bcba648p+0 0x1.403a6369723abp+0 0x1.15edf3fc4cde3p+0
+3 1 0 0x1.ffaa89194de3ap+0 0x1.1ece2b8fb6156p+1 0x1.697a4288518e4p+1
+3 1 0 0x1.6f5d4df08be84p+1 0x1.9e104271787aep+1 0x1.f80ed8ce29959p-4
+3 1 0 0x1.e91771550212ep+1 0x1.4f3858f8a9b30p+2 0x1.ca7062f0cd142p-1
+3 1 1 0x1.1a652d83661a0p-4 0x1.0259d06a4552ap+0 0x1.c3a748682807ep+0
+3 1 1 0x1.f92c629cdc32fp+0 0x1.12c99831927a3p+1 0x1.d8b1fb6b866f4p-1
+3 1 2 0x1.1dda47a362c5ep-1 0x1.44de1d93152cap+0 -0x1.cf5c57497ae63p-1
+3 1 2 0x1.1692e39b4484ep+1 0x1.253db10bf0298p+1 -0x1.2410dba43e286p+1
+3 1 2 0x1.333d950375fffp+1 0x1.44a79b503896cp+1 0x1.9cb640312183bp+0
+3 1 2 0x1.53ef76854e889p+1 0x1.70b6adafc2c32p+1 0x1.6c0ef9d449080p+0
+3 1 7 0x1.34ae862948da0p-1 0x1.a7a781754dc48p-1 -0x1.ddc01ae393652p-1
+3 1 7 0x1.c90498a161f9ep+0 0x1.133540d19d8f9p+1 0x1.f80ed8ce29959p-4
+3 1 7 0x1.57723cd11e35bp+1 0x1.6dfe09a77a20cp+1 0x1.15edf3fc4cde3p+0
+3 1 7 0x1.ce451a2ffcfd4p+1 0x1.ed3e01330c20dp+1 0x1.697a4288518e4p+1
+3 1 7 0x1.2d066484847d0p+2 0x1.87b304d2ad269p+2 0x1.ca7062f0cd142p-1
+4294967295 0 0 0x1.262df73ba3636p-2 0x1.990e084b9eb29p-2 -0x1.e521b8561e654p+0
+4294967295 0 1 0x1.1fce9e03b145cp-3 0x1.49d2360a25b56p-2 -0x1.6528a409ebd7bp+0
+4294967295 0 1 0x1.bf1b8d40da394p-1 0x1.ea5dbb6e08881p-1 -0x1.d4703c142e3cdp+0
+4294967295 0 1 0x1.2e15d6659f194p+0 0x1.f3dbb36de4312p+0 -0x1.0be7ff8880e7bp-1
+4294967295 0 2 0x1.b86e2fbea7328p-2 0x1.126723eca6d96p-1 0x1.d18d8f4ecb848p-2
+4294967295 0 2 0x1.102d6c696635dp+0 0x1.ba6b765dc1e20p+0 -0x1.69c609f47c249p+1
+4294967295 0 2 0x1.46c11e9512b0ep+1 0x1.c7297d8d995f2p+1 -0x1.248e93f3e29efp+1
+4294967295 0 2 0x1.223b5ab428db9p+2 0x1.3398602e433bfp+2 -0x1.aefecc8ec0771p+0
+4294967295 0 7 0x1.32e89d6f133afp-1 0x1.6c58a5f710e28p-1 -0x1.e521b8561e654p+0
+4294967295 1 0 0x1.3f2cfa88cca09p-1 0x1.087c2a1c80a76p+1 0x1.32f130c4e3c8cp+1
+4294967295 1 0 0x1.0aa4f1d66b6a4p+1 0x1.b922373187c96p+1 -0x1.0e5ac4e4242e0p-2
+4294967295 1 0 0x1.d754aacccc77fp+1 0x1.462b7a075bbc0p+2 0x1.79f4ecfeabe2dp+1
+4294967295 1 0 0x1.732fc52072ac4p+2 0x1.86617ff2e80a5p+2 0x1.18ace37a269f3p+1
+4294967295 1 1 0x1.a37bf8cc8dafdp-1 0x1.d5e9804db49e6p-1 -0x1.8fca7ce2bd720p+0
+4294967295 1 2 0x1.4d936d50755e0p-5 0x1.3c3d605b7dabep-1 -0x1.aa5648eedba6ep+0
+4294967295 1 2 0x1.40b0424142b5bp-1 0x1.433634b0ae638p+0 0x1.30b09ee016f69p+0
+4294967295 1 7 0x1.15abe60c93306p-2 0x1.a26584395d8a6p+0 -0x1.0e5ac4e4242e0p-2
+4294967295 1 7 0x1.b0462712a7045p+0 0x1.90d3ff03a1016p+1 0x1.32f130c4e3c8cp+1
+4294967295 1 7 0x1.d96d259af86b4p+1 0x1.ffd09b3fe3276p+1 0x1.18ace37a269f3p+1
+4294967295 1 7 0x1.06e703dd735bfp+2 0x1.6168287e68dc0p+2 0x1.79f4ecfeabe2dp+1
+4294967296 0 0 0x1.e02ce67c855d0p-5 0x1.cbd169457d70cp-2 0x1.9d42eb4226e0dp-4
+4294967296 0 0 0x1.5ef237b0df293p-1 0x1.a51eee1d66354p+0 -0x1.1a303b4c8e627p+1
+4294967296 0 0 0x1.37667ec35335cp+1 0x1.08bab39e92b22p+2 -0x1.e4f8ed321356fp+0
+4294967296 0 1 0x1.0938ccdc60266p-2 0x1.5e613d07ef0f9p-1 -0x1.eb3df442bbc68p+0
+4294967296 0 1 0x1.d4a144afd5f73p-1 0x1.62eef1e377289p+1 -0x1.05562a6033834p+0
+4294967296 0 1 0x1.dbe09173e6d86p+1 0x1.0a68cedcc7032p+2 0x1.743b37a61b374p+1
+4294967296 0 2 0x1.2294e19b037cap-1 0x1.4201f1e4df8f4p-1 -0x1.5c21ef59693f7p+0
+4294967296 0 7 0x1.9ec1d3e08eb80p-5 0x1.c113df92a8d2cp+0 -0x1.e4f8ed321356fp+0
+4294967296 0 7 0x1.5019efef907d2p+1 0x1.caecd9120bcd7p+1 -0x1.1a303b4c8e627p+1
+4294967296 0 7 0x1.e99a137f47398p+1 0x1.0dc9c68702691p+2 0x1.9d42eb4226e0dp-4
+4294967296 1 0 0x1.f705f510f6848p-1 0x1.1c36266154318p+0 0x1.5faacb1c44a2fp+1
+4294967296 1 0 0x1.b745f7527b516p+0 0x1.d4dddeb4906f8p+0 0x1.1364cd148d386p+1
+4294967296 1 0 0x1.2d4143c122884p+1 0x1.efa9fcdbe0a54p+1 -0x1.5b9f29d221faap+1
+4294967296 1 0 0x1.30da9491ffa3ap+2 0x1.3bd15bb701e2ap+2 -0x1.c7e678b920eddp+0
+4294967296 1 1 0x1.818550b93d7f0p-4 0x1.56396cb83f98fp-3 -0x1.8d0705379a141p+0
+4294967296 1 1 0x1.14ea86614958ap-2 0x1.6740bf2549453p-2 0x1.70ca712d15e25p-1
+4294967296 1 2 0x1.2ec2431d81264p-2 0x1.8cacb721ac120p-2 0x1.1d24efbe55928p+1
+4294967296 1 2 0x1.24730ebb3d671p+0 0x1.fe8535edc9d30p+0 0x1.4a564885110c7p+0
+4294967296 1 2 0x1.509f2f0ce5016p+1 0x1.6e2df05a62e1ap+1 0x1.257ae5f0e381cp+1
+4294967296 1 2 0x1.af92ca91946f7p+1 0x1.b78f4b9964d4fp+1 -0x1.263123d077197p-1
+4294967296 1 7 0x1.1ef82b6de2630p-3 0x1.3ee8880715218p-2 -0x1.c7e678b920eddp+0
+4294967296 1 7 0x1.1f72dbe412042p+0 0x1.402607bceaf36p+0 0x1.5faacb1c44a2fp+1
+4294967296 1 7 0x1.6f16dca8f7b02p+0 0x1.8caec40b0cce4p+0 0x1.1364cd148d386p+1
+4294967296 1 7 0x1.377ce56e39648p+1 0x1.f9e59e88f7818p+1 -0x1.5b9f29d221faap+1
+1099511627783 0 0 0x1.5958a8eb02697p-1 0x1.9affcfa877fbcp-1 0x1.855f6287f95a2p+0
+1099511627783 0 0 0x1.8aa4922a1e999p+0 0x1.a1374b49de516p+0 0x1.2841c9646f9fcp-3
+1099511627783 0 1 0x1.9ae18e9353bb3p-1 0x1.837d9128f748ep+0 -0x1.0e2534186b770p+1
+1099511627783 0 1 0x1.eefa68035f621p+0 0x1.6597bdac804b3p+1 -0x1.e48201dd733f8p-4
+1099511627783 0 2 0x1.052c1314e8100p-6 0x1.b977c25eac530p+0 0x1.d10f7003eb09ep-2
+1099511627783 0 7 0x1.16a35f110ca10p-3 0x1.0e9ffd0371752p-2 0x1.855f6287f95a2p+0
+1099511627783 0 7 0x1.408ec22a06794p+0 0x1.57217b49c6311p+0 0x1.2841c9646f9fcp-3
+1099511627783 1 0 0x1.89dd46c60589fp-1 0x1.c77bd489cc424p-1 0x1.128e0820cdeeep+0
+1099511627783 1 0 0x1.1b42cf3e48d05p+0 0x1.8a5f03a33bb68p+0 0x1.77636684a7877p+1
+1099511627783 1 0 0x1.d8551fb4b8968p+0 0x1.130db3f2859eep+1 0x1.a2b53f8d8b370p-1
+1099511627783 1 1 0x1.5bcc92e139106p-2 0x1.38c835cf5d1bcp-1 -0x1.8a8299c071d17p-1
+1099511627783 1 1 0x1.866842dac5b1ep-1 0x1.e257063d52634p-1 -0x1.1f4b080678007p+0
+1099511627783 1 1 0x1.ba82029059611p+0 0x1.e290080002e48p+0 0x1.1437a3c6bf503p+1
+1099511627783 1 1 0x1.29c6a92dff594p+1 0x1.7c1feb87ecf5ep+1 0x1.9d06802eb4899p-1
+1099511627783 1 2 0x1.5581dad9f7454p-1 0x1.ddef6bd5b2be0p-1 0x1.3acd4175a444bp+0
+1099511627783 1 2 0x1.099c2ec9ac9bdp+0 0x1.86d45861ad40bp+0 0x1.498404f771f6ap+1
+1099511627783 1 2 0x1.26862fc0be01dp+1 0x1.3830e65afa208p+1 -0x1.5d1952b049811p+0
+1099511627783 1 2 0x1.9446221420c44p+1 0x1.a23c78ec9f879p+1 0x1.6a430df3c864dp+0
+1099511627783 1 7 0x1.f7fc3dabd3528p-4 0x1.b518302c3f71ap-2 0x1.a2b53f8d8b370p-1
+1099511627783 1 7 0x1.b53cd5abfa030p-1 0x1.49ba9f3aefe7bp+0 0x1.77636684a7877p+1
+1099511627783 1 7 0x1.03f2614c5d036p+1 0x1.135a04bd4eb17p+1 0x1.128e0820cdeeep+0
+"""
+
+
+def test_random_step_and_partner_draws_are_pinned():
+    want = {}
+    for line in PINNED_DRAWS.strip().splitlines():
+        seed, trial, stream, *piece = line.split()
+        want.setdefault((int(seed), int(trial), int(stream)), []).append(tuple(piece))
+    got = {}
+    # Seeds below 2**32 and from it on, where numpy splits the seed in words.
+    for seed in (0, 3, 2**32 - 1, 2**32, 2**40 + 7):
+        cfg = TrialConfig(seed=seed, trials=2)
+        for trial in (0, 1):
+            draws = [random_step(cfg, trial, stream) for stream in (0, 1, 2)]
+            draws.append(_shuffled_partner(cfg, trial, draws[0]))
+            for stream, x in zip((0, 1, 2, 7), draws):
+                got[seed, trial, stream] = [tuple(map(float.hex, p)) for p in x.pieces]
+    assert got == want
 
 
 # ------------------------------------------------------------------ core suite

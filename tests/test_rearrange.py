@@ -36,6 +36,7 @@ from rifs import (
     scale,
     transport_pullback,
 )
+from rifs.rearrange import _eval_increasing
 from rifs.step import ARRAY_MIN_PIECES, MERGE_TOL
 
 # Piece counts reaching both sides of the list/array threshold.
@@ -230,6 +231,19 @@ def test_maximal_matches_integral_oracle():
             ts = np.geomspace(1e-3, 50.0, 200)
             assert np.allclose(c.eval_many(ts), _starstar_oracle(x, ts), rtol=1e-12, atol=1e-12)
             assert (c.breakpoints, c.coeffs) == _curve_reference(x)
+
+
+def test_eval_increasing_matches_eval():
+    # One forward pass gives eval's bits at increasing points: on the
+    # breakpoints, between them and past the support.
+    for max_pieces in SIZES:
+        cfg = TrialConfig(seed=23, trials=40, max_pieces=max_pieces)
+        for trial in range(cfg.trials):
+            c = maximal_curve(random_step(cfg, trial))
+            ts = sorted(set(c.breakpoints[1:]) | set(np.geomspace(1e-3, 500.0, 50).tolist()))
+            assert _eval_increasing(c, ts) == [c.eval(t) for t in ts]
+    zero = maximal_curve(StepFunction.zero())
+    assert _eval_increasing(zero, [0.5, 2.0]) == [zero.eval(0.5), zero.eval(2.0)]
 
 
 @st.composite

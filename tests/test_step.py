@@ -1,13 +1,14 @@
 """Step-function arithmetic: canonical form, piecewise algebra, JSON round trip."""
 
 import math
+import operator
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rifs import SchemaError, StepFunction, absolute, add, combine, indicator, maximum, minimum, scale
 from rifs.step import ARRAY_MIN_PIECES, MERGE_TOL, _settle, _settle_array
@@ -236,36 +237,26 @@ def test_value_lookups_match_scan(raw, ts):
 
 # ------------------------------------------- make on arrays, by list reference
 
-def _canonical_reference(pieces, alpha):
-    """The list canonicalization: check each piece in input order, sort by
-    start (stably), then settle the cells one by one."""
-    def close(a, b):
-        return abs(a - b) <= MERGE_TOL * max(1.0, abs(a), abs(b))
+def _close_reference(a, b):
+    return abs(a - b) <= MERGE_TOL * max(1.0, abs(a), abs(b))
 
-    cells = []
-    for t0, t1, v in pieces:
-        t0, t1, v = float(t0), float(t1), float(v)
-        if not (math.isfinite(t0) and math.isfinite(t1)):
-            raise SchemaError("piece endpoints and values must be finite")
-        if t0 < 0 and close(t0, 0.0):
-            t0 = 0.0
-        if t0 < 0:
-            raise SchemaError(f"piece starts before 0: {t0}")
-        cells.append((t0, t1, v))
-    cells.sort(key=lambda cell: cell[0])
+
+def _settle_reference(cells, alpha):
+    """The list settle loop: each cell against the last piece kept, by
+    ``_close_reference``."""
     out = []
     for t0, t1, v in cells:
         if not (math.isfinite(v) and math.isfinite(t1)):
             raise SchemaError("piece endpoints and values must be finite")
         if t1 > alpha:
-            if not close(t1, alpha):
+            if not _close_reference(t1, alpha):
                 raise SchemaError(f"piece ends beyond alpha={alpha}: {t1}")
             t1 = alpha
         if v == 0.0 or t1 - t0 <= MERGE_TOL * max(1.0, abs(t1)):
             continue
         if out:
             pt0, pt1, pv = out[-1]
-            if t0 == pt1 or close(t0, pt1):
+            if t0 == pt1 or _close_reference(t0, pt1):
                 t0 = pt1
                 if v == pv:
                     out[-1] = (pt0, t1, v)
@@ -274,6 +265,23 @@ def _canonical_reference(pieces, alpha):
                 raise SchemaError(f"pieces overlap near t={t0}")
         out.append((t0, t1, v))
     return tuple(out)
+
+
+def _canonical_reference(pieces, alpha):
+    """The list canonicalization: check each piece in input order, sort by
+    start (stably), then settle the cells one by one."""
+    cells = []
+    for t0, t1, v in pieces:
+        t0, t1, v = float(t0), float(t1), float(v)
+        if not (math.isfinite(t0) and math.isfinite(t1)):
+            raise SchemaError("piece endpoints and values must be finite")
+        if t0 < 0 and _close_reference(t0, 0.0):
+            t0 = 0.0
+        if t0 < 0:
+            raise SchemaError(f"piece starts before 0: {t0}")
+        cells.append((t0, t1, v))
+    cells.sort(key=lambda cell: cell[0])
+    return _settle_reference(cells, alpha)
 
 
 FAULTS = ("non-finite value", "non-finite end", "far negative start", "overlap")
@@ -355,3 +363,92 @@ def test_settle_array_matches_settle(drawn, width_tol):
 
     got = _settled_or_error(on_arrays, cells, alpha)
     assert got == _settled_or_error(lambda c, a: _settle(c, a, width_tol), cells, alpha)
+
+
+# ------------------------------------- list kernels at the tolerance edges
+
+def _pointwise_reference(op, x, y):
+    """The list sweep: merge both breakpoint lists, drop each one within
+    MERGE_TOL of the last kept by ``_close_reference``, read both operands
+    at the cell midpoints and settle."""
+    cuts = []
+    for t in sorted([t for f in (x, y) for p in f.pieces for t in p[:2]]):
+        if not cuts or not _close_reference(cuts[-1], t):
+            cuts.append(t)
+    mids = [0.5 * (a + b) for a, b in zip(cuts, cuts[1:])]
+    vals = [op(x.value_at(t), y.value_at(t)) for t in mids]
+    return _settle_reference(zip(cuts, cuts[1:], vals), x.alpha)
+
+
+def _past_tol(t, sign, ulps):
+    """``t + sign * MERGE_TOL * max(1, |t|)``, then ``ulps`` ulps further
+    right (left for ulps < 0): the two sides of the snap and width tests."""
+    u = t + sign * MERGE_TOL * max(1.0, abs(t))
+    for _ in range(abs(ulps)):
+        u = math.nextafter(u, math.copysign(math.inf, ulps))
+    return u
+
+
+edge_values = st.sampled_from([1.0, -1.0, 2.5, 0.0, 1e308, -1e308])
+
+
+@st.composite
+def edge_pieces(draw, ts):
+    """Pieces on consecutive breakpoints of ts, touching or with gaps; in some
+    inputs one non-finite value or an overlap."""
+    pieces = [[a, b, draw(edge_values)] for a, b in zip(ts, ts[1:]) if draw(st.integers(0, 3))]
+    if pieces and draw(st.integers(0, 4)) == 0:
+        piece = draw(st.sampled_from(pieces))
+        if draw(st.booleans()):
+            piece[2] = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+        else:
+            piece[0] -= 0.25
+    return [tuple(piece) for piece in pieces]
+
+
+@st.composite
+def edge_inputs(draw):
+    """Raw pieces of x and y, fewer than ARRAY_MIN_PIECES together, and alpha.
+    Each breakpoint of x repeats the last one, lies 0.25 past it, or lies
+    MERGE_TOL * max(1, t) from it give or take up to 3 ulps; x starts at or
+    just left of 0, near 0.5, or just left of 1, so its ends also fall within
+    and beyond MERGE_TOL of alpha = 1.  Each breakpoint of y sits on one of
+    x, or at the same tolerance edge from it on either side."""
+    alpha = draw(st.sampled_from([1.0, math.inf]))
+    ulps = st.integers(-3, 3)
+    ts = [draw(st.sampled_from([0.0, -0.0, -1e-12, 0.5, 1.0 - 3e-12, 1.0 - 1e-12]))]
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["edge", "edge", "edge", "duplicate", "wide"]))
+        if kind == "duplicate":
+            ts.append(ts[-1])
+        elif kind == "wide":
+            ts.append(ts[-1] + 0.25)
+        else:
+            ts.append(_past_tol(ts[-1], 1.0, draw(ulps)))
+    us = [t if draw(st.booleans()) else _past_tol(t, draw(st.sampled_from([1.0, -1.0])), draw(ulps))
+          for t in ts]
+    x, y = draw(edge_pieces(ts)), draw(edge_pieces(sorted(us)))
+    assume(len(x) + len(y) < ARRAY_MIN_PIECES)
+    return x, y, alpha
+
+
+@settings(deadline=None, max_examples=400)
+@given(edge_inputs())
+@example(([(0.0, 1e-12, 1.0)], [(1e-12, 1.0, 2.0)], math.inf))
+@example(([(0.0, 1.0 + 1e-12, 1.0)], [(0.0, 1.0 + 1.5e-12, 1.0)], 1.0))
+def test_list_kernels_match_close_reference(drawn):
+    # make, add, maximum and minimum below ARRAY_MIN_PIECES decide their snap,
+    # width and cut tests without _close: their pieces, bit for bit, or their
+    # SchemaError, message included, are the _close-based reference's.
+    x_raw, y_raw, alpha = drawn
+    for raw in (x_raw, y_raw):
+        got = _settled_or_error(lambda p, a: StepFunction.make(p, a).pieces, raw, alpha)
+        assert got == _settled_or_error(_canonical_reference, raw, alpha)
+    try:
+        x, y = StepFunction.make(x_raw, alpha), StepFunction.make(y_raw, alpha)
+    except SchemaError:
+        return
+    for fn, op in ((add, operator.add), (maximum, max), (minimum, min)):
+        for a, b in ((x, y), (y, x)):
+            got = _settled_or_error(lambda a, b: fn(a, b).pieces, a, b)
+            assert got == _settled_or_error(lambda a, b: _pointwise_reference(op, a, b), a, b)
