@@ -111,11 +111,17 @@ class ProjectionResult:
 class _HullObjective:
     """``theta -> || x - sum theta_i a_i ||`` on the common cells of x and the
     members: the one table a hull request works on, which owns the cells, the
-    values on them and the point settled from them.  Every evaluation goes
-    through ``residual_norm``, the space's norm of the function with value
-    ``vals[k]`` on cell k, bound once to the cells, and every cut and gap
-    through ``subgradient``, the space's subgradient there (None where the
-    space has none)."""
+    values on them and the point settled from them.  The space binds its
+    kernels to the cells once (``SpaceHandle._cell_kernels``): every
+    evaluation goes through ``residual_norm``, the space's norm of the
+    function with value ``vals[k]`` on cell k, every cut and gap through
+    ``subgradient``, the space's subgradient there (None where the space has
+    none), and ``gram`` holds its Hilbert weights (None where it is not a
+    Hilbert norm).
+
+    Each point theta costs one residual ``x - theta . M``, shared by its
+    value, gap and cut: ``last`` keeps the last theta evaluated with its
+    residual, matched by identity, so it lives as long as the request."""
 
     def __init__(self, x: StepFunction, members: tuple[StepFunction, ...],
                  space: SpaceHandle):
@@ -126,13 +132,14 @@ class _HullObjective:
         edges = sorted({t for f in (x, *members) for p in f.pieces for t in p[:2]})
         mids = [0.5 * (a + b) for a, b in zip(edges, edges[1:])]
         self.alpha = x.alpha
-        self.lo, self.hi = np.array(edges[:-1]), np.array(edges[1:])
-        self.residual_norm = space._cell_norm(self.lo, self.hi)
-        self.subgradient = space._cell_subgradient(self.lo, self.hi)
+        table = np.array(edges)
+        self.lo, self.hi = table[:-1], table[1:]
+        self.residual_norm, self.subgradient, self.gram = space._cell_kernels(self.lo, self.hi)
         # One forward walk per function gives the values of ``values(mids)``.
-        self.xv = np.array(_walk(x.pieces, mids))
-        self.member_vals = np.array([_walk(m.pieces, mids) for m in members])
+        vals = np.array([_walk(f.pieces, mids) for f in (x, *members)])
+        self.xv, self.member_vals = vals[0], vals[1:]
         self.cuts: list[tuple[tuple[float, ...], float, list[float]]] = []
+        self.last = (None, None)
 
     def point(self, theta) -> StepFunction:
         """``sum theta_i a_i`` settled from the cells.  Each cell sums
@@ -144,8 +151,13 @@ class _HullObjective:
         return StepFunction(self.alpha, _settle(cells, self.alpha))
 
     def residual(self, theta) -> np.ndarray:
-        """``x - sum theta_i a_i`` on the common cells."""
-        return self.xv - np.asarray(theta) @ self.member_vals
+        """``x - sum theta_i a_i`` on the common cells, formed once for the
+        last theta (see ``last``)."""
+        last, r = self.last
+        if theta is not last:
+            r = self.xv - np.asarray(theta) @ self.member_vals
+            self.last = theta, r
+        return r
 
     def __call__(self, theta) -> float:
         return self.residual_norm(self.residual(theta))
@@ -213,15 +225,15 @@ def project_hull(x: StepFunction, A: CandidateSet, space: SpaceHandle,
     at most tol, the vertex is the answer.  Otherwise the space's kind picks
     the route.
 
-    A Hilbert norm (``_cell_gram``: an Orlicz power psi with p = 2) makes the
-    objective's square a quadratic over the simplex, with the Gram matrix
-    ``G = D diag(w) D^T`` of the rows ``D = a_i - x`` on the cells, each
-    scaled by a power of two so that G neither overflows nor goes subnormal.
-    Wolfe's minimum-norm point (:class:`optimize._MinNormPoint`) solves it
-    from the best vertex in finitely many corral steps, and each iterate's
-    norm is evaluated on the cells; members off the final corral get exactly
-    0.0.  The best iterate is certified by the library's gap there, never by
-    G.
+    A Hilbert norm (``_HullObjective.gram``: an Orlicz power psi with p = 2)
+    makes the objective's square a quadratic over the simplex, with the Gram
+    matrix ``G = D diag(w) D^T`` of the rows ``D = a_i - x`` on the cells,
+    each scaled by a power of two so that G neither overflows nor goes
+    subnormal.  Wolfe's minimum-norm point (:class:`optimize._MinNormPoint`)
+    solves it from the best vertex in finitely many corral steps, and each
+    iterate's norm is evaluated on the cells; members off the final corral
+    get exactly 0.0.  The best iterate is certified by the library's gap
+    there, never by G.
 
     A kinked norm (``_kinked``: Lambda, Gamma, and an Orlicz psi with
     psi'(0) > 0 or a piecewise-linear psi) goes straight to cutting planes,
@@ -267,13 +279,17 @@ def project_hull(x: StepFunction, A: CandidateSet, space: SpaceHandle,
         raise SchemaError("hull projection is desk-scale: at most 12 members")
 
     objective = _HullObjective(x, members, space)
+    M = objective.member_vals
     line_tol = max(1e-3 * tol, 2.0 ** -26)
     with np.errstate(over="ignore"):  # |x|^p may overflow; the power form rescales
-        # theta @ M at a vertex is the member's row exactly: the objective's values.
-        vertex_vals = [objective.residual_norm(objective.xv - m) for m in objective.member_vals]
+        # theta @ M at a vertex is the member's row exactly, so the rows of R
+        # are the vertices' residuals.
+        R = objective.xv - M
+        vertex_vals = [objective.residual_norm(r) for r in R]
         best_vertex = min(range(n), key=lambda i: vertex_vals[i])
-        vertices = [[1.0 if j == i else 0.0 for j in range(n)] for i in range(n)]
-        theta, val = vertices[best_vertex], vertex_vals[best_vertex]
+        theta, val = [0.0] * n, vertex_vals[best_vertex]
+        theta[best_vertex] = 1.0
+        objective.last = theta, R[best_vertex]
         trace = [(tuple(theta), val)]
         searches = 0
 
@@ -323,21 +339,23 @@ def project_hull(x: StepFunction, A: CandidateSet, space: SpaceHandle,
             return improved
 
         gap = objective.gap(theta, val)
-        gram = space._cell_gram(objective.lo, objective.hi) if gap > tol else None
-        M = objective.member_vals
-        if gram is not None:
-            # Powers of two keep G's entries normal whatever the scale of x.
-            D = M - objective.xv
-            D = np.ldexp(D, -math.frexp(np.abs(D).max())[1])
-            gram = np.ldexp(gram, -math.frexp(gram.max())[1])
-            wolfe = _MinNormPoint(((D * gram) @ D.T).tolist(), best_vertex)
+        if gap > tol and objective.gram is not None:
+            # G = D diag(w) D^T for D = M - x = -R: negating both factors of
+            # each product leaves G's bits.  Powers of two keep its entries
+            # normal whatever the scale of x.
+            rows = np.ldexp(R, -math.frexp(np.abs(R).max())[1])
+            gram = np.ldexp(objective.gram, -math.frexp(objective.gram.max())[1])
+            wolfe = _MinNormPoint(((rows * gram) @ rows.T).tolist(), best_vertex)
             while (j := wolfe.entering()) is not None:
                 visit(wolfe.add(j))
             gap = objective.gap(theta, val)
         elif space._kinked and tol < gap < math.inf:
             # The best vertex's cut came with its gap.
-            for vertex, vertex_val in zip(vertices, vertex_vals):
-                if vertex is not theta:
+            for i, (vertex_val, r) in enumerate(zip(vertex_vals, R)):
+                if i != best_vertex:
+                    vertex = [0.0] * n
+                    vertex[i] = 1.0
+                    objective.last = vertex, r
                     objective.cut(vertex, vertex_val)
         else:
             edges = [(((i, 1.0), (j, -1.0)), M[i] - M[j])

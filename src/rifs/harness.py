@@ -374,9 +374,11 @@ def _flat_gamma_seed_pairs(space: SpaceHandle) -> list[tuple[StepFunction, StepF
                 x = add(indicator(0.0, u0, 1.0, space.alpha),
                         indicator(u0, u1, 0.5, space.alpha))
             pairs.append((x, y, f"seed-flat-weight-[{u0},{u1})"))
-    # The classical L^1 pair: equal mass, different rearrangements.
-    pairs.append((indicator(0.0, 2.0, 1.0, space.alpha),
-                  indicator(0.0, 1.0, 2.0, space.alpha), "seed-equal-mass"))
+    # The classical L^1 pair: equal mass, different rearrangements; on (0, 1)
+    # the same pair scaled by a quarter in length, to fit the domain.
+    end = 2.0 if math.isinf(space.alpha) else 0.5
+    pairs.append((indicator(0.0, end, 1.0, space.alpha),
+                  indicator(0.0, 0.5 * end, 2.0, space.alpha), "seed-equal-mass"))
     return pairs
 
 

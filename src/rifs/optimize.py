@@ -29,6 +29,7 @@ them by name, and for the tests.  Both stop at a bracket width of
 from __future__ import annotations
 
 import math
+from operator import mul
 from typing import Callable
 
 from .errors import SchemaError
@@ -374,7 +375,7 @@ def _affine_minimizer(G, S) -> list[float] | None:
     for i, si in enumerate(S):
         row: list[float] = []
         for j in range(i + 1):
-            v = 1.0 + G[si][S[j]] - sum(a * b for a, b in zip(row, L[j] if j < i else row))
+            v = 1.0 + G[si][S[j]] - sum(map(mul, row, L[j] if j < i else row))
             if j < i:
                 row.append(v / L[j][j])
             elif v > 0.0:
@@ -385,7 +386,7 @@ def _affine_minimizer(G, S) -> list[float] | None:
     k = len(S)
     y: list[float] = []
     for i in range(k):
-        y.append((1.0 - sum(a * b for a, b in zip(L[i], y))) / L[i][i])
+        y.append((1.0 - sum(map(mul, L[i], y))) / L[i][i])
     z = [0.0] * k
     for i in reversed(range(k)):
         z[i] = (y[i] - sum(L[m][i] * z[m] for m in range(i + 1, k))) / L[i][i]
@@ -419,8 +420,8 @@ class _MinNormPoint:
     def entering(self) -> int | None:
         """The point to add next, or None where X is the minimum."""
         G, S, lam = self.G, self.corral, self.lam
-        dots = [sum(l * G[s][j] for s, l in zip(S, lam)) for j in range(len(G))]
-        norm2 = sum(l * dots[s] for s, l in zip(S, lam))
+        dots = [sum(map(mul, lam, column)) for column in zip(*(G[s] for s in S))]
+        norm2 = sum(map(mul, lam, [dots[s] for s in S]))
         j = min(range(len(G)), key=dots.__getitem__)
         if norm2 - dots[j] <= self.tol or j in S or not norm2 < self.last:
             return None

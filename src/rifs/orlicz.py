@@ -285,17 +285,7 @@ def _norm_on_cells(widths: np.ndarray, mags: np.ndarray, psi: OrliczSpec,
     (:func:`_amemiya_kink_walk`), and a smooth psi a Newton solve of g = 1.
     """
     if flavor == "luxemburg" and psi.family == "power":
-        # Inline rather than through psi_many: its errstate guard costs as much
-        # as the whole closed form, and hull line searches call this per step.
-        total = psi.coef * float(np.dot(widths, mags ** psi.p))
-        if _TINY <= total < math.inf:
-            return total ** (1.0 / psi.p)
-        # |x|^p overflowed or underflowed (or x = 0): rescale by sup|x|.
-        if not mags.any():
-            return 0.0
-        top = float(mags.max())
-        total = psi.coef * float(np.dot(widths, (mags / top) ** psi.p))
-        return top * total ** (1.0 / psi.p)
+        return _power_luxemburg(widths, psi.coef, psi.p)(mags)
     if not mags.any():
         return 0.0
     top = float(mags.max())
@@ -308,6 +298,32 @@ def _norm_on_cells(widths: np.ndarray, mags: np.ndarray, psi: OrliczSpec,
     if psi._kinks is not None:
         return top / _luxemburg_kink_walk(widths, unit, psi, lo, hi)
     return top / _luxemburg_newton(widths, unit, psi, lo, hi)
+
+
+def _power_luxemburg(widths: np.ndarray, coef: float, p: float):
+    """``vals -> ||x||``, the Luxemburg norm of a power psi = coef |u|^p in
+    closed form, ``(coef sum w |v|^p)^(1/p)``, for the function x with value
+    ``vals[i]`` on a cell of width ``widths[i]``, bound to the widths.  Where
+    the sum overflows or underflows (or x = 0) it is taken for x / sup|x|
+    and scaled back.  For p = 2 the powers are ``v * v``, which is
+    ``|v| ** 2`` exactly.  Written out rather than through psi_many: its
+    errstate guard costs as much as the whole closed form, and hull line
+    searches call this per step."""
+    root = 1.0 / p
+
+    def total(v: np.ndarray) -> float:
+        return coef * float(np.dot(widths, v * v if p == 2.0 else np.abs(v) ** p))
+
+    def luxemburg(vals: np.ndarray) -> float:
+        t = total(vals)
+        if _TINY <= t < math.inf:
+            return t ** root
+        if not vals.any():
+            return 0.0
+        top = float(np.abs(vals).max())
+        return top * total(vals / top) ** root
+
+    return luxemburg
 
 
 def _luxemburg_bracket(widths, unit, psi) -> tuple[float, float]:
@@ -469,6 +485,11 @@ def _luxemburg_subgradient(widths: np.ndarray, vals: np.ndarray, lam: float,
     ``T vals / sup|vals|``, so lam = sup|vals| / T), the ball's face there is
     ``|u_k| <= T`` at an argmax cell k, and g is the sup-norm subgradient
     ``sign(vals_k) / T`` at k, 0 elsewhere.
+
+    For a power psi, psi' is ``psi_slope_many``'s expression written out,
+    without its errstate guard: ``coef w |v|^p <= 1`` on every cell at
+    ``v = vals / lam``, so ``|v|^(p-1) <= (coef w)^((1-p)/p)`` overflows
+    only where ``coef w`` lies below the smallest normal float.
     """
     mags = np.abs(vals)
     if not psi.finite_valued:
@@ -478,7 +499,12 @@ def _luxemburg_subgradient(widths: np.ndarray, vals: np.ndarray, lam: float,
             g = np.zeros(len(vals))
             g[k] = np.sign(vals[k]) / end
             return g
-    d = widths * psi.psi_slope_many(mags / lam) * np.sign(vals)
+    u = mags / lam
+    if psi.family == "power":  # u ** 1.0 is u: skipped for p = 2
+        slopes = psi.coef * psi.p * (u if psi.p == 2.0 else u ** (psi.p - 1.0))
+    else:
+        slopes = psi.psi_slope_many(u)
+    d = widths * slopes * np.sign(vals)
     return (lam / float(np.dot(d, vals))) * d
 
 

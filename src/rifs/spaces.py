@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DivergentIntegralError, SchemaError, require_alpha, require_exponent
 from .orlicz import (OrliczSpec, _amemiya_subgradient, _luxemburg_subgradient, _norm_on_cells,
-                     luxemburg_norm, orlicz_norm)
+                     _power_luxemburg, luxemburg_norm, orlicz_norm)
 from .rearrange import MaximalCurve, maximal_curve, rearrange
 from .step import ARRAY_MIN_PIECES, StepFunction, _settle, indicator
 from .weights import (_BINOMIAL, WeightPiece, WeightSpec, _cell_walk, _quadrature, exponent_shift,
@@ -316,6 +316,22 @@ class SpaceHandle:
             raise SchemaError("Orlicz flavor must be 'luxemburg' or 'orlicz'")
         return _Orlicz(float(alpha), psi, flavor)
 
+    def _cell_kernels(self, lo: np.ndarray, hi: np.ndarray):
+        """``(norm, subgradient, gram)`` bound once to a table of cells, for
+        the function f with value ``vals[k]`` on the cell ``(lo[k], hi[k])``.
+        ``norm`` maps vals to ||f||; ``subgradient`` maps ``(vals, ||f||)`` to
+        a subgradient g of the norm at f, ``||u|| >= ||f|| + <g, u - vals>``
+        for every u (None where the space has none); ``gram`` holds the
+        weights w with ``||f||^2 = sum_k w_k vals[k]^2`` where the norm is a
+        Hilbert norm, and is None elsewhere.  Each kind supplies its own."""
+        raise NotImplementedError
+
+    def _cell_norm(self, lo: np.ndarray, hi: np.ndarray):
+        return self._cell_kernels(lo, hi)[0]
+
+    def _cell_subgradient(self, lo: np.ndarray, hi: np.ndarray):
+        return self._cell_kernels(lo, hi)[1]
+
     def _json(self, kind: str, **rest) -> dict:
         return {"kind": kind, "alpha": "inf" if math.isinf(self.alpha) else "1", **rest}
 
@@ -345,28 +361,33 @@ class _Lorentz(SpaceHandle):
     def _norm(self, x: StepFunction) -> float:
         return (gamma_norm if self.over_curve else lambda_norm)(x, self.p, self.weight)
 
-    def _cell_norm(self, lo: np.ndarray, hi: np.ndarray):
-        cells = list(zip(lo.tolist(), hi.tolist()))  # vals -> norm of the step function formed
-        return lambda vals: norm(self, StepFunction(self.alpha, tuple(
-            (a, b, v) for (a, b), v in zip(cells, vals.tolist()) if v != 0.0)))
+    def _cell_kernels(self, lo: np.ndarray, hi: np.ndarray):
+        """The norm on the cells (:meth:`SpaceHandle._cell_kernels`) goes
+        through the step function with value ``vals[k]`` on cell k.  The
+        subgradient is None where the norm is not known to be convex: p < 1,
+        and Lambda over a weight that ``WeightSpec.nonincreasing`` does not
+        confirm (Lambda is a norm exactly for a nonincreasing weight).  No
+        Gram weights: the hull takes Lambda and Gamma as kinked
+        (:attr:`_kinked`), not as Hilbert norms, even at a constant weight
+        where Lambda_2 is L2.
 
-    def _cell_subgradient(self, lo: np.ndarray, hi: np.ndarray):
-        """``(vals, norm) -> g``, a subgradient of the norm at the function with
-        value ``vals[k]`` on cell k, or None where the norm is not known to be
-        convex: p < 1, and Lambda over a weight that ``WeightSpec.nonincreasing``
-        does not confirm (Lambda is a norm exactly for a nonincreasing weight).
-
-        The cells are laid out as x* in a stable descending order of |vals|,
-        cell k from ``tau_k`` on.  Read in that order, the function's x* and x**
-        are a convex minorant of the norm, differentiable in |vals| and
-        touching it at vals (at ties any such order does), so their gradient,
-        with sign(0) = 0, is a subgradient.  Lambda:
-        ``g_k = N^(1-p) |v_k|^(p-1) sign(v_k) (W(tau_k + w_k) - W(tau_k))``;
+        For the subgradient the cells are laid out as x* in a stable
+        descending order of |vals|, cell k from ``tau_k`` on.  Read in that
+        order, the function's x* and x** are a convex minorant of the norm,
+        differentiable in |vals| and touching it at vals (at ties any such
+        order does), so their gradient, with sign(0) = 0, is a subgradient.
+        Lambda: ``g_k = N^(1-p) |v_k|^(p-1) sign(v_k) (W(tau_k + w_k) - W(tau_k))``;
         Gamma: ``g_k = N^(1-p) sign(v_k)`` times :func:`_gamma_slopes`.
         """
+        cells = list(zip(lo.tolist(), hi.tolist()))
+
+        def norm_of(vals: np.ndarray) -> float:
+            return norm(self, StepFunction(self.alpha, tuple(
+                (a, b, v) for (a, b), v in zip(cells, vals.tolist()) if v != 0.0)))
+
         p, w, over_curve = self.p, self.weight, self.over_curve
         if p < 1.0 or not (over_curve or w.nonincreasing()):
-            return None
+            return norm_of, None, None
         widths = hi - lo
 
         def subgradient(vals: np.ndarray, value: float) -> np.ndarray:
@@ -385,12 +406,7 @@ class _Lorentz(SpaceHandle):
             g[order] = value ** (1.0 - p) * slopes * np.sign(vals[order])
             return g
 
-        return subgradient
-
-    def _cell_gram(self, lo: np.ndarray, hi: np.ndarray) -> None:
-        """None: the hull takes Lambda and Gamma as kinked (:attr:`_kinked`),
-        not as Hilbert norms, even at a constant weight where Lambda_2 is L2."""
-        return None
+        return norm_of, subgradient, None
 
     # x* reorders the cells where two values of |f| tie, so both norms have
     # kinks there.
@@ -435,30 +451,28 @@ class _Orlicz(SpaceHandle):
     def _norm(self, x: StepFunction) -> float:
         return (luxemburg_norm if self.flavor == "luxemburg" else orlicz_norm)(x, self.orlicz)
 
-    def _cell_norm(self, lo: np.ndarray, hi: np.ndarray):
+    def _cell_kernels(self, lo: np.ndarray, hi: np.ndarray):
+        """The norm, subgradient and Gram weights on the cells
+        (:meth:`SpaceHandle._cell_kernels`), on the widths ``hi - lo``.
+
+        The Luxemburg norm of a power psi is its closed form bound to the
+        widths (:func:`orlicz._power_luxemburg`), every other norm
+        :func:`orlicz._norm_on_cells`.  The subgradient is
+        :func:`orlicz._luxemburg_subgradient` or
+        :func:`orlicz._amemiya_subgradient`, whose None, for the Amemiya norm
+        of a smooth psi, marks a solve that ends off the stationary point.
+        The norm is a Hilbert norm for a power psi with p = 2, with the
+        weights ``coef`` times the widths (Luxemburg) and 4 ``coef`` times
+        them (Amemiya, twice the Luxemburg norm)."""
         widths, psi, flavor = hi - lo, self.orlicz, self.flavor
-        return lambda vals: _norm_on_cells(widths, np.abs(vals), psi, flavor)
-
-    def _cell_subgradient(self, lo: np.ndarray, hi: np.ndarray):
-        """``(vals, norm) -> g``, a subgradient of the norm at the function with
-        value ``vals[k]`` on cell k (see :func:`orlicz._luxemburg_subgradient`
-        and :func:`orlicz._amemiya_subgradient`); None for the Amemiya norm of
-        a smooth psi where its solve ends off the stationary point."""
-        widths, psi = hi - lo, self.orlicz
-        if self.flavor == "luxemburg":
-            return lambda vals, value: _luxemburg_subgradient(widths, vals, value, psi)
-        return lambda vals, value: _amemiya_subgradient(widths, vals, psi)
-
-    def _cell_gram(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
-        """The weights w with ``||f||^2 = sum_k w_k f_k^2`` for the function
-        with value ``f_k`` on cell k, where the norm is a Hilbert norm: for a
-        power psi with p = 2, ``coef`` times the widths (Luxemburg) and 4
-        ``coef`` times them (Amemiya, twice the Luxemburg norm).  None
-        elsewhere."""
-        psi = self.orlicz
-        if psi.family != "power" or psi.p != 2.0:
-            return None
-        return (psi.coef if self.flavor == "luxemburg" else 4.0 * psi.coef) * (hi - lo)
+        luxemburg, power = flavor == "luxemburg", psi.family == "power"
+        norm_of = (_power_luxemburg(widths, psi.coef, psi.p) if luxemburg and power else
+                   lambda vals: _norm_on_cells(widths, np.abs(vals), psi, flavor))
+        subgradient = ((lambda vals, value: _luxemburg_subgradient(widths, vals, value, psi))
+                       if luxemburg else lambda vals, value: _amemiya_subgradient(widths, vals, psi))
+        gram = ((psi.coef if luxemburg else 4.0 * psi.coef) * widths
+                if power and psi.p == 2.0 else None)
+        return norm_of, subgradient, gram
 
     @property
     def _kinked(self) -> bool:

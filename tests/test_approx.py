@@ -650,6 +650,24 @@ def test_hull_point_and_iterates_match_step_function_algebra():
     assert zero_coefficients > 0
 
 
+def test_hull_gap_after_another_point_matches_a_fresh_table():
+    """The table keeps one residual, for the last point evaluated: a gap at
+    an earlier point forms its own again and equals a fresh table's gap, cut
+    included, bit for bit."""
+    x = StepFunction.make([(0.0, 1.0, 1.0), (1.5, 3.0, -0.5)])
+    members = (indicator(0, 2), indicator(0.5, 1.5, 2.0), StepFunction.make([(1, 3, -1.0)]))
+    for space in (L2, SpaceHandle.orlicz_space(OrliczSpec.power(3)),
+                  SpaceHandle.orlicz_space(OrliczSpec.power(2), "orlicz")):
+        theta1, theta2 = [0.2, 0.3, 0.5], [0.5, 0.25, 0.25]
+        objective = _HullObjective(x, members, space)
+        val1, val2 = objective(theta1), objective(theta2)
+        gap = objective.gap(theta1, val1)
+        fresh = _HullObjective(x, members, space)
+        assert (fresh(theta1), _HullObjective(x, members, space)(theta2)) == (val1, val2)
+        assert gap.hex() == fresh.gap(theta1, val1).hex()
+        assert objective.cuts == fresh.cuts
+
+
 def test_hull_point_across_breakpoints_closer_than_merge_tol():
     """x's second piece starts 5e-13 before the members meet at 1, and make
     snaps it to x's first end.  The add/scale chain never sees x's cut and

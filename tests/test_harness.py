@@ -357,3 +357,16 @@ def test_skm_l1_violation_via_equal_mass_seed():
     rep = skm_probe(L1, TrialConfig(seed=113, trials=10))
     assert rep.verdict == "violation"
     assert any(v["origin"] == "seed-equal-mass" for v in rep.violations)
+
+
+def test_skm_probe_runs_on_the_unit_interval():
+    """On (0, 1) the equal-mass seed pair is 1 on (0, 0.5) against 2 on
+    (0, 0.25): it fits the domain, and in L^1 it is a violation."""
+    for space in (SpaceHandle.orlicz_space(OrliczSpec.power(2), alpha=1.0),
+                  SpaceHandle.lorentz_gamma(2.0, WeightSpec.power(-0.5, end=1.0), alpha=1.0)):
+        assert skm_probe(space, TrialConfig(seed=113, trials=5)).verdict == "no-violation-found"
+    rep = skm_probe(SpaceHandle.orlicz_space(OrliczSpec.power(1), alpha=1.0),
+                    TrialConfig(seed=113, trials=5))
+    wit = next(v for v in rep.violations if v["origin"] == "seed-equal-mass")
+    assert StepFunction.from_json(wit["x"]).pieces == ((0.0, 0.5, 1.0),)
+    assert StepFunction.from_json(wit["y"]).pieces == ((0.0, 0.25, 2.0),)

@@ -35,6 +35,7 @@ from rifs import (
     rearrange,
     scale,
 )
+from rifs import orlicz
 from rifs.quadrature import integrate_cells
 from rifs.step import ARRAY_MIN_PIECES
 from rifs.weights import power_log_integral
@@ -560,6 +561,38 @@ def test_amemiya_subgradient_is_none_where_the_solve_misses_the_stationary_point
             elif g is not None:
                 # u = 0 and u = 2v: by homogeneity <g, v> = N(v) on the nose.
                 assert abs(float(np.dot(g, v)) - value) <= 1e-12 * value, (p, width)
+
+
+def test_power_cell_kernels_match_the_norm_on_cells_bit_for_bit():
+    """The power family's cell norm, bound once to a table, is
+    ``_norm_on_cells`` of the widths and |v|, and its Luxemburg subgradient is
+    ``lam d / <d, v>`` with ``d = w psi'(|v| / lam) sign(v)``, bit for bit.
+    The scales 2^-600 and 2^600 take the closed form's rescale fallback."""
+    rng = np.random.default_rng(33)
+    for p in (1.0, 1.5, 2.0, 3.0):
+        for coef in (1.0, 0.3):
+            psi = OrliczSpec.power(p, coef)
+            for flavor in ("luxemburg", "orlicz"):
+                space = SpaceHandle.orlicz_space(psi, flavor)
+                for _ in range(20):
+                    n = int(rng.integers(1, 26))
+                    edges = np.concatenate(([0.0], np.cumsum(rng.uniform(0.01, 2.0, n))))
+                    lo, hi = edges[:-1], edges[1:]
+                    v = rng.uniform(0.1, 3.0, n) * rng.choice([-1.0, 0.0, 1.0], n)
+                    v[int(rng.integers(n))] = 1.5
+                    norm_of, subgradient = space._cell_norm(lo, hi), space._cell_subgradient(lo, hi)
+                    for k in (-600, 0, 600):
+                        vals = np.ldexp(v, k)
+                        # The guard project_hull holds: |v|^p may overflow.
+                        with np.errstate(over="ignore", divide="raise", invalid="raise"):
+                            value = norm_of(vals)
+                            assert value == orlicz._norm_on_cells(hi - lo, np.abs(vals), psi, flavor)
+                            if flavor != "luxemburg":
+                                continue
+                            g = subgradient(vals, value)
+                            d = (hi - lo) * psi.psi_slope_many(np.abs(vals) / value) * np.sign(vals)
+                        assert math.isfinite(value) and value > 0.0, (p, coef, k)
+                        assert g.tobytes() == ((value / float(np.dot(d, vals))) * d).tobytes()
 
 
 def test_cell_subgradient_is_none_where_the_norm_is_not_known_convex():
