@@ -64,7 +64,7 @@ from .rearrange import (
     transport_pullback,
 )
 from .spaces import SpaceHandle, fundamental_function, gamma_norm, lambda_norm, norm
-from .step import StepFunction, absolute, add, combine, indicator, maximum, minimum, scale
-from .weights import WeightSpec, in_D_p, weight_W, weight_W_infinity, weight_Wp
+from .step import StepFunction, absolute, add, indicator, maximum, minimum, scale
+from .weights import WeightSpec, in_D_p
 
 __version__ = "0.1.0"

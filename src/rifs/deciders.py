@@ -6,8 +6,8 @@ weight formulas.
 
 Every decider returns a :class:`Verdict`: status, a witness for failure, and
 the probe log it examined.  Exact, from exponents and closed forms: Delta2,
-N at zero, KOC, phi(inf) = inf when a_psi = 0, d = lim phi(t)/t, the
-divergence of W and W_p integrals, and doubling of W.  Still sampled: the
+N at zero, KOC, phi(inf) = inf when a_psi = 0, the L^1 limit d of phi(t)/t,
+the divergence of W and W_p integrals, and doubling of W.  Still sampled: the
 plateau 1/a_psi > 0 of phi on 1e0..1e8 (else inconclusive), A of RB_p on
 1e-8..1e8, the dual weight's boundary head exponent.  Logged samples (phi/t,
 V on [1, 1e6]) decide nothing."""
@@ -162,15 +162,18 @@ def phi_decades(space: SpaceHandle) -> tuple[list[float], list[float]]:
 
 
 def l1_embedding_limit(space: SpaceHandle) -> float:
-    """Analytic ``d = lim phi(t)/t`` as t -> inf (alpha = inf only)."""
+    """Analytic ``d``, the smaller of the limits of ``phi(t)/t`` as t -> 0 and
+    as t -> inf (alpha = inf only); on a concave phi it is the one at inf."""
     return space._l1_limit()
 
 
 def embeds_in_L1(space: SpaceHandle) -> Verdict:
     """Is the space continuously embedded in L^1[0, inf)?
 
-    Embedded iff ``d = lim phi(t)/t > 0``.  The probe log carries phi(t)/t
-    samples and the associate-side fundamental function t/phi(t).
+    Embedded iff ``d > 0``, d the smaller limit of phi(t)/t at 0 and at inf
+    (:func:`l1_embedding_limit`): ``||chi_(0,t)||_1 / ||chi_(0,t)|| = t/phi(t)``
+    must stay bounded at both ends.  The probe log carries phi(t)/t samples
+    and the associate-side fundamental function t/phi(t).
     """
     if not math.isinf(space.alpha):
         raise SchemaError("embeds_in_L1 applies to alpha = inf")
@@ -387,6 +390,14 @@ def rbp_check(p: float, w: WeightSpec) -> Verdict:
     """
     _require_p_and_infinite_domain("rbp_check", p, w)
     require_D_p(w, p, math.inf)
+    # RB_p and A do not change under w -> lambda w: sample on w scaled by the
+    # power of two that brings its largest c into [0.5, 1), so that W and W_p
+    # neither underflow nor overflow where w's own scale would make them.
+    # Where that would flush a smaller c to 0, w is sampled as given.
+    shift = -math.frexp(max(pc.c for pc in w.pieces))[1]
+    if all(math.ldexp(pc.c, shift) > 0.0 for pc in w.pieces if pc.c > 0.0):
+        w = WeightSpec.make([(pc.t0, pc.t1, math.ldexp(pc.c, shift), pc.a, pc.b)
+                             for pc in w.pieces])
     tail = w.tail
     log: dict = {"grid": [float(PROBE_GRID[0]), float(PROBE_GRID[-1]), len(PROBE_GRID)]}
 

@@ -21,7 +21,7 @@ from .errors import SchemaError, _require_count
 from .orlicz import OrliczSpec
 from .rearrange import (_eval_increasing, distribution, equimeasurable, hlp_dominates, maximal_curve,
                         rearrange)
-from .spaces import SpaceHandle, fundamental_function, norm
+from .spaces import SpaceHandle, _Lorentz, fundamental_function, norm
 from .step import StepFunction, _walk, add, indicator, scale
 from .weights import WeightSpec
 
@@ -261,7 +261,7 @@ def dukm_sequence_run(space: SpaceHandle, n_max: int) -> list[dict]:
 
 
 def fundamental_limits(space: SpaceHandle) -> dict:
-    """Divergence verdicts for phi(inf) and lim phi(t)/t on [0, inf)."""
+    """Divergence verdicts for phi(inf) and the L^1 limit d of phi(t)/t on [0, inf)."""
     if not math.isinf(space.alpha):
         raise SchemaError("fundamental_limits applies to alpha = inf")
     ts, phis = phi_decades(space)
@@ -291,8 +291,7 @@ def rotundity_probe(space: SpaceHandle, dim_grid: int, cfg: TrialConfig) -> Prob
     Deterministic seed pairs (disjoint and nested indicators) run before the
     random search; a local hill climb then refines the best random pair.
     """
-    if dim_grid < 2:
-        raise SchemaError("rotundity probe needs at least 2 grid cells")
+    _require_count("dim_grid", dim_grid, 2)
     h = 1.0 / dim_grid if space.alpha == 1.0 else 1.0
     nrm = _grid_space_norm(space, h)
     tol = cfg.tolerance
@@ -360,9 +359,9 @@ def rotundity_probe(space: SpaceHandle, dim_grid: int, cfg: TrialConfig) -> Prob
                        tuple(violations), log)
 
 
-def _flat_gamma_seed_pairs(space: SpaceHandle) -> list[tuple[StepFunction, StepFunction, str]]:
+def _flat_weight_seed_pairs(space: SpaceHandle) -> list[tuple[StepFunction, StepFunction, str]]:
     pairs = []
-    if getattr(space, "over_curve", False):
+    if isinstance(space, _Lorentz):
         for (u0, u1) in space.weight.flat_intervals():
             if math.isinf(u1):
                 continue
@@ -386,7 +385,7 @@ def skm_probe(space: SpaceHandle, cfg: TrialConfig) -> ProbeReport:
     """Search for x < y with x* != y* and equal norms (a strict-K-monotonicity
     violation witness).
 
-    Seeded families run first: the flat-weight construction for the x**-based
+    Seeded families run first: the flat-weight construction for either
     Lorentz space with a vanishing weight piece, and the classical equal-mass
     pair that works in L^1.  Random trials then mix a rearranged draw with its
     average over the support, which always sits below it in the K-order.
@@ -404,7 +403,7 @@ def skm_probe(space: SpaceHandle, cfg: TrialConfig) -> ProbeReport:
             violations.append({"origin": origin, "norm_x": nx, "norm_y": ny,
                                "x": x.to_json(), "y": y.to_json(), "seed": cfg.seed})
 
-    for x, y, tag in _flat_gamma_seed_pairs(space):
+    for x, y, tag in _flat_weight_seed_pairs(space):
         check_pair(x, y, tag)
 
     for trial in range(cfg.trials):

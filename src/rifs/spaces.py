@@ -29,7 +29,7 @@ from .orlicz import (OrliczSpec, _amemiya_subgradient, _luxemburg_subgradient, _
 from .rearrange import MaximalCurve, maximal_curve, rearrange
 from .step import ARRAY_MIN_PIECES, StepFunction, _settle, indicator
 from .weights import (_BINOMIAL, WeightPiece, WeightSpec, _cell_walk, _quadrature, exponent_shift,
-                      power_log_integral, require_D_p, tail_integral_diverges)
+                      power_log_integral, require_D_p)
 
 
 def _require_weight_domain(w: WeightSpec, alpha: float) -> None:
@@ -287,6 +287,22 @@ def gamma_norm(x: StepFunction, p: float, w: WeightSpec, method: str = "auto") -
     return _homogeneous_root(x, p, integral)
 
 
+def _phi_over_t_limit(pc: WeightPiece, p: float, at_zero: bool) -> float:
+    """The limit of ``(W(t)/t^p)^(1/p)`` at 0, pc the first piece of w, or at
+    infinity, pc its tail.  ``t^e``, e = a + 1 - p, decides; at e = 0, where
+    a + 1 = p > 0 and ``W(t) = c t^p log(e+t)^b / (a+1) (1 + o(1))``, the log
+    factor does, and it tends to 1 at 0.  At infinity a <= -1 leaves W
+    bounded or a log power, and at 0 it makes W infinite: e < 0 gives both."""
+    e, b = exponent_shift(pc.a, p) + 1.0, pc.b
+    if at_zero:
+        e, b = -e, 0.0
+    if pc.c == 0.0 or e < 0.0 or (e == 0.0 and b < 0.0):
+        return 0.0
+    if e > 0.0 or b > 0.0:
+        return math.inf
+    return (pc.c / (pc.a + 1.0)) ** (1.0 / p)
+
+
 @dataclass(frozen=True)
 class SpaceHandle:
     """A space on (0, alpha); a private subclass per kind carries its behaviour."""
@@ -325,12 +341,6 @@ class SpaceHandle:
         weights w with ``||f||^2 = sum_k w_k vals[k]^2`` where the norm is a
         Hilbert norm, and is None elsewhere.  Each kind supplies its own."""
         raise NotImplementedError
-
-    def _cell_norm(self, lo: np.ndarray, hi: np.ndarray):
-        return self._cell_kernels(lo, hi)[0]
-
-    def _cell_subgradient(self, lo: np.ndarray, hi: np.ndarray):
-        return self._cell_kernels(lo, hi)[1]
 
     def _json(self, kind: str, **rest) -> dict:
         return {"kind": kind, "alpha": "inf" if math.isinf(self.alpha) else "1", **rest}
@@ -422,16 +432,12 @@ class _Lorentz(SpaceHandle):
 
     def _l1_limit(self) -> float:
         # d = 0 over x**: under D_p, W(t)/t^p and W_p(t)/t^p vanish at infinity.
-        # Over x*, d^p = lim W(t)/t^p from the tail exponents.
-        tail = self.weight.tail
-        if self.over_curve or tail.c == 0.0 or not tail_integral_diverges(tail.a, tail.b):
+        # Over x*, phi(t)/t = (W(t)/t^p)^(1/p), and d is the smaller of its
+        # limits at 0 and at infinity.
+        if self.over_curve:
             return 0.0
-        exp = exponent_shift(tail.a, self.p) + 1.0
-        if exp > 0.0 or (exp == 0.0 and tail.b > 0.0):
-            return math.inf
-        if exp == 0.0 and tail.b == 0.0:
-            return (tail.c / (tail.a + 1.0)) ** (1.0 / self.p)
-        return 0.0
+        w, p = self.weight, self.p
+        return min(_phi_over_t_limit(w.pieces[0], p, True), _phi_over_t_limit(w.tail, p, False))
 
     def describe(self) -> str:
         return f"{'Gamma' if self.over_curve else 'Lambda'}(p={self.p})"

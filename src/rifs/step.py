@@ -269,6 +269,8 @@ class StepFunction:
         return sorted(set(bps))
 
     def approx_equal(self, other: "StepFunction", tol: float = MERGE_TOL) -> bool:
+        if not 0.0 <= tol < math.inf:
+            raise SchemaError(f"approx_equal needs 0 <= tol < inf, got {tol}")
         if self.alpha != other.alpha or len(self.pieces) != len(other.pieces):
             return False
         for (a0, a1, av), (b0, b1, bv) in zip(self.pieces, other.pieces):
@@ -382,15 +384,3 @@ def maximum(x: StepFunction, y: StepFunction) -> StepFunction:
 
 def minimum(x: StepFunction, y: StepFunction) -> StepFunction:
     return _pointwise(x, y, min, np.minimum)
-
-
-_COMBINE = {"add": add, "scale": scale, "abs": absolute, "max": maximum, "min": minimum}
-
-
-def combine(op: str, *args) -> StepFunction:
-    """Dispatch piecewise algebra by name: add, scale, abs, max, min."""
-    try:
-        fn = _COMBINE[op]
-    except KeyError:
-        raise SchemaError(f"unknown combine op {op!r}") from None
-    return fn(*args)

@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DivergentIntegralError, SchemaError, WeightDomainError, require_exponent
+from .errors import SchemaError, WeightDomainError, require_exponent
 from .quadrature import integrate, integrate_cells, integrate_to_infinity
 
 _EDGE_TOL = 1e-12
@@ -303,10 +303,15 @@ class WeightSpec:
         for lo >= hi, inf when it diverges."""
         if math.isnan(lo) or math.isnan(hi):
             raise SchemaError("weight integral needs points lo and hi, got nan")
+        if not math.isfinite(p):
+            raise SchemaError(f"weight integral needs a finite exponent p, got {p}")
         return _cell_walk(self, 0.0, p, (lo,), (hi,), (0.0,), (1.0,))[1][0]
 
     def W(self, t: float) -> float:
-        """``W(t) = integral_0^t w``; inf when w is not integrable at 0."""
+        """``W(t) = integral_0^t w`` for 0 < t <= domain end; inf when w is not
+        integrable at 0."""
+        if not (0.0 < t <= self.domain_end):
+            raise SchemaError(f"t={t} outside weight domain (0, {self.domain_end}]")
         return self.integral(0.0, t)
 
     def W_infinity(self) -> float:
@@ -317,7 +322,11 @@ class WeightSpec:
         return self.integral(s, self.domain_end, p_exp)
 
     def Wp(self, p_exp: float, s: float) -> float:
-        """``W_p(s) = s^p * integral_s^end t^(-p) w``; inf when divergent."""
+        """``W_p(s) = s^p * integral_s^end t^(-p) w`` for 0 < s < domain end
+        (or s = end = 1); inf when divergent."""
+        require_exponent("WeightSpec.Wp", p_exp)
+        if not (0.0 < s < self.domain_end) and not (s == self.domain_end == 1.0):
+            raise SchemaError(f"s={s} outside weight domain (0, {self.domain_end})")
         tail = self.wp_tail_integral(p_exp, s)
         return math.inf if math.isinf(tail) else s ** p_exp * tail
 
@@ -325,10 +334,6 @@ class WeightSpec:
         """Is ``integral_0^t w(s) s^(-p) ds`` infinite for every t > 0?"""
         first = self.pieces[0]
         return first.c > 0 and origin_integral_diverges(exponent_shift(first.a, p_exp))
-
-    def strictly_increasing_W(self) -> bool:
-        """W strictly increasing, i.e. no piece with c = 0."""
-        return all(p.c > 0 for p in self.pieces)
 
     def nonincreasing(self) -> bool:
         """Is w known to be nonincreasing on its domain?  A piece
@@ -370,30 +375,6 @@ class WeightSpec:
             return cls.make(pieces)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"bad weight JSON: {exc}") from exc
-
-
-def weight_W(w: WeightSpec, t: float) -> float:
-    """W(t) for 0 < t <= domain end; raises outside the domain."""
-    if not (0.0 < t <= w.domain_end):
-        raise SchemaError(f"t={t} outside weight domain (0, {w.domain_end}]")
-    return w.W(t)
-
-
-def weight_W_infinity(w: WeightSpec) -> float:
-    return w.W_infinity()
-
-
-def weight_Wp(w: WeightSpec, p: float, s: float) -> float:
-    """W_p(s); raises DivergentIntegralError when the defining integral diverges."""
-    require_exponent("weight_Wp", p)
-    if not (0.0 < s < w.domain_end) and not (s == w.domain_end == 1.0):
-        raise SchemaError(f"s={s} outside weight domain (0, {w.domain_end})")
-    out = w.Wp(p, s)
-    if math.isinf(out):
-        raise DivergentIntegralError(
-            f"W_p(s) diverges for s={s}: tail exponent violates the D_p condition"
-        )
-    return out
 
 
 def in_D_p(w: WeightSpec, p: float, alpha: float) -> bool:

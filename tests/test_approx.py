@@ -668,6 +668,23 @@ def test_hull_gap_after_another_point_matches_a_fresh_table():
         assert objective.cuts == fresh.cuts
 
 
+def test_hull_on_a_space_with_no_subgradient():
+    """Lambda over w = t^0.5 on (0, 1), t^-2 beyond is no norm (w increases
+    at first), so its cells have no subgradient: no cut exists and the gap
+    is inf.  The search still ends at a point of the hull no worse than any
+    vertex."""
+    w = WeightSpec.make([(0, 1, 1, 0.5, 0), (1, "inf", 1, -2, 0)])
+    space = SpaceHandle.lorentz_lambda(2.0, w)
+    x = StepFunction.make([(0.0, 1.0, 1.0), (1.5, 3.0, -0.5)])
+    A = _members(indicator(0, 2), indicator(0.5, 1.5, 2.0), StepFunction.make([(1, 3, -1.0)]),
+                 hull=True)
+    r = project_hull(x, A, space)
+    best = r.minimizers[0]
+    assert best.gap == math.inf
+    assert all(r.distance <= norm(space, add(x, scale(m, -1.0))) for m in A.members)
+    assert best.point == _combination_oracle(A.members, best.coefficients)
+
+
 def test_hull_point_across_breakpoints_closer_than_merge_tol():
     """x's second piece starts 5e-13 before the members meet at 1, and make
     snaps it to x's first end.  The add/scale chain never sees x's cut and

@@ -29,7 +29,6 @@ from rifs import (
     lambda_associate_weight,
     orlicz_koc_decider,
     rbp_check,
-    weight_W_infinity,
 )
 from rifs.deciders import l1_embedding_limit, phi_infinity
 
@@ -261,6 +260,26 @@ def test_lambda_l1_limit_on_the_boundary_tail_matches_phi_over_t():
         assert d == pytest.approx(fundamental_function(space, 1e8) / 1e8, rel=1e-12), (p, a)
 
 
+def test_embeds_l1_lambda_reads_the_origin_too():
+    """||chi_(0,t)||_1 / ||chi_(0,t)|| = t / phi(t) must stay bounded at both
+    ends.  L^(1/2) (Lambda_(1/2) of w = 1) has phi(t)/t = t and Lambda_2 of
+    w = t^1.5 has phi(t)/t = (2/5)^(1/2) t^(1/4): both tend to inf at inf and
+    to 0 at 0, so neither embeds in L^1."""
+    for p, w in ((0.5, WeightSpec.constant()), (2.0, WeightSpec.power(1.5))):
+        space = SpaceHandle.lorentz_lambda(p, w)
+        assert l1_embedding_limit(space) == 0.0, p
+        v = embeds_in_L1(space)
+        assert v.status == "fails" and v.witness == {"d": 0.0}, p
+    # A head exponent a + 1 - p < 0 leaves the tail's limit: w = t^-0.5 on
+    # (0, 1), then 1 beyond, in Lambda_1 has phi(t)/t -> 2/sqrt(t) at 0 and
+    # 1 at inf.
+    w = WeightSpec.make([(0, 1, 1, -0.5, 0), (1, INF, 1, 0, 0)])
+    assert l1_embedding_limit(SpaceHandle.lorentz_lambda(1.0, w)) == 1.0
+    # a + 1 - p = 0 at both ends: the smaller coefficient, here the head's.
+    w = WeightSpec.make([(0, 1, 0.5, 0, 0), (1, INF, 1, 0, 0)])
+    assert l1_embedding_limit(SpaceHandle.lorentz_lambda(1.0, w)) == 0.5
+
+
 def test_embeds_l1_requires_infinite_domain():
     with pytest.raises(SchemaError):
         embeds_in_L1(SpaceHandle.orlicz_space(POWER1, alpha=1.0))
@@ -325,6 +344,15 @@ def test_reflexive_numeric_probe_does_not_overflow_near_p_one():
     assert math.isfinite(v.probe_log["V_numeric_1_to_1e6"])
 
 
+def test_reflexive_log_tail_a_equal_minus_one():
+    """Tail a = -1, b >= -1: W ~ log^(b+1) diverges and dominates W_p, so
+    v ~ t^(p'-1) log^(b - (b+1) p'), here t^1 log^-1.5 at p = 2: V diverges."""
+    w = WeightSpec.make([(0, 1, 1, -0.5, 0), (1, INF, 1, -1.0, -0.5)])
+    v = gamma_reflexive_decider(2.0, w)
+    assert v.holds
+    assert v.probe_log["V_tail"] == {"t_exponent": 1.0, "log_exponent": -1.5, "diverges": True}
+
+
 def test_reflexive_validates_p():
     with pytest.raises(SchemaError):
         gamma_reflexive_decider(1.0, W_HALF)
@@ -369,7 +397,7 @@ def test_associate_weight_unit():
     v = lambda_associate_weight(2.0, WeightSpec.constant())
     for t in np.geomspace(1e-5, 1e5, 40):
         assert v.value(float(t)) == pytest.approx(1.0, abs=1e-9)
-    assert math.isinf(weight_W_infinity(v))
+    assert math.isinf(v.W_infinity())
 
 
 def test_associate_weight_sqrt_law():
@@ -377,7 +405,7 @@ def test_associate_weight_sqrt_law():
     v = lambda_associate_weight(2.0, W_HALF)
     for t in np.geomspace(1e-4, 1e4, 40):
         assert v.value(float(t)) == pytest.approx(math.sqrt(t) / 4.0, rel=1e-9)
-    assert math.isinf(weight_W_infinity(v))
+    assert math.isinf(v.W_infinity())
 
 
 def test_associate_weight_head_inside_a_first_piece_ending_at_the_grid_start():
@@ -464,6 +492,21 @@ def test_rbp_exact_ratios():
     assert v.holds and v.witness["A"] == pytest.approx(1.0, abs=1e-6)
 
 
+def test_rbp_verdict_does_not_depend_on_the_scale_of_w():
+    """RB_p and A are the same for w and lambda w.  At c = 1e-320, W_p
+    underflowed to 0 at t = 1e-8 ("W_p vanishes"); at c = 1e-310 A read
+    3.1139."""
+    ref = rbp_check(2.0, WeightSpec.make([(0, INF, 1.0, -0.5, 0)])).to_dict()
+    assert ref["status"] == "holds"
+    for j in range(-1074, 1001):
+        got = rbp_check(2.0, WeightSpec.make([(0, INF, math.ldexp(1.0, j), -0.5, 0)]))
+        assert got.status == ref["status"], j
+        assert got.witness["A"].hex() == ref["witness"]["A"].hex(), j
+    # c 2^1993 apart: no shift keeps both normal, and w is sampled as given.
+    w = WeightSpec.make([(0, 1, 1e300, -0.5, 0), (1, INF, 1e-300, -0.5, 0)])
+    assert rbp_check(2.0, w).status == "holds"
+
+
 def test_rbp_fails_when_weight_concentrates_near_zero():
     w = WeightSpec.make([(0, 1, 1, 0, 0), (1, INF, 0, 0, 0)])
     v = rbp_check(2.0, w)
@@ -483,7 +526,7 @@ def test_dual_weight_unit():
     v = gamma_dual_weight(2.0, WeightSpec.constant())
     for t in np.geomspace(1e-5, 1e5, 40):
         assert v.value(float(t)) == pytest.approx(1.0, abs=1e-6)
-    assert math.isinf(weight_W_infinity(v))
+    assert math.isinf(v.W_infinity())
 
 
 def test_dual_weight_sqrt_law():
@@ -520,7 +563,7 @@ def test_dual_weight_v_infinity_confirmed():
     for w in (WeightSpec.constant(), W_HALF):
         g_far = w.wp_tail_integral(2.0, 1e9)
         assert g_far ** (-1.0) > 1e6
-        assert math.isinf(weight_W_infinity(gamma_dual_weight(2.0, w)))
+        assert math.isinf(gamma_dual_weight(2.0, w).W_infinity())
 
 
 def test_dual_weight_hypothesis_failures():

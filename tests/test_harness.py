@@ -17,6 +17,7 @@ from rifs import (
     fundamental_limits,
     gamma_norm,
     hlp_dominates,
+    norm,
     random_step,
     rearrange,
     rotundity_probe,
@@ -346,6 +347,22 @@ def test_skm_flat_weight_seeded_pair():
     assert hlp_dominates(x, y)
     assert not rearrange(x).approx_equal(rearrange(y))
     assert gamma_norm(x, 2.0, W_FLAT) == pytest.approx(gamma_norm(y, 2.0, W_FLAT), abs=1e-9)
+
+
+def test_skm_flat_weight_seeded_pair_in_lambda():
+    """The same pair is a witness in Lambda: w = 0 on (1, 3) gives
+    ||x||^p = W(1) = W(2) = ||y||^p for x = chi(0,1) + chi(1,3)/2 against
+    y = chi(0,2)."""
+    space = SpaceHandle.lorentz_lambda(2.0, W_FLAT)
+    rep = skm_probe(space, TrialConfig(seed=9, trials=10))
+    assert rep.verdict == "violation"
+    wit = next(v for v in rep.violations if v["origin"] == "seed-flat-weight-[1.0,3.0)")
+    x = StepFunction.from_json(wit["x"])
+    y = StepFunction.from_json(wit["y"])
+    assert x.pieces == ((0.0, 1.0, 1.0), (1.0, 3.0, 0.5)) and y.pieces == ((0.0, 2.0, 1.0),)
+    assert hlp_dominates(x, y)
+    assert not rearrange(x).approx_equal(rearrange(y))
+    assert norm(space, x) == norm(space, y) == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
 
 def test_skm_strict_weight_no_random_violation():

@@ -480,6 +480,9 @@ SUBGRADIENT_SPACES = [
     SpaceHandle.orlicz_space(OrliczSpec.power(3), flavor="orlicz"),
     SpaceHandle.orlicz_space(OrliczSpec.exp_minus_one(), flavor="orlicz"),
     SpaceHandle.orlicz_space(OrliczSpec.shifted_power(1.0, 2.0), flavor="orlicz"),
+    # Both take the Amemiya infimum as s -> inf (psi linear beyond its last point).
+    SpaceHandle.orlicz_space(OrliczSpec.power(1), flavor="orlicz"),
+    SpaceHandle.orlicz_space(OrliczSpec.table([(1, 0.5)]), flavor="orlicz"),
 ] + [make(p, w) for make in (SpaceHandle.lorentz_lambda, SpaceHandle.lorentz_gamma)
      for p in (1.5, 2.0, 3.0) for w in (WeightSpec.power(-0.5), W_CUT)] + [
     make(p, W_LOG_TAIL) for make in (SpaceHandle.lorentz_lambda, SpaceHandle.lorentz_gamma)
@@ -513,8 +516,7 @@ def test_cell_subgradient_is_a_subgradient(space, drawn):
     the norm is differentiable around v and g must match its central
     differences."""
     lo, hi, v, us = drawn
-    norm_of = space._cell_norm(lo, hi)
-    subgradient = space._cell_subgradient(lo, hi)
+    norm_of, subgradient, _ = space._cell_kernels(lo, hi)
     value = norm_of(v)
     g = subgradient(v, value)
     for u in us + [0.0 * v, 2.0 * v, -v] + [np.where(np.arange(len(v)) == k, -v, v) for k in range(len(v))]:
@@ -537,9 +539,9 @@ def test_gamma_subgradient_on_a_log_tail_near_a_zero_cell():
     v, u = np.array([0.0, 1.0]), np.array([5.8e-47, 1.0])
     for p in (1.5, 2.0):
         space = SpaceHandle.lorentz_gamma(p, W_LOG_TAIL)
-        norm_of = space._cell_norm(lo, hi)
+        norm_of, subgradient, _ = space._cell_kernels(lo, hi)
         value = norm_of(v)
-        g = space._cell_subgradient(lo, hi)(v, value)
+        g = subgradient(v, value)
         nu = norm_of(u)
         assert nu >= value + float(np.dot(g, u - v)) - 1e-12 * max(1.0, nu), p
 
@@ -554,8 +556,9 @@ def test_amemiya_subgradient_is_none_where_the_solve_misses_the_stationary_point
         space = SpaceHandle.orlicz_space(OrliczSpec.shifted_power(1.0, p), flavor="orlicz")
         for width in (1e3, 1e6, 1e9, 1e12, 1e15):
             lo, hi = np.array([0.0, width]), np.array([width, width + 1.0])
-            value = space._cell_norm(lo, hi)(v)
-            g = space._cell_subgradient(lo, hi)(v, value)
+            norm_of, subgradient, _ = space._cell_kernels(lo, hi)
+            value = norm_of(v)
+            g = subgradient(v, value)
             if width >= 1e9:
                 assert g is None, (p, width)
             elif g is not None:
@@ -580,7 +583,7 @@ def test_power_cell_kernels_match_the_norm_on_cells_bit_for_bit():
                     lo, hi = edges[:-1], edges[1:]
                     v = rng.uniform(0.1, 3.0, n) * rng.choice([-1.0, 0.0, 1.0], n)
                     v[int(rng.integers(n))] = 1.5
-                    norm_of, subgradient = space._cell_norm(lo, hi), space._cell_subgradient(lo, hi)
+                    norm_of, subgradient, _ = space._cell_kernels(lo, hi)
                     for k in (-600, 0, 600):
                         vals = np.ldexp(v, k)
                         # The guard project_hull holds: |v|^p may overflow.
@@ -598,11 +601,11 @@ def test_power_cell_kernels_match_the_norm_on_cells_bit_for_bit():
 def test_cell_subgradient_is_none_where_the_norm_is_not_known_convex():
     lo, hi = np.array([0.0, 1.0]), np.array([1.0, 3.0])
     half = WeightSpec.power(-0.5)
-    assert SpaceHandle.lorentz_lambda(0.5, half)._cell_subgradient(lo, hi) is None
-    assert SpaceHandle.lorentz_gamma(0.5, WeightSpec.power(-0.8))._cell_subgradient(lo, hi) is None
+    assert SpaceHandle.lorentz_lambda(0.5, half)._cell_kernels(lo, hi)[1] is None
+    assert SpaceHandle.lorentz_gamma(0.5, WeightSpec.power(-0.8))._cell_kernels(lo, hi)[1] is None
     # t^(1/2) increases, so Lambda over it is no norm; a step up at t = 1 likewise.
-    assert SpaceHandle.lorentz_lambda(2.0, WeightSpec.power(0.5))._cell_subgradient(lo, hi) is None
+    assert SpaceHandle.lorentz_lambda(2.0, WeightSpec.power(0.5))._cell_kernels(lo, hi)[1] is None
     step_up = WeightSpec.make([(0, 1, 1, -0.5, 0), (1, "inf", 2, -0.5, 0)])
-    assert SpaceHandle.lorentz_lambda(2.0, step_up)._cell_subgradient(lo, hi) is None
+    assert SpaceHandle.lorentz_lambda(2.0, step_up)._cell_kernels(lo, hi)[1] is None
     assert SpaceHandle.lorentz_gamma(2.0, WeightSpec.power(0.5, end=1.0), alpha=1.0) \
-        ._cell_subgradient(lo, hi) is not None
+        ._cell_kernels(lo, hi)[1] is not None

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from rifs import SchemaError, StepFunction, absolute, add, combine, indicator, maximum, minimum, scale
+from rifs import SchemaError, StepFunction, absolute, add, indicator, maximum, minimum, scale
 from rifs.step import ARRAY_MIN_PIECES, MERGE_TOL, _settle, _settle_array
 
 
@@ -96,12 +96,6 @@ def test_max_min_against_implicit_zero():
     y = StepFunction.make([(0.5, 1.5, 1.0)])
     assert maximum(x, y).pieces == ((0.5, 1.5, 1.0),)
     assert minimum(x, y).pieces == ((0.0, 1.0, -2.0),)
-
-
-def test_combine_dispatch_and_unknown_op():
-    assert combine("add", indicator(0, 1), indicator(0, 1)).pieces == ((0.0, 1.0, 2.0),)
-    with pytest.raises(SchemaError):
-        combine("convolve", indicator(0, 1), indicator(0, 1))
 
 
 def test_mixed_domains_rejected():

@@ -27,7 +27,7 @@ from rifs import (
     minimizing_sequence,
     norm,
     project_hull,
-    weight_Wp,
+    rotundity_probe,
     young_conjugate,
 )
 from rifs.optimize import brent_min
@@ -54,7 +54,7 @@ ROWS = {
     "lambda-space-p-nan": lambda: norm(SpaceHandle.lorentz_lambda(NAN, W), X),
     "gamma-space-p-nan": lambda: SpaceHandle.lorentz_gamma(NAN, W),
     "in-D-p-nan": lambda: in_D_p(W, NAN, INF),
-    "weight-Wp-p-nan": lambda: weight_Wp(W, NAN, 1.0),
+    "weight-Wp-p-nan": lambda: W.Wp(NAN, 1.0),
     "gamma-norm-p-nan": lambda: gamma_norm(X, NAN, W),
     "gamma-norm-p-inf": lambda: gamma_norm(X, INF, W),
     "gamma-norm-method-exact": lambda: gamma_norm(X, 2, W, method="exact"),
@@ -115,6 +115,20 @@ ROWS = {
     "weight-integral-lo-nan": lambda: W.integral(NAN, 1.0),
     "weight-wp-tail-integral-nan": lambda: W.wp_tail_integral(2.0, NAN),
     "weight-Wp-s-nan": lambda: W.Wp(2.0, NAN),
+    # Each of these returned a number: 1.0, inf, nan, 0.0 and nan.
+    "weight-W-beyond-domain": lambda: WeightSpec.constant(end=1.0).W(2.0),
+    "weight-Wp-s-zero": lambda: W.Wp(2.0, 0.0),
+    "weight-integral-p-nan": lambda: W.integral(1.0, 2.0, NAN),
+    "weight-integral-p-inf": lambda: W.integral(1.0, 2.0, INF),
+    "weight-wp-tail-integral-p-nan": lambda: W.wp_tail_integral(NAN, 1.0),
+    # True for 1 against 2 on (0, 1) at tol = nan; x unequal to itself at tol < 0.
+    "approx-equal-tol-nan": lambda: indicator(0, 1).approx_equal(indicator(0, 1, 2.0), tol=NAN),
+    "approx-equal-tol-negative": lambda: X.approx_equal(X, tol=-1.0),
+    # numpy's TypeError from np.eye.
+    "rotundity-dim-grid-fractional": lambda: rotundity_probe(
+        SpaceHandle.orlicz_space(OrliczSpec.power(2)), 2.5, TrialConfig(trials=1)),
+    "rotundity-dim-grid-nan": lambda: rotundity_probe(
+        SpaceHandle.orlicz_space(OrliczSpec.power(2)), NAN, TrialConfig(trials=1)),
     "psi-power-nan": lambda: OrliczSpec.power(2).psi(NAN),
     "psi-table-nan": lambda: OrliczSpec.table([(1, 1), (2, 3)]).psi(NAN),
     # f = (t - 0.3)^2 + 1 on [0, 1]: each of these returned (0.0, 1.09).

@@ -11,36 +11,28 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from rifs import (
-    DivergentIntegralError,
-    SchemaError,
-    WeightSpec,
-    in_D_p,
-    weight_W,
-    weight_W_infinity,
-    weight_Wp,
-)
+from rifs import SchemaError, WeightSpec, in_D_p
 from rifs.weights import power_log_integral
 
 INF = math.inf
 
 
 def test_W_constant_weight():
-    assert weight_W(WeightSpec.constant(), 3.0) == 3.0
+    assert WeightSpec.constant().W(3.0) == 3.0
 
 
 def test_W_inverse_sqrt():
     # W(t) = 2 sqrt(t)
-    assert weight_W(WeightSpec.power(-0.5), 4.0) == pytest.approx(4.0, rel=1e-12)
+    assert WeightSpec.power(-0.5).W(4.0) == pytest.approx(4.0, rel=1e-12)
 
 
 def test_W_infinity_tail_rule():
-    assert math.isinf(weight_W_infinity(WeightSpec.constant()))
-    assert weight_W_infinity(WeightSpec.make([(0, 1, 1, 0, 0), (1, INF, 1, -2, 0)])) \
+    assert math.isinf(WeightSpec.constant().W_infinity())
+    assert WeightSpec.make([(0, 1, 1, 0, 0), (1, INF, 1, -2, 0)]).W_infinity() \
         == pytest.approx(2.0, rel=1e-12)
     # log corrections: a = -1 diverges for b >= -1, converges for b < -1
-    assert math.isinf(weight_W_infinity(WeightSpec.make([(0, 1, 1, 0, 0), (1, INF, 1, -1, -1)])))
-    assert math.isfinite(weight_W_infinity(WeightSpec.make([(0, 1, 1, 0, 0), (1, INF, 1, -1, -2)])))
+    assert math.isinf(WeightSpec.make([(0, 1, 1, 0, 0), (1, INF, 1, -1, -1)]).W_infinity())
+    assert math.isfinite(WeightSpec.make([(0, 1, 1, 0, 0), (1, INF, 1, -1, -2)]).W_infinity())
 
 
 def test_W_diverges_at_origin():
@@ -49,23 +41,22 @@ def test_W_diverges_at_origin():
 
 def test_Wp_constant_weight():
     # s^2 * integral_s^inf t^-2 dt = s
-    assert weight_Wp(WeightSpec.constant(), 2.0, 1.0) == pytest.approx(1.0, rel=1e-12)
-    assert weight_Wp(WeightSpec.constant(), 2.0, 3.0) == pytest.approx(3.0, rel=1e-12)
+    assert WeightSpec.constant().Wp(2.0, 1.0) == pytest.approx(1.0, rel=1e-12)
+    assert WeightSpec.constant().Wp(2.0, 3.0) == pytest.approx(3.0, rel=1e-12)
 
 
 def test_Wp_inverse_sqrt():
-    assert weight_Wp(WeightSpec.power(-0.5), 2.0, 1.0) == pytest.approx(2.0 / 3.0, rel=1e-12)
+    assert WeightSpec.power(-0.5).Wp(2.0, 1.0) == pytest.approx(2.0 / 3.0, rel=1e-12)
 
 
 def test_Wp_divergence_signalled():
-    with pytest.raises(DivergentIntegralError):
-        weight_Wp(WeightSpec.power(2.0), 2.0, 1.0)
+    assert math.isinf(WeightSpec.power(2.0).Wp(2.0, 1.0))
 
 
 def test_Wp_alpha_one_domain():
     w = WeightSpec.constant(end=1.0)
     # s^2 * integral_s^1 t^-2 dt = s - s^2
-    assert weight_Wp(w, 2.0, 0.5) == pytest.approx(0.25, rel=1e-12)
+    assert w.Wp(2.0, 0.5) == pytest.approx(0.25, rel=1e-12)
 
 
 def test_D_p_boundary_decided_on_exact_exponents():
@@ -74,10 +65,8 @@ def test_D_p_boundary_decided_on_exact_exponents():
     # of t^(a-p) diverges and the origin one too.
     assert not in_D_p(WeightSpec.power(1.14), 2.14, INF)
     assert WeightSpec.power(0.14).origin_wp_diverges(1.14)
-    with pytest.raises(DivergentIntegralError):
-        weight_Wp(WeightSpec.power(1.18), 2.18, 1.0)
-    with pytest.raises(DivergentIntegralError):
-        weight_Wp(WeightSpec.make([(0, INF, 1, 1.14, 0.5)]), 2.14, 1.0)
+    assert math.isinf(WeightSpec.power(1.18).Wp(2.18, 1.0))
+    assert math.isinf(WeightSpec.make([(0, INF, 1, 1.14, 0.5)]).Wp(2.14, 1.0))
 
 
 def test_in_D_p_examples():
@@ -92,7 +81,7 @@ def test_in_D_p_examples():
 
 def test_domain_validation():
     with pytest.raises(SchemaError):
-        weight_W(WeightSpec.constant(end=1.0), 2.0)
+        WeightSpec.constant(end=1.0).W(2.0)
     with pytest.raises(SchemaError):
         WeightSpec.make([(0.5, 1.0, 1, 0, 0)])  # does not start at 0
 
@@ -232,9 +221,8 @@ def test_origin_wp_divergence_rule():
 
 def test_flat_interval_reporting():
     w = WeightSpec.make([(0, 1, 1, -0.5, 0), (1, 3, 0, 0, 0), (3, INF, 1, -0.5, 0)])
-    assert not w.strictly_increasing_W()
     assert w.flat_intervals() == [(1.0, 3.0)]
-    assert WeightSpec.power(-0.5).strictly_increasing_W()
+    assert not WeightSpec.power(-0.5).flat_intervals()
 
 
 def test_weight_json_round_trip():
