@@ -236,8 +236,7 @@ def project_hull(x: StepFunction, A: CandidateSet, space: SpaceHandle,
     there, never by G.
 
     A kinked norm (``_kinked``: Lambda, Gamma, and an Orlicz psi with
-    psi'(0) > 0 or a piecewise-linear psi) goes straight to cutting planes,
-    seeded with the cut of every vertex, whose value is known.
+    psi'(0) > 0 or a piecewise-linear psi) goes straight to cutting planes.
 
     Any other space (a smooth norm that is not Hilbert, or one with no
     subgradient at the best vertex) runs the vertex run: coordinate-pair
@@ -256,9 +255,10 @@ def project_hull(x: StepFunction, A: CandidateSet, space: SpaceHandle,
     the next pass ends with a search along that pattern before its gap, so
     its own pattern is conjugate to it (Powell, 1964).
 
-    Cutting planes follow any route that ends uncertified: every gap's cut
-    is a row of the model ``max_k cut_k``, and each step minimizes it over
-    the simplex (:class:`optimize.MatrixGame`), evaluates the objective and
+    Cutting planes follow any route that ends uncertified: the cut of every
+    vertex, whose value is known, and every gap's cut are rows of the model
+    ``max_k cut_k``, and each step minimizes it over the simplex
+    (:class:`optimize.MatrixGame`), evaluates the objective and
     its cut there, and keeps the best iterate.  The phase stops when
     ``best - model minimum <= tol``, when a new cut causes no pivot (the
     model can no longer move), or where the space has no subgradient.
@@ -349,15 +349,7 @@ def project_hull(x: StepFunction, A: CandidateSet, space: SpaceHandle,
             while (j := wolfe.entering()) is not None:
                 visit(wolfe.add(j))
             gap = objective.gap(theta, val)
-        elif space._kinked and tol < gap < math.inf:
-            # The best vertex's cut came with its gap.
-            for i, (vertex_val, r) in enumerate(zip(vertex_vals, R)):
-                if i != best_vertex:
-                    vertex = [0.0] * n
-                    vertex[i] = 1.0
-                    objective.last = vertex, r
-                    objective.cut(vertex, vertex_val)
-        else:
+        elif not (space._kinked and gap < math.inf):
             edges = [(((i, 1.0), (j, -1.0)), M[i] - M[j])
                      for i in range(n) for j in range(i + 1, n)] if gap > tol else []
             pattern = None
@@ -377,6 +369,14 @@ def project_hull(x: StepFunction, A: CandidateSet, space: SpaceHandle,
                     if search(*pattern):
                         gap = objective.gap(theta, val)
 
+        if tol < gap < math.inf:
+            # The best vertex's cut came with its gap.
+            for i, (vertex_val, r) in enumerate(zip(vertex_vals, R)):
+                if i != best_vertex:
+                    vertex = [0.0] * n
+                    vertex[i] = 1.0
+                    objective.last = vertex, r
+                    objective.cut(vertex, vertex_val)
         rows = [row for cut in objective.cuts if (row := _cut_row(*cut))] if gap > tol else []
         if rows:
             game = MatrixGame(rows)

@@ -15,6 +15,7 @@ V on [1, 1e6]) decide nothing."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +32,8 @@ INCONCLUSIVE = "inconclusive"
 
 # Geometric probe grid: 17 points per decade across 1e-8 .. 1e8.
 PROBE_GRID = np.geomspace(1e-8, 1e8, 16 * 17 + 1)
+
+_LOG_MAX = math.log(sys.float_info.max)  # the largest log whose exp is finite
 
 
 @dataclass(frozen=True)
@@ -263,14 +266,18 @@ def gamma_reflexive_decider(p: float, w: WeightSpec) -> Verdict:
     log["V_tail"] = {"t_exponent": v_exp, "log_exponent": v_log_exp,
                      "diverges": v_diverges}
 
+    # The trapezoid sum of v on [1, 1e6] in logs: v = (t/(W+W_p))^(p'-1) r (1-r)
+    # with r = W/(W+W_p) leaves the float range near p = 1, where p' - 1 is
+    # large.  A W or W_p of 0 gives v = 0, a log of -inf.
     ts = np.geomspace(1.0, 1e6, 103)
-    Ws = np.array([w.W(float(t)) for t in ts])
-    Wps = np.array([w.Wp(p, float(t)) for t in ts])
-    # v = (t/(W+W_p))^(p'-1) r (1-r) with r = W/(W+W_p): no factor overflows
-    # where v itself does not.
-    r = Ws / (Ws + Wps)
-    vs = (ts / (Ws + Wps)) ** (pp - 1.0) * r * (1.0 - r)
-    log["V_numeric_1_to_1e6"] = float(np.sum(0.5 * (vs[1:] + vs[:-1]) * np.diff(ts)))
+    with np.errstate(divide="ignore"):
+        log_W = np.log([w.W(float(t)) for t in ts])
+        log_Wp = np.log([w.Wp(p, float(t)) for t in ts])
+    log_sum = np.logaddexp(log_W, log_Wp)
+    log_v = (pp - 1.0) * (np.log(ts) - log_sum) + (log_W - log_sum) + (log_Wp - log_sum)
+    log_V = float(np.logaddexp.reduce(np.logaddexp(log_v[1:], log_v[:-1]) + np.log(0.5 * np.diff(ts))))
+    log["log2_V_numeric_1_to_1e6"] = log_V / math.log(2.0)
+    log["V_numeric_1_to_1e6"] = math.exp(log_V) if log_V <= _LOG_MAX else math.inf
 
     if not v_diverges:
         return Verdict(FAILS, witness={"stage": "V-infinity", **log["V_tail"]},
@@ -386,7 +393,9 @@ def rbp_check(p: float, w: WeightSpec) -> Verdict:
     """Does ``W(t) <= A * W_p(t)`` hold for some A and all t > 0?
 
     Grid sup of W/W_p plus the origin and tail limits from the exponents;
-    a diverging tail ratio fails with the witness location.
+    a diverging tail ratio fails with the witness location.  A holding
+    verdict carries A and its log2, ``log2_A``, which stays finite where A
+    leaves the float range.
     """
     _require_p_and_infinite_domain("rbp_check", p, w)
     require_D_p(w, p, math.inf)
@@ -417,7 +426,7 @@ def rbp_check(p: float, w: WeightSpec) -> Verdict:
                                        "reason": "tail exponent a <= -1 makes W/W_p unbounded"},
                        probe_log=log)
 
-    sup_ratio, sup_t = 0.0, None
+    sup_ratio, sup_t, sup_log2 = 0.0, None, -math.inf
     for t in PROBE_GRID:
         t = float(t)
         denom = w.Wp(p, t)
@@ -425,15 +434,19 @@ def rbp_check(p: float, w: WeightSpec) -> Verdict:
             return Verdict(FAILS, witness={"t": t, "ratio": math.inf,
                                            "reason": "W_p vanishes"},
                            probe_log=log)
-        ratio = w.W(t) / denom
+        W = w.W(t)
+        ratio = W / denom
         if ratio > sup_ratio:
             sup_ratio, sup_t = ratio, t
+        if ratio == math.inf:  # the quotient overflowed: take it from the logs
+            sup_log2 = max(sup_log2, math.log2(W) - math.log2(denom))
     if w.origin_wp_diverges(p):
         first = w.pieces[0]
         log["origin_limit"] = (p - first.a - 1.0) / (first.a + 1.0)
     A = max(sup_ratio, log.get("tail_limit", 0.0), log.get("origin_limit", 0.0))
     log["grid_sup"] = {"ratio": sup_ratio, "t": sup_t}
-    return Verdict(HOLDS, witness={"A": A}, probe_log=log)
+    return Verdict(HOLDS, witness={"A": A, "log2_A": math.log2(A) if A < math.inf else sup_log2},
+                   probe_log=log)
 
 
 def gamma_dual_weight(p: float, w: WeightSpec) -> WeightSpec:

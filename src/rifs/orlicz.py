@@ -300,28 +300,35 @@ def _norm_on_cells(widths: np.ndarray, mags: np.ndarray, psi: OrliczSpec,
     return top / _luxemburg_newton(widths, unit, psi, lo, hi)
 
 
+def _homogeneous_root(top: float, p: float, total, unit_total) -> float:
+    """The norm ``total() ** (1/p)`` of x, sup|x| = top (a float), whose p-th
+    power ``total()`` is p-homogeneous: x as given while ``top ** p`` (tested
+    first) and the total are normal finite floats and the attempt raises no
+    OverflowError or FloatingPointError (a caller's errstate); else ``top *
+    unit_total() ** (1/p)``, with the total of x / top.  0 for top = 0."""
+    try:
+        if _TINY <= top ** p < math.inf and _TINY <= (t := total()) < math.inf:
+            return t ** (1.0 / p)
+    except (OverflowError, FloatingPointError):
+        pass
+    return top * unit_total() ** (1.0 / p) if top else 0.0
+
+
 def _power_luxemburg(widths: np.ndarray, coef: float, p: float):
     """``vals -> ||x||``, the Luxemburg norm of a power psi = coef |u|^p in
     closed form, ``(coef sum w |v|^p)^(1/p)``, for the function x with value
-    ``vals[i]`` on a cell of width ``widths[i]``, bound to the widths.  Where
-    the sum overflows or underflows (or x = 0) it is taken for x / sup|x|
-    and scaled back.  For p = 2 the powers are ``v * v``, which is
-    ``|v| ** 2`` exactly.  Written out rather than through psi_many: its
-    errstate guard costs as much as the whole closed form, and hull line
+    ``vals[i]`` on a cell of width ``widths[i]``, bound to the widths and
+    scaled by :func:`_homogeneous_root`.  For p = 2 the powers are ``v * v``,
+    which is ``|v| ** 2`` exactly.  Written out rather than through psi_many:
+    its errstate guard costs as much as the whole closed form, and hull line
     searches call this per step."""
-    root = 1.0 / p
 
     def total(v: np.ndarray) -> float:
         return coef * float(np.dot(widths, v * v if p == 2.0 else np.abs(v) ** p))
 
     def luxemburg(vals: np.ndarray) -> float:
-        t = total(vals)
-        if _TINY <= t < math.inf:
-            return t ** root
-        if not vals.any():
-            return 0.0
-        top = float(np.abs(vals).max())
-        return top * total(vals / top) ** root
+        top = float(np.abs(vals).max(initial=0.0))
+        return _homogeneous_root(top, p, lambda: total(vals), lambda: total(vals / top))
 
     return luxemburg
 

@@ -24,8 +24,8 @@ from itertools import repeat
 import numpy as np
 
 from .errors import DivergentIntegralError, SchemaError, require_alpha, require_exponent
-from .orlicz import (OrliczSpec, _amemiya_subgradient, _luxemburg_subgradient, _norm_on_cells,
-                     _power_luxemburg, luxemburg_norm, orlicz_norm)
+from .orlicz import (OrliczSpec, _amemiya_subgradient, _homogeneous_root, _luxemburg_subgradient,
+                     _norm_on_cells, _power_luxemburg, luxemburg_norm, orlicz_norm)
 from .rearrange import MaximalCurve, maximal_curve, rearrange
 from .step import ARRAY_MIN_PIECES, StepFunction, _settle, indicator
 from .weights import (_BINOMIAL, WeightPiece, WeightSpec, _cell_walk, _quadrature, exponent_shift,
@@ -230,34 +230,29 @@ def _gamma_slopes(w: WeightSpec, p: float, m: np.ndarray, widths: np.ndarray,
     return P - starts * Q + widths * after
 
 
-def _homogeneous_root(x: StepFunction, p: float, integral) -> float:
-    """``integral(x) ** (1/p)`` for a Lorentz integral of x.
-
-    Both Lorentz norms are homogeneous: where (sup|x|)^p overflows a float,
-    or the integral of x does, the norm is sup|x| times the one of
-    x* / sup|x|.  The first test comes before any integration, so that no
-    overflow reaches the batched quadrature.
-    """
+def _lorentz_root(x: StepFunction, p: float, integral) -> float:
+    """``integral(x) ** (1/p)`` by :func:`orlicz._homogeneous_root` on sup|x|,
+    x*'s first value.  The attempt on x raises numpy overflow, so that one
+    inside the batched quadrature goes to the rescale too."""
     star = rearrange(x)
-    if not star.pieces:
-        return 0.0
-    sup = star.pieces[0][2]
-    try:
-        if math.isfinite(sup ** p):
-            total = integral(x)
-            if math.isfinite(total):
-                return total ** (1.0 / p)
-    except OverflowError:
-        pass
-    unit = _settle([(t0, t1, v / sup) for t0, t1, v in star.pieces], x.alpha, width_tol=0.0)
-    return sup * integral(StepFunction(x.alpha, unit)) ** (1.0 / p)
+    top = star.pieces[0][2] if star.pieces else 0.0
+
+    def attempt() -> float:
+        with np.errstate(over="raise"):
+            return integral(x)
+
+    def unit_total() -> float:
+        unit = _settle([(t0, t1, v / top) for t0, t1, v in star.pieces], x.alpha, width_tol=0.0)
+        return integral(StepFunction(x.alpha, unit))
+
+    return _homogeneous_root(top, p, attempt, unit_total)
 
 
 def lambda_norm(x: StepFunction, p: float, w: WeightSpec) -> float:
     """``( integral (x*)^p w )^(1/p)``, exact per piece of x*."""
     require_exponent("lambda_norm", p)
     _require_weight_domain(w, x.alpha)
-    return _homogeneous_root(x, p, lambda f: _lorentz_integral(rearrange(f), w, p, None))
+    return _lorentz_root(x, p, lambda f: _lorentz_integral(rearrange(f), w, p, None))
 
 
 def gamma_norm(x: StepFunction, p: float, w: WeightSpec, method: str = "auto") -> float:
@@ -274,9 +269,6 @@ def gamma_norm(x: StepFunction, p: float, w: WeightSpec, method: str = "auto") -
 
     def integral(f: StepFunction) -> float:
         curve = maximal_curve(f)
-        # The mass of f* is 0 exactly when every piece's is (they are >= 0).
-        if curve.total_integral == 0.0:
-            return 0.0
         total = _lorentz_integral(rearrange(f), w, p, curve, quadrature=method == "quadrature")
         # Beyond the support x** = (total mass)/t.
         tail = w.wp_tail_integral(p, curve.breakpoints[-1])
@@ -284,7 +276,7 @@ def gamma_norm(x: StepFunction, p: float, w: WeightSpec, method: str = "auto") -
             raise DivergentIntegralError("gamma tail integral diverges (D_p violation)")
         return total + curve.total_integral ** p * tail
 
-    return _homogeneous_root(x, p, integral)
+    return _lorentz_root(x, p, integral)
 
 
 def _phi_over_t_limit(pc: WeightPiece, p: float, at_zero: bool) -> float:
@@ -386,8 +378,9 @@ class _Lorentz(SpaceHandle):
         order, the function's x* and x** are a convex minorant of the norm,
         differentiable in |vals| and touching it at vals (at ties any such
         order does), so their gradient, with sign(0) = 0, is a subgradient.
-        Lambda: ``g_k = N^(1-p) |v_k|^(p-1) sign(v_k) (W(tau_k + w_k) - W(tau_k))``;
-        Gamma: ``g_k = N^(1-p) sign(v_k)`` times :func:`_gamma_slopes`.
+        At ``m = |vals| / N``, N = ||f||, g does not change with the scale of f.
+        Lambda: ``g_k = m_k^(p-1) sign(v_k) (W(tau_k + w_k) - W(tau_k))``;
+        Gamma: ``g_k = sign(v_k)`` times :func:`_gamma_slopes` at m.
         """
         cells = list(zip(lo.tolist(), hi.tolist()))
 
@@ -404,7 +397,7 @@ class _Lorentz(SpaceHandle):
             mags = np.abs(vals)
             order = np.argsort(-mags, kind="stable")
             order = order[mags[order] > 0.0]
-            m, wd = mags[order], widths[order]
+            m, wd = mags[order] / value, widths[order]
             ends = np.cumsum(wd)
             starts = np.concatenate(([0.0], ends[:-1]))
             if over_curve:
@@ -413,7 +406,7 @@ class _Lorentz(SpaceHandle):
                 slopes = m ** (p - 1.0) * np.array(_cell_walk(
                     w, 0.0, 0.0, starts.tolist(), ends.tolist(), repeat(0.0), repeat(1.0))[1])
             g = np.zeros(len(vals))
-            g[order] = value ** (1.0 - p) * slopes * np.sign(vals[order])
+            g[order] = slopes * np.sign(vals[order])
             return g
 
         return norm_of, subgradient, None

@@ -365,6 +365,26 @@ def test_hull_phase_terminates_at_extreme_scales(k, games):
     assert r.distance == pytest.approx(c * unscaled.distance, rel=1e-6)
 
 
+@pytest.mark.parametrize("space", [make(p, WeightSpec.power(-0.5)) for p in (2.0, 3.0) for make in
+                                   (SpaceHandle.lorentz_lambda, SpaceHandle.lorentz_gamma)],
+                         ids=lambda space: space.describe())
+@pytest.mark.parametrize("k", [-1000, -600, 600])
+def test_lorentz_hulls_certify_at_extreme_scales(space, k, games):
+    """Lambda and Gamma hulls at c = 2^k certify with gap <= tol c and no
+    warning, at c times the unscaled distance: their norms and subgradients
+    take one scale rule.  The norms read 0.0 at 2^-600 (gap 0.0), and at
+    2^600 the p = 3 hulls warned or raised OverflowError."""
+    c = math.ldexp(1.0, k)
+    for seed in (1, 5, 7):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = project_hull(*_l2_instance(seed, c), space, tol=1e-6 * c)
+        assert r.minimizers[0].gap <= 1e-6 * c, seed
+        unscaled = project_hull(*_l2_instance(seed), space)
+        assert r.distance == pytest.approx(c * unscaled.distance, rel=1e-6, abs=0.0), seed
+    assert len(games) == 6
+
+
 def test_l2_overflowing_powers_do_not_warn():
     """|x|^2 overflows at 2^520: the power closed form rescales, and the hull
     request, like ``luxemburg_norm``, raises no warning."""

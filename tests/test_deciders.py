@@ -344,6 +344,19 @@ def test_reflexive_numeric_probe_does_not_overflow_near_p_one():
     assert math.isfinite(v.probe_log["V_numeric_1_to_1e6"])
 
 
+def test_reflexive_numeric_probe_beyond_the_float_range_answers():
+    """At p = 1.01 on this weight the integral of v over [1, 1e6] is about
+    2^1162, past the largest float: the sample is taken in logs, so no
+    overflow warning fires, and its log2 carries the size."""
+    w = WeightSpec.make([(0, 2.88, 1.27, -0.04, 0), (2.88, INF, 1.63, -1.0, 1.29)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        v = gamma_reflexive_decider(1.01, w)
+    assert v.holds
+    assert v.probe_log["V_numeric_1_to_1e6"] == INF
+    assert 1024.0 < v.probe_log["log2_V_numeric_1_to_1e6"] < INF
+
+
 def test_reflexive_log_tail_a_equal_minus_one():
     """Tail a = -1, b >= -1: W ~ log^(b+1) diverges and dominates W_p, so
     v ~ t^(p'-1) log^(b - (b+1) p'), here t^1 log^-1.5 at p = 2: V diverges."""
@@ -505,6 +518,19 @@ def test_rbp_verdict_does_not_depend_on_the_scale_of_w():
     # c 2^1993 apart: no shift keeps both normal, and w is sampled as given.
     w = WeightSpec.make([(0, 1, 1e300, -0.5, 0), (1, INF, 1e-300, -0.5, 0)])
     assert rbp_check(2.0, w).status == "holds"
+
+
+def test_rbp_constant_beyond_the_float_range_is_reported_in_logs():
+    """w = 1e300 t^-1/2 on (0, 1) and 1e-300 t^-1/2 beyond: at t = 1,
+    W = 2e300 and W_p = (2/3) 1e-300, so A = 3e600 overflows a float.  A
+    holding verdict carries it as log2_A; where A is finite, log2_A is its
+    log2."""
+    w = WeightSpec.make([(0, 1, 1e300, -0.5, 0), (1, INF, 1e-300, -0.5, 0)])
+    v = rbp_check(2.0, w)
+    assert v.holds and v.witness["A"] == INF
+    assert v.witness["log2_A"] == pytest.approx(600.0 * math.log2(10.0) + math.log2(3.0), rel=1e-12)
+    v = rbp_check(2.0, W_HALF)
+    assert v.witness["log2_A"] == math.log2(v.witness["A"])
 
 
 def test_rbp_fails_when_weight_concentrates_near_zero():

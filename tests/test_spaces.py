@@ -82,12 +82,17 @@ def test_gamma_zero():
     assert gamma_norm(StepFunction.zero(), 2.0, W_CONST) == 0.0
 
 
-@pytest.mark.parametrize("pieces", [
-    [(0, 1e-3, 1e-320), (2, 2.5, 1e-320)],  # a subnormal mass
-    [(0, 1e-5, 1e-320)],  # a mass that rounds to 0
+@pytest.mark.parametrize("pieces, width", [
+    ([(0, 1e-3, 1e-320), (2, 2.5, 1e-320)], 0.501),  # a subnormal mass
+    ([(0, 1e-5, 1e-320)], 1e-5),  # a mass that rounds to 0
 ])
-def test_gamma_of_a_function_with_a_vanishing_mass_is_zero(pieces):
-    assert gamma_norm(StepFunction.make(pieces), 2.0, W_HALF) == 0.0
+def test_gamma_of_a_function_with_a_vanishing_mass_is_positive(pieces, width):
+    # x* = c chi_(0, width) with c = 1e-320: Gamma^2 = c^2 (W + W_p)(width) =
+    # c^2 (8/3) width^(1/2), a norm of 1.374e-320 and 9.2e-322, within one
+    # subnormal step.
+    expected = math.sqrt(8.0 / 3.0) * width ** 0.25 * 1e-320
+    got = gamma_norm(StepFunction.make(pieces), 2.0, W_HALF)
+    assert got > 0.0 and got == pytest.approx(expected, rel=0.0, abs=2.0 ** -1074)
 
 
 # The norms of c * chi_(0,1) for w = t^-1/2: Lambda^p = 2 c^p, and Gamma^p =
@@ -108,6 +113,63 @@ def test_lorentz_norms_of_large_values_do_not_overflow(c, p, kind, method):
     got = lambda_norm(x, p, W_HALF) if kind == "lambda" else gamma_norm(x, p, W_HALF, method)
     rel = 1e-9 if method == "quadrature" else 1e-12
     assert got == pytest.approx(c * _UNIT_NORMS[kind, p], rel=rel)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("c, p, kind, method", [
+    (c, p, kind, method) for c in (1e-200, 1e-160) for p in (2.0, 3.0)
+    for kind, method in (("lambda", None), ("gamma", "auto"), ("gamma", "quadrature"))])
+def test_lorentz_norms_of_small_values_do_not_underflow(c, p, kind, method):
+    # c^p underflowed: both norms were 0.0 at c = 1e-200, and Lambda / c read
+    # 1.4142057 at c = 1e-160.
+    x = indicator(0.0, 1.0, c)
+    got = lambda_norm(x, p, W_HALF) if kind == "lambda" else gamma_norm(x, p, W_HALF, method)
+    rel = 1e-9 if method == "quadrature" else 1e-12
+    assert got == pytest.approx(c * _UNIT_NORMS[kind, p], rel=rel, abs=0.0)
+
+
+# The log-tail weight of the norms-large benchmark workload.
+W_LOG = WeightSpec.make([(0, 1, 1, -0.5, 0), (1, "inf", 1, -0.5, 1)])
+_SCALES = range(-1000, 1001, 50)
+# Gamma by quadrature also runs the band of scales where (x**)^p t^(-1/2) left
+# the float range at the nodes near 0 for the first x below, while sup|c x|^p
+# did not: that overflow must go to the rescale too.
+_QUADRATURE_BAND = {1.5: range(655, 686), 2.0: range(495, 516), 3.0: range(325, 346)}
+_HOMOGENEOUS_NORMS = [
+    (f"{name}-p{p}-{wname}", (lambda f, p=p, w=w, nf=nf: nf(f, p, w)), 1e-12, _SCALES)
+    for name, nf in (("lambda", lambda_norm), ("gamma", gamma_norm)) for p in (1.5, 2.0, 3.0)
+    for wname, w in (("half", W_HALF), ("log", W_LOG))
+] + [
+    (f"gamma-quadrature-p{p}-{wname}", (lambda f, p=p, w=w: gamma_norm(f, p, w, "quadrature")),
+     1e-9, sorted({*_SCALES, *_QUADRATURE_BAND[p]}))
+    for p in (1.5, 2.0, 3.0) for wname, w in (("half", W_HALF), ("log", W_LOG))
+] + [
+    (f"{flavor}-{psi.family}{psi.p or ''}",
+     (lambda f, space=SpaceHandle.orlicz_space(psi, flavor): norm(space, f)), 1e-12, _SCALES)
+    for flavor in ("luxemburg", "orlicz")
+    for psi in (OrliczSpec.power(1.5), OrliczSpec.power(3.0), OrliczSpec.exp_minus_one(),
+                OrliczSpec.table([(1, 1), (2, 3)]))
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, norm_of, rel, ks", _HOMOGENEOUS_NORMS,
+                         ids=[entry[0] for entry in _HOMOGENEOUS_NORMS])
+def test_norms_are_homogeneous_at_every_scale(name, norm_of, rel, ks):
+    """``||c x|| = c ||x||`` for c = 2^k, which scales the values of x
+    exactly: one scale rule serves every norm from k = -1000 to 1000."""
+    rng = np.random.default_rng(43)
+    xs = [StepFunction.make([(0.3, 1.2, 2.0), (1.5, 2.0, 0.7)])]
+    for _ in range(4):
+        n = int(rng.integers(1, 6))
+        edges = np.cumsum(rng.uniform(0.05, 2.0, 2 * n))
+        values = rng.uniform(0.1, 3.0, n) * rng.choice([-1.0, 1.0], n)
+        xs.append(StepFunction.make(list(zip(edges[::2], edges[1::2], values))))
+    for x in xs:
+        base = norm_of(x)
+        for k in ks:
+            c = math.ldexp(1.0, k)
+            assert norm_of(scale(x, c)) == pytest.approx(c * base, rel=rel, abs=0.0), (x, k)
 
 
 @pytest.mark.filterwarnings("error")
@@ -529,6 +591,28 @@ def test_cell_subgradient_is_a_subgradient(space, drawn):
     h = 1e-4 * np.abs(v)  # a step of each cell's own scale, far inside any tie
     numeric = np.array([(norm_of(v + e) - norm_of(v - e)) / (2.0 * hk) for hk, e in zip(h, np.diag(h))])
     assert np.allclose(g, numeric, rtol=1e-6, atol=1e-6 * np.abs(numeric).max()), (g, numeric)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("space", SUBGRADIENT_SPACES, ids=lambda space: space.describe())
+def test_cell_subgradient_does_not_change_with_the_scale(space):
+    """Every norm here is homogeneous, so its subgradient at c v is the one
+    at v: within 1e-12 relative at c = 2^±600 and 2^±900, with no warning."""
+    rng = np.random.default_rng(47)
+    for _ in range(5):
+        n = int(rng.integers(1, 7))
+        edges = np.concatenate(([0.0], np.cumsum(rng.uniform(0.05, 2.0, n))))
+        v = rng.uniform(0.01, 3.0, n) * rng.choice([-1.0, 0.0, 1.0], n)
+        v[int(rng.integers(n))] = 1.5
+        norm_of, subgradient, _ = space._cell_kernels(edges[:-1], edges[1:])
+        g = subgradient(v, norm_of(v))
+        for k in (-900, -600, 600, 900):
+            cv = np.ldexp(v, k)
+            gc = subgradient(cv, norm_of(cv))
+            if g is None:
+                assert gc is None, k
+            else:
+                assert np.abs(gc - g).max() <= 1e-12 * np.abs(g).max(), (v, k, g, gc)
 
 
 def test_gamma_subgradient_on_a_log_tail_near_a_zero_cell():
