@@ -6,17 +6,18 @@ with an actual projection.
 Desk-scale scope: candidate sets are finite lists of step functions; the
 hull case optimizes a convex objective over the probability simplex on one
 table: the common cells of the target and the members, their values there,
-and the point settled from those values.  The norm picks the route: Wolfe's
-minimum-norm point on the cells' Gram matrix for a Hilbert norm (*Math.
-Programming* 11, 1976), Kelley's cutting planes from every vertex's cut for
-a kinked norm (*J. SIAM* 8, 1960), and otherwise a vertex run of
+and the point settled from those values.  Every space takes one order of
+stages, each only while the request is uncertified: Wolfe's minimum-norm
+point on the cells' Gram matrix where the norm is a Hilbert norm (*Math.
+Programming* 11, 1976), Kelley's cutting planes from every vertex's cut
+(*J. SIAM* 8, 1960), and where the cuts run out a vertex run of
 coordinate-pair descent with Powell's pattern searches (*Comput. J.* 7,
 1964), whose line searches (:func:`optimize.brent_min`) return a boundary
-optimum exactly.  A result carries its own certificate, a bound on how far
-the distance lies above the hull minimum: the Frank-Wolfe gap for a
-subgradient of the norm that each space supplies (Jaggi, ICML 2013), or
-``best - minimum`` of Kelley's piecewise-linear model built from those
-subgradients, which follows any route that ends uncertified.
+optimum exactly, followed by the cutting planes again.  A result carries its
+own certificate, a bound on how far the distance lies above the hull
+minimum: the Frank-Wolfe gap for a subgradient of the norm that each space
+supplies (Jaggi, ICML 2013), or ``best - minimum`` of Kelley's
+piecewise-linear model built from those subgradients.
 """
 
 from __future__ import annotations
@@ -221,54 +222,50 @@ def project_hull(x: StepFunction, A: CandidateSet, space: SpaceHandle,
     One :class:`_HullObjective` owns the cells, the values on them, the vertex
     values and the minimizer point, settled from the cells.  The run starts
     at the best vertex and takes the Frank-Wolfe gap there
-    (:meth:`_HullObjective.gap`), a bound on the excess over the hull minimum;
-    at most tol, the vertex is the answer.  Otherwise the space's kind picks
-    the route.
+    (:meth:`_HullObjective.gap`), a bound on the excess over the hull minimum.
+    Then every space takes the same stages, each only while the gap is above
+    tol.
 
-    A Hilbert norm (``_HullObjective.gram``: an Orlicz power psi with p = 2)
-    makes the objective's square a quadratic over the simplex, with the Gram
-    matrix ``G = D diag(w) D^T`` of the rows ``D = a_i - x`` on the cells,
-    each scaled by a power of two so that G neither overflows nor goes
-    subnormal.  Wolfe's minimum-norm point (:class:`optimize._MinNormPoint`)
-    solves it from the best vertex in finitely many corral steps, and each
-    iterate's norm is evaluated on the cells; members off the final corral
-    get exactly 0.0.  The best iterate is certified by the library's gap
-    there, never by G.
+    1. Wolfe, where ``_HullObjective.gram`` is set (an Orlicz power psi with
+       p = 2).  The objective's square is a quadratic over the simplex, with
+       the Gram matrix ``G = D diag(w) D^T`` of the rows ``D = a_i - x`` on
+       the cells, each scaled by a power of two so that G neither overflows
+       nor goes subnormal.  Wolfe's minimum-norm point
+       (:class:`optimize._MinNormPoint`) solves it from the best vertex in
+       finitely many corral steps, and each iterate's norm is evaluated on
+       the cells; members off the final corral get exactly 0.0.  The best
+       iterate is certified by the library's gap there, never by G.
+    2. Cutting planes.  The cut of every vertex, whose value is known, and
+       every gap's cut are rows of the model ``max_k cut_k``; each step
+       minimizes it over the simplex (:class:`optimize.MatrixGame`),
+       evaluates the objective and its cut there, and keeps the best
+       iterate.  The phase stops when ``best - model minimum <= tol``, when
+       a new cut causes no pivot (the model can no longer move), or where
+       the best vertex or the model's minimizer has no cut.
+    3. The vertex run, where the cuts ran out: coordinate-pair descent from
+       the best iterate.  Each line search moves theta along a direction d
+       with sum 0, clipped to the simplex: the residual
+       ``r0 = x - theta . M`` is formed once, each trial is
+       ``r0 - t (d . M)``, and :func:`optimize.brent_min` minimizes to a
+       width of ``max(1e-3 tol, 2**-26)``, reusing the known value at t = 0:
+       within sqrt(eps) = 2**-26 of a nonzero minimum, values agree to
+       rounding.  An optimum at a clip's end is returned exactly, and a
+       coefficient driven to 0 is exactly 0.0.  A pass searches each edge
+       ``d = e_i - e_j``, and the run stops when a pass improves by less
+       than tol.  Otherwise a search along its pattern
+       ``theta_end - theta_start`` follows, and the next pass ends with a
+       search along that pattern, so its own pattern is conjugate to it
+       (Powell, 1964).  The gap is taken at the end.
+    4. The cutting planes again, on the same model, with the run's cut.
 
-    A kinked norm (``_kinked``: Lambda, Gamma, and an Orlicz psi with
-    psi'(0) > 0 or a piecewise-linear psi) goes straight to cutting planes.
-
-    Any other space (a smooth norm that is not Hilbert, or one with no
-    subgradient at the best vertex) runs the vertex run: coordinate-pair
-    descent from the best vertex.  Each line search moves theta along a
-    direction d with sum 0, clipped to the simplex: the residual
-    ``r0 = x - theta . M`` is formed once, each trial is ``r0 - t (d . M)``,
-    and :func:`optimize.brent_min` minimizes to a width of
-    ``max(1e-3 tol, 2**-26)``, reusing the known value at t = 0: within
-    sqrt(eps) = 2**-26 of a nonzero minimum, values agree to rounding.  The
-    objective is convex, so an optimum at a clip's end is returned exactly,
-    and a coefficient driven to 0 is exactly 0.0.  A pass searches each edge
-    ``d = e_i - e_j``.  The gap is taken after each pass, and the run stops,
-    certified, once it is at most tol; otherwise when no pass improves by
-    tol.  A pass that improves by tol and ends uncertified is followed by a
-    search along its pattern ``theta_end - theta_start`` and a new gap, and
-    the next pass ends with a search along that pattern before its gap, so
-    its own pattern is conjugate to it (Powell, 1964).
-
-    Cutting planes follow any route that ends uncertified: the cut of every
-    vertex, whose value is known, and every gap's cut are rows of the model
-    ``max_k cut_k``, and each step minimizes it over the simplex
-    (:class:`optimize.MatrixGame`), evaluates the objective and
-    its cut there, and keeps the best iterate.  The phase stops when
-    ``best - model minimum <= tol``, when a new cut causes no pivot (the
-    model can no longer move), or where the space has no subgradient.
-    ``Minimizer.gap`` is the smaller of the route's gap and
+    ``Minimizer.gap`` is the smaller of the last gap and
     ``best - model minimum``: at most tol when certified, inf where the space
     has no subgradient.  ``iterations`` counts corral steps, line searches
     (those a probe ends too) and cutting-plane steps; ``max_line_searches``
     caps it and raises :class:`NonConvergenceError` with the best iterate.
-    ``certificate`` holds the start, then each corral step's iterate or the
-    vertex run's improving steps, then every point the phase evaluated.
+    ``certificate`` holds the start, then each step's iterate in order: the
+    corral steps', the points the cutting planes evaluated, and the vertex
+    run's improving steps.
     """
     if not 0 < tol < math.inf:
         raise SchemaError("project_hull requires 0 < tol < inf")
@@ -281,95 +278,68 @@ def project_hull(x: StepFunction, A: CandidateSet, space: SpaceHandle,
     objective = _HullObjective(x, members, space)
     M = objective.member_vals
     line_tol = max(1e-3 * tol, 2.0 ** -26)
-    with np.errstate(over="ignore"):  # |x|^p may overflow; the power form rescales
-        # theta @ M at a vertex is the member's row exactly, so the rows of R
-        # are the vertices' residuals.
-        R = objective.xv - M
-        vertex_vals = [objective.residual_norm(r) for r in R]
-        best_vertex = min(range(n), key=lambda i: vertex_vals[i])
-        theta, val = [0.0] * n, vertex_vals[best_vertex]
-        theta[best_vertex] = 1.0
-        objective.last = theta, R[best_vertex]
-        trace = [(tuple(theta), val)]
-        searches = 0
+    # theta @ M at a vertex is the member's row exactly, so the rows of R are
+    # the vertices' residuals.
+    R = objective.xv - M
+    vertex_vals = [objective.residual_norm(r) for r in R]
+    best_vertex = min(range(n), key=lambda i: vertex_vals[i])
+    theta, val = [0.0] * n, vertex_vals[best_vertex]
+    theta[best_vertex] = 1.0
+    objective.last = theta, R[best_vertex]
+    trace = [(tuple(theta), val)]
+    searches = 0
+    game, taken = None, 0  # the cutting planes' model, and how many cuts it has read
 
-        def step() -> None:
-            """Counts one step against the cap."""
-            nonlocal searches
-            if searches >= max_line_searches:
-                raise NonConvergenceError(
-                    "hull projection exceeded the line-search cap", best=(tuple(theta), val))
-            searches += 1
+    def step() -> None:
+        """Counts one step against the cap."""
+        nonlocal searches
+        if searches >= max_line_searches:
+            raise NonConvergenceError(
+                "hull projection exceeded the line-search cap", best=(tuple(theta), val))
+        searches += 1
 
-        def visit(point) -> float:
-            """One step to point: its value joins the trace, and the best
-            iterate is kept."""
-            nonlocal theta, val
-            step()
-            point_val = objective(point)
-            trace.append((tuple(point), point_val))
-            if point_val < val:
-                theta, val = point, point_val
-            return point_val
+    def visit(point) -> float:
+        """One step to point: its value joins the trace, and the best
+        iterate is kept."""
+        nonlocal theta, val
+        step()
+        point_val = objective(point)
+        trace.append((tuple(point), point_val))
+        if point_val < val:
+            theta, val = point, point_val
+        return point_val
 
-        def search(d, step_vals) -> float:
-            """One line search along theta + t d, clipped to the simplex: d
-            lists (i, d_i) with d_i != 0 and sum 0, and step_vals is d @ M.
-            Returns the improvement."""
-            nonlocal theta, val
-            lo, hi = -math.inf, math.inf
-            for i, di in d:
-                if di > 0.0:
-                    lo = max(lo, -theta[i] / di)
-                else:
-                    hi = min(hi, -theta[i] / di)
-            if not 1e-15 < hi - lo < math.inf:
-                return 0.0
-            step()
-            r0 = objective.residual(theta)
-            t, new_val = brent_min(lambda t: objective.residual_norm(r0 - t * step_vals),
-                                   lo, hi, tol=line_tol, known=(0.0, val))
-            if not new_val < val - 1e-15:
-                return 0.0
-            theta = list(theta)
-            for i, di in d:  # a coefficient the clip drives to its end is exactly 0.0
-                theta[i] = 0.0 if t == -theta[i] / di else theta[i] + t * di
-            improved, val = val - new_val, new_val
-            trace.append((tuple(theta), val))
-            return improved
+    def search(d, step_vals) -> float:
+        """One line search along theta + t d, clipped to the simplex: d
+        lists (i, d_i) with d_i != 0 and sum 0, and step_vals is d @ M.
+        Returns the improvement."""
+        nonlocal theta, val
+        lo, hi = -math.inf, math.inf
+        for i, di in d:
+            if di > 0.0:
+                lo = max(lo, -theta[i] / di)
+            else:
+                hi = min(hi, -theta[i] / di)
+        if not 1e-15 < hi - lo < math.inf:
+            return 0.0
+        step()
+        r0 = objective.residual(theta)
+        t, new_val = brent_min(lambda t: objective.residual_norm(r0 - t * step_vals),
+                               lo, hi, tol=line_tol, known=(0.0, val))
+        if not new_val < val - 1e-15:
+            return 0.0
+        theta = list(theta)
+        for i, di in d:  # a coefficient the clip drives to its end is exactly 0.0
+            theta[i] = 0.0 if t == -theta[i] / di else theta[i] + t * di
+        improved, val = val - new_val, new_val
+        trace.append((tuple(theta), val))
+        return improved
 
-        gap = objective.gap(theta, val)
-        if gap > tol and objective.gram is not None:
-            # G = D diag(w) D^T for D = M - x = -R: negating both factors of
-            # each product leaves G's bits.  Powers of two keep its entries
-            # normal whatever the scale of x.
-            rows = np.ldexp(R, -math.frexp(np.abs(R).max())[1])
-            gram = np.ldexp(objective.gram, -math.frexp(objective.gram.max())[1])
-            wolfe = _MinNormPoint(((rows * gram) @ rows.T).tolist(), best_vertex)
-            while (j := wolfe.entering()) is not None:
-                visit(wolfe.add(j))
-            gap = objective.gap(theta, val)
-        elif not (space._kinked and gap < math.inf):
-            edges = [(((i, 1.0), (j, -1.0)), M[i] - M[j])
-                     for i in range(n) for j in range(i + 1, n)] if gap > tol else []
-            pattern = None
-            while gap > tol:
-                start = theta
-                improved = sum(search(*edge) for edge in edges)
-                if pattern is not None:
-                    improved += search(*pattern)
-                gap = objective.gap(theta, val)
-                if improved < tol:
-                    break
-                if gap > tol:
-                    # Powell's pattern: two line minima along the last pattern
-                    # span a direction conjugate to it.
-                    d = [b - a for a, b in zip(start, theta)]
-                    pattern = ([(i, di) for i, di in enumerate(d) if di], np.array(d) @ M)
-                    if search(*pattern):
-                        gap = objective.gap(theta, val)
-
-        if tol < gap < math.inf:
+    def planes() -> None:
+        """Cutting planes while the gap is above tol, on the cuts taken
+        since the last call; every vertex's cut seeds the first game."""
+        nonlocal gap, game, taken
+        if game is None and tol < gap < math.inf:
             # The best vertex's cut came with its gap.
             for i, (vertex_val, r) in enumerate(zip(vertex_vals, R)):
                 if i != best_vertex:
@@ -377,18 +347,52 @@ def project_hull(x: StepFunction, A: CandidateSet, space: SpaceHandle,
                     vertex[i] = 1.0
                     objective.last = vertex, r
                     objective.cut(vertex, vertex_val)
-        rows = [row for cut in objective.cuts if (row := _cut_row(*cut))] if gap > tol else []
-        if rows:
-            game = MatrixGame(rows)
-            while True:
-                point, lower = game.solution()
-                if val - lower <= tol:
-                    break
-                point_val = visit(point)
-                row = _cut_row(point, point_val, objective.cut(point, point_val))
-                if row is None or not game.add(row):
-                    break
-            gap = min(gap, max(val - lower, 0.0))
+        rows = [row for cut in objective.cuts[taken:] if (row := _cut_row(*cut))] if gap > tol else []
+        if game is None:
+            if not rows:
+                return
+            game, moved = MatrixGame(rows), True
+        else:
+            moved = any([game.add(row) for row in rows])  # every row joins the game
+        while True:
+            point, lower = game.solution()
+            if val - lower <= tol or not moved:
+                break
+            point_val = visit(point)
+            row = _cut_row(point, point_val, objective.cut(point, point_val))
+            moved = row is not None and game.add(row)
+        taken = len(objective.cuts)
+        gap = min(gap, max(val - lower, 0.0))
+
+    gap = objective.gap(theta, val)
+    if gap > tol and objective.gram is not None:
+        # G = D diag(w) D^T for D = M - x = -R: negating both factors of each
+        # product leaves G's bits.  Powers of two keep its entries normal
+        # whatever the scale of x.
+        rows = np.ldexp(R, -math.frexp(np.abs(R).max())[1])
+        gram = np.ldexp(objective.gram, -math.frexp(objective.gram.max())[1])
+        wolfe = _MinNormPoint(((rows * gram) @ rows.T).tolist(), best_vertex)
+        while (j := wolfe.entering()) is not None:
+            visit(wolfe.add(j))
+        gap = objective.gap(theta, val)
+    planes()
+    if gap > tol:
+        edges = [(((i, 1.0), (j, -1.0)), M[i] - M[j]) for i in range(n) for j in range(i + 1, n)]
+        pattern = None
+        while True:
+            start = theta
+            improved = sum(search(*edge) for edge in edges)
+            if pattern is not None:
+                improved += search(*pattern)
+            if improved < tol:
+                break
+            # Powell's pattern: two line minima along the last pattern span a
+            # direction conjugate to it.
+            d = [b - a for a, b in zip(start, theta)]
+            pattern = ([(i, di) for i, di in enumerate(d) if di], np.array(d) @ M)
+            search(*pattern)
+        gap = objective.gap(theta, val)
+        planes()
 
     minimizer = Minimizer(tuple(theta), objective.point(theta), gap)
     return ProjectionResult(val, (minimizer,), searches, tuple(trace))

@@ -1,8 +1,10 @@
 """Search primitives: line minimization, monotone root finding, and the
 linear program of a matrix game.
 
-:func:`brent_min` minimizes the convex hull objective along a simplex edge or
-a pattern direction: golden section with parabolic interpolation (Brent,
+:func:`brent_min` minimizes the hull objective along a simplex edge or a
+pattern direction in the vertex run, the hull projection's fallback where its
+cutting planes run out, as in a space with no subgradient, whose objective
+need not be convex: golden section with parabolic interpolation (Brent,
 *Algorithms for Minimization without Derivatives*, 1973, ch. 5) after a probe
 at each end that a known interior value does not rule out.  The caller sets
 its width; the hull projection floors it at sqrt(eps), as Brent's

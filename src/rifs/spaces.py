@@ -369,9 +369,8 @@ class _Lorentz(SpaceHandle):
         subgradient is None where the norm is not known to be convex: p < 1,
         and Lambda over a weight that ``WeightSpec.nonincreasing`` does not
         confirm (Lambda is a norm exactly for a nonincreasing weight).  No
-        Gram weights: the hull takes Lambda and Gamma as kinked
-        (:attr:`_kinked`), not as Hilbert norms, even at a constant weight
-        where Lambda_2 is L2.
+        Gram weights, even at a constant weight where Lambda_2 is L2: the hull
+        certifies Lambda and Gamma by their cuts.
 
         For the subgradient the cells are laid out as x* in a stable
         descending order of |vals|, cell k from ``tau_k`` on.  Read in that
@@ -410,10 +409,6 @@ class _Lorentz(SpaceHandle):
             return g
 
         return norm_of, subgradient, None
-
-    # x* reorders the cells where two values of |f| tie, so both norms have
-    # kinks there.
-    _kinked = True
 
     def _phi(self, t: float) -> float:
         w = self.weight
@@ -472,13 +467,6 @@ class _Orlicz(SpaceHandle):
         gram = ((psi.coef if luxemburg else 4.0 * psi.coef) * widths
                 if power and psi.p == 2.0 else None)
         return norm_of, subgradient, gram
-
-    @property
-    def _kinked(self) -> bool:
-        """Whether psi has a kink, and so both norms: at 0 (psi'(0) > 0, as
-        for exp - 1 and power p = 1) or beyond it (a piecewise-linear psi:
-        a table, or shifted_power with p = 1)."""
-        return self.orlicz.slope_at_zero > 0.0 or self.orlicz._kinks is not None
 
     def _phi(self, t: float) -> float:
         return norm(self, indicator(0.0, t, 1.0, self.alpha))

@@ -142,6 +142,8 @@ GRID_INSTANCES = [
 ]
 GRID_SPACES = [L2, SpaceHandle.orlicz_space(OrliczSpec.exp_minus_one()),
                SpaceHandle.orlicz_space(OrliczSpec.power(3), flavor="orlicz"),
+               SpaceHandle.orlicz_space(OrliczSpec.shifted_power(0.5, 1.5)),
+               SpaceHandle.orlicz_space(OrliczSpec.shifted_power(0.5, 1.5), flavor="orlicz"),
                SpaceHandle.lorentz_lambda(2.0, WeightSpec.power(-0.5)),
                SpaceHandle.lorentz_gamma(2.0, WeightSpec.power(-0.5))]
 
@@ -273,7 +275,7 @@ def test_hull_line_search_cap_raises_with_best_iterate():
     from rifs import NonConvergenceError
 
     # The best vertex chi_[0,1) is not optimal (1/sqrt(3) at the barycenter),
-    # so the vertex run needs more than one line search.
+    # so Wolfe's route needs more than one corral step: the cap falls on one.
     A = _members(indicator(0, 1), indicator(1, 2), indicator(2, 3), hull=True)
     with pytest.raises(NonConvergenceError) as exc:
         project_hull(StepFunction.zero(), A, L2, max_line_searches=1)
@@ -324,8 +326,9 @@ def _l2_instance(seed, c=1.0, members=3):
                          for s in range(1, members + 1)), hull=True)
 
 
-# A kinked norm goes straight to the cutting-plane phase.  exp - 1's norm
-# solves on |x| / sup|x|, so it stays homogeneous at 2^-500 and 2^500.
+# A norm that is not a Hilbert norm starts with the cutting-plane phase.
+# exp - 1's norm solves on |x| / sup|x|, so it stays homogeneous at 2^-500
+# and 2^500.
 PHASE_SPACE = SpaceHandle.orlicz_space(OrliczSpec.exp_minus_one())
 
 
@@ -433,8 +436,11 @@ def test_l2_hulls_certify_without_cutting_planes(games):
     assert entered == []
 
 
-# Pattern searches run on smooth norms that are not Hilbert norms.
-SMOOTH = SpaceHandle.orlicz_space(OrliczSpec.power(3))
+# Lambda over w = t^0.5 on (0, 1), t^-2 beyond is no norm (w increases at
+# first), so its cells have no subgradient: no cut exists, and the vertex run
+# with its pattern searches is the whole route.
+NO_SUBGRADIENT = SpaceHandle.lorentz_lambda(2.0, WeightSpec.make([(0, 1, 1, 0.5, 0),
+                                                                  (1, "inf", 1, -2, 0)]))
 
 
 def _direction_steps(certificate):
@@ -448,8 +454,8 @@ def test_direction_search_at_a_face_gives_an_exact_zero_coefficient(games):
     # Two direction searches stop at faces of the simplex.  The clip sets
     # each such coefficient to 0.0 rather than summing theta_i + t d_i at the
     # end t = -theta_i / d_i, which need not give 0.0.
-    r = project_hull(*_l2_instance(183, members=5), SMOOTH)
-    assert games == [] and r.minimizers[0].gap <= 1e-6
+    r = project_hull(*_l2_instance(102, members=5), NO_SUBGRADIENT)
+    assert games == [] and r.minimizers[0].gap == math.inf
     at_face = 0
     for k in _direction_steps(r.certificate):
         before, after = r.certificate[k - 1][0], r.certificate[k][0]
@@ -461,10 +467,49 @@ def test_direction_search_at_a_face_gives_an_exact_zero_coefficient(games):
     assert at_face >= 2
 
 
+def _logged_route(monkeypatch):
+    """The order of the route's first acts: "game" where a MatrixGame is
+    built, "search" at each line search."""
+    log = []
+
+    class Logged(approx.MatrixGame):
+        def __init__(self, rows):
+            super().__init__(rows)
+            log.append("game")
+
+    def logged(*args, **kw):
+        log.append("search")
+        return optimize.brent_min(*args, **kw)
+
+    monkeypatch.setattr(approx, "MatrixGame", Logged)
+    monkeypatch.setattr(approx, "brent_min", logged)
+    return log
+
+
+def test_smooth_norm_takes_the_cutting_planes_before_any_line_search(monkeypatch):
+    """Luxemburg p = 3 is smooth and not a Hilbert norm: the cutting planes
+    certify it with one game and no line search."""
+    log = _logged_route(monkeypatch)
+    r = project_hull(*_l2_instance(183, members=5), SpaceHandle.orlicz_space(OrliczSpec.power(3)))
+    assert log == ["game"]
+    assert r.minimizers[0].gap <= 1e-6
+
+
+def test_vertex_run_resumes_the_cutting_planes_on_the_same_game(monkeypatch):
+    """The Amemiya norm of shifted_power(0.5, 1.2) can lack a subgradient:
+    here the cuts run out, the vertex run follows the game, and the run's
+    cut lets the same game certify the request."""
+    log = _logged_route(monkeypatch)
+    space = SpaceHandle.orlicz_space(OrliczSpec.shifted_power(0.5, 1.2), "orlicz")
+    r = project_hull(*_l2_instance(2), space)
+    assert log[0] == "game" and log.count("game") == 1 and "search" in log
+    assert r.minimizers[0].gap <= 1e-6
+
+
 def test_hull_cap_on_a_direction_search_raises_with_the_best_iterate(monkeypatch):
     from rifs import NonConvergenceError
 
-    x, A = _l2_instance(183, members=5)
+    x, A = _l2_instance(102, members=5)
     calls = []
 
     def counted(*args, **kw):
@@ -472,12 +517,12 @@ def test_hull_cap_on_a_direction_search_raises_with_the_best_iterate(monkeypatch
         return optimize.brent_min(*args, **kw)
 
     monkeypatch.setattr(approx, "brent_min", counted)
-    full = project_hull(x, A, SMOOTH)
+    full = project_hull(x, A, NO_SUBGRADIENT)
     assert full.iterations == len(calls)
     bests = []
     for cap in range(full.iterations):
         with pytest.raises(NonConvergenceError) as exc:
-            project_hull(x, A, SMOOTH, max_line_searches=cap)
+            project_hull(x, A, NO_SUBGRADIENT, max_line_searches=cap)
         bests.append(exc.value.best)
     steps = [k for k in _direction_steps(full.certificate) if full.certificate[k] in bests]
     assert steps
@@ -689,12 +734,9 @@ def test_hull_gap_after_another_point_matches_a_fresh_table():
 
 
 def test_hull_on_a_space_with_no_subgradient():
-    """Lambda over w = t^0.5 on (0, 1), t^-2 beyond is no norm (w increases
-    at first), so its cells have no subgradient: no cut exists and the gap
-    is inf.  The search still ends at a point of the hull no worse than any
-    vertex."""
-    w = WeightSpec.make([(0, 1, 1, 0.5, 0), (1, "inf", 1, -2, 0)])
-    space = SpaceHandle.lorentz_lambda(2.0, w)
+    """In NO_SUBGRADIENT no cut exists and the gap is inf.  The search still
+    ends at a point of the hull no worse than any vertex."""
+    space = NO_SUBGRADIENT
     x = StepFunction.make([(0.0, 1.0, 1.0), (1.5, 3.0, -0.5)])
     A = _members(indicator(0, 2), indicator(0.5, 1.5, 2.0), StepFunction.make([(1, 3, -1.0)]),
                  hull=True)
