@@ -277,23 +277,19 @@ def fundamental_limits(space: SpaceHandle) -> dict:
     }
 
 
-def _grid_space_norm(space: SpaceHandle, h: float):
-    def nrm(u: np.ndarray) -> float:
-        pieces = [(i * h, (i + 1) * h, float(v)) for i, v in enumerate(u) if v != 0.0]
-        return norm(space, StepFunction.make(pieces, space.alpha))
-    return nrm
-
-
 def rotundity_probe(space: SpaceHandle, dim_grid: int, cfg: TrialConfig) -> ProbeReport:
     """Search the unit sphere of the grid-restricted space for a flat segment:
     x != y, ||x|| = ||y|| = 1, ||x + y|| >= 2 - tolerance.
 
     Deterministic seed pairs (disjoint and nested indicators) run before the
     random search; a local hill climb then refines the best random pair.
+    A grid vector's norm is the space's cell-table norm bound once to the
+    grid, the kernel the hull projection uses (``SpaceHandle._cell_kernels``).
     """
     _require_count("dim_grid", dim_grid, 2)
     h = 1.0 / dim_grid if space.alpha == 1.0 else 1.0
-    nrm = _grid_space_norm(space, h)
+    edges = np.arange(dim_grid + 1) * h  # the grid cells (i h, (i + 1) h)
+    nrm = space._cell_kernels(edges[:-1], edges[1:])[0]
     tol = cfg.tolerance
     violations = []
 

@@ -23,8 +23,9 @@ norm.
 :func:`golden_section_min` (plain golden section) and :func:`bisect_level`
 (monotone bisection) have no caller in the library: every Orlicz norm is now
 a closed form, a walk over the kinks of a piecewise-linear psi, or one
-:func:`newton_level`.  They remain for the benchmark's tracer, which wraps
-them by name, and for the tests.  Both stop at a bracket width of
+:func:`newton_level`.  The benchmark's tracer wraps both by name, and the
+tests also run :func:`golden_section_min`; only the tracer keeps
+:func:`bisect_level`.  Both stop at a bracket width of
 ``tol * max(1, |a|, |b|)`` and ``1e-13 * b`` respectively.
 """
 

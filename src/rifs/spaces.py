@@ -8,11 +8,13 @@ from ``maximal_curve``, the only code that derives x**.  Below
 ``ARRAY_MIN_PIECES`` pieces of x* the pass is the weight algebra's cell walk,
 :func:`weights._cell_walk`, which W, W_p and both Lorentz subgradients share:
 a closed form per cell where there is one, and one batched quadrature at
-relative tolerance 1e-9 per cell for the rest.  From there up
-:func:`_lorentz_cells` computes the same cells, to the walk's bits, on the
-arrays of x* and of the curve's segments.  Beyond the support the norm over
-x** adds the analytic tail ``A^p integral t^(-p) w``, convergent exactly when
-the weight lies in D_p.
+relative tolerance 1e-9 per cell for the rest.  From there up the walk's
+array twin, :func:`weights._cell_arrays`, computes the same cells, to the
+walk's bits, on the arrays of x* and of the curve's segments; reference mode
+(``gamma_norm(method="quadrature")``) always takes the walk.  So the weight
+algebra alone decides how a cell is integrated.  Beyond the support the norm
+over x** adds the analytic tail ``A^p integral t^(-p) w``, convergent exactly
+when the weight lies in D_p.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from .orlicz import (OrliczSpec, _amemiya_subgradient, _homogeneous_root, _luxem
                      _norm_on_cells, _power_luxemburg, luxemburg_norm, orlicz_norm)
 from .rearrange import MaximalCurve, maximal_curve, rearrange
 from .step import ARRAY_MIN_PIECES, StepFunction, _settle, indicator
-from .weights import (_BINOMIAL, WeightPiece, WeightSpec, _cell_walk, _quadrature, exponent_shift,
-                      power_log_integral, require_D_p)
+from .weights import (WeightPiece, WeightSpec, _cell_arrays, _cell_walk, _powers, exponent_shift,
+                      require_D_p)
 
 
 def _require_weight_domain(w: WeightSpec, alpha: float) -> None:
@@ -47,165 +49,28 @@ def _lorentz_integral(star: StepFunction, w: WeightSpec, p: float, curve: Maxima
     Each piece (t0, t1, v) of x* gives one segment of :func:`weights._cell_walk`:
     over x* (t0, t1) with A = 0, B = 1, its sum scaled by v^p; over x** the
     curve's segment ending at t1, with its A and B, all cells added in order.
-    ``quadrature`` sends every cell to quadrature.  From ``ARRAY_MIN_PIECES``
-    pieces of x* up, :func:`_lorentz_cells` computes the same cells on arrays.
+    ``quadrature`` (reference mode) sends every cell to quadrature on the
+    walk.  Otherwise, from ``ARRAY_MIN_PIECES`` pieces of x* up, the walk's
+    array twin :func:`weights._cell_arrays` computes the same cells, and
+    numpy's sequential ``cumsum`` adds them in the same order.
     """
-    if len(star.pieces) >= ARRAY_MIN_PIECES:
-        return _lorentz_cells(star, w, p, curve, quadrature)
+    array = not quadrature and len(star.pieces) >= ARRAY_MIN_PIECES
+    if curve is not None:
+        parts = (_cell_arrays(w, p, *curve._segments) if array else _cell_walk(
+            w, p, 0.0, curve.breakpoints, curve.breakpoints[1:], *zip(*curve.coeffs), quadrature))[0]
+    else:
+        lo, hi, v = star._columns if array else zip(*star.pieces)
+        inc = (_cell_arrays(w, p, lo, hi) if array else
+               _cell_walk(w, p, 0.0, lo, hi, repeat(0.0), repeat(1.0)))[1]
+        if math.inf in inc:
+            raise DivergentIntegralError("weight is not locally integrable near 0")
+        parts = _powers(v, p) * inc if array else (v_k ** p * i for v_k, i in zip(v, inc))
+    if array:
+        return float(np.cumsum(np.concatenate(([0.0], parts)))[-1])
     total = 0.0
-    if curve is None:
-        lo, hi, v = zip(*star.pieces)
-        for v_k, inc in zip(v, _cell_walk(w, p, 0.0, lo, hi, repeat(0.0), repeat(1.0))[1]):
-            if math.isinf(inc):
-                raise DivergentIntegralError("weight is not locally integrable near 0")
-            total += v_k ** p * inc
-        return total
-    A, B = zip(*curve.coeffs)
-    for part in _cell_walk(w, p, 0.0, curve.breakpoints, curve.breakpoints[1:], A, B, quadrature)[0]:
+    for part in parts:
         total += part
     return total
-
-
-def _powers(xs: np.ndarray, e: float) -> np.ndarray:
-    """``x ** e`` at every x, by CPython's pow, whose last bit numpy's does
-    not always match; xs itself for e = 1, where pow returns x."""
-    if e == 1:
-        return xs
-    return np.fromiter(map(pow, xs.tolist(), repeat(e)), float, len(xs))
-
-
-def _antiderivative(c: float, e: float, ts: np.ndarray) -> np.ndarray:
-    """``c t^e / e`` (``log t`` for e = 0) at the ascending points ts, by
-    CPython's pow and log; at t = 0 the walk's limit, 0 for e > 0 and -inf
-    otherwise."""
-    pts = ts.tolist()
-    at_zero = pts[:1] == [0.0]
-    if at_zero:
-        pts = pts[1:]
-    if e:
-        out = c * np.fromiter(map(pow, pts, repeat(e)), float, len(pts)) / e
-    else:
-        out = np.fromiter(map(math.log, pts), float, len(pts))
-    return np.concatenate(([0.0 if e > 0.0 else -math.inf], out)) if at_zero else out
-
-
-def _differences(c: float, e: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The walk's closed-form term on the ascending cells (lo, hi):
-    ``F(hi) - F(lo)`` for ``F = c t^e / e``, and ``c (log hi - log lo)`` for
-    e = 0.  F is evaluated once per cut: a cell starting where the one before
-    it ends takes that cell's upper value as its lower one."""
-    F = _antiderivative(c, e, np.concatenate((lo[:1], hi)))
-    diff = F[1:] - F[:-1]
-    fresh = (lo[1:] != hi[:-1]).nonzero()[0]
-    if len(fresh):
-        fresh += 1
-        diff[fresh] = F[1:][fresh] - _antiderivative(c, e, lo[fresh])
-    return diff if e else c * diff
-
-
-def _closed_forms(pc: WeightPiece, p: float, expansion: list[tuple[int, int, int]] | None,
-                  over_curve: bool, lo: np.ndarray, hi: np.ndarray, A: np.ndarray, B: np.ndarray,
-                  part: np.ndarray, left: np.ndarray) -> None:
-    """The walk's closed forms on the cells (lo, hi) of the weight piece pc
-    with c != 0, written into ``part``; ``left`` comes in as ``A != 0`` and
-    keeps the cells that quadrature must take.
-
-    On a log piece a cell with A = 0 is one weight integral.  On a power
-    piece a cell with A = 0 is ``B^p (F(hi) - F(lo))``, and for integer p the
-    binomial expansion takes the cells with A != 0.  Over x* (not
-    ``over_curve``) B^p = 1.0 ** p is 1.0 and is left out, and a log cell
-    with an infinite integral ends the pass, as it ends the walk.
-    """
-    zero = ~left
-    if pc.b != 0.0:
-        for k in zero.nonzero()[0].tolist():
-            part[k] = float(B[k]) ** p * power_log_integral(pc.c, pc.a, pc.b, float(lo[k]), float(hi[k]))
-            if not over_curve and math.isinf(part[k]):
-                return
-        return
-    own = None  # F(hi) - F(lo) of exponent a + 1 on the cells with A = 0
-    n_left = np.count_nonzero(left)
-    if expansion and n_left:
-        # The binomial expansion on the cells with A != 0, its terms added in
-        # order; each term's differences cover every cell.
-        rest = left.nonzero()[0]
-        A_r, B_r = A[rest], B[rest]
-        total = np.zeros(len(rest))
-        for cb, nj, jj in expansion:
-            diff = _differences(pc.c, (pc.a - jj) + 1.0, lo, hi)
-            if jj == 0:
-                own = diff[zero]
-            coef = cb * (_powers(B_r, nj) if nj else 1.0) * (_powers(A_r, jj) if jj else 1.0)
-            total += coef * diff[rest]
-        part[rest] = total
-        left[rest] = False
-    if n_left < len(left):
-        if own is None:
-            own = (_differences(pc.c, pc.a + 1.0, lo, hi) if not n_left else
-                   _differences(pc.c, pc.a + 1.0, lo[zero], hi[zero]))
-        part[zero] = _powers(B[zero], p) * own if over_curve else own
-
-
-def _lorentz_cells(star: StepFunction, w: WeightSpec, p: float, curve: MaximalCurve | None,
-                   quadrature: bool) -> float:
-    """The walk of :func:`_lorentz_integral` as one pass over the arrays of
-    x*, to the walk's bits.
-
-    The cells on one weight piece are a run of consecutive segments, the first
-    and the last clipped to the piece, and run after run they come in the
-    walk's order.  Only +, -, * and / run in numpy: each power and log goes
-    through CPython's ``pow`` and ``math.log``, and every sum runs in the
-    walk's order (``np.cumsum`` is sequential).  The cells left to quadrature
-    reach it in the walk's order and number, because its batched sums depend
-    on the shape of the batch.
-    """
-    t0, t1, v = star._columns
-    over_curve = curve is not None
-    lo, t1, A, B = curve._segments if over_curve else (t0, t1, np.zeros(len(v)), np.ones(len(v)))
-    expansion = _BINOMIAL.get(p)
-    runs = []  # over x**, per weight piece: its cells, their values, those left to quadrature
-    inc = np.zeros(len(v))  # over x*, each segment's cells added up in order
-    for pc in w.pieces:
-        i0 = int(t1.searchsorted(pc.t0, side="right"))
-        i1 = int(lo.searchsorted(pc.t1, side="left"))
-        if i0 >= i1:
-            continue
-        cells = slice(i0, i1)
-        cell_lo, cell_hi, cell_A, cell_B = lo[cells], t1[cells], A[cells], B[cells]
-        if cell_lo[0] < pc.t0:
-            cell_lo = np.concatenate(([pc.t0], cell_lo[1:]))
-        if cell_hi[-1] > pc.t1:
-            cell_hi = np.concatenate((cell_hi[:-1], [pc.t1]))
-        part = np.zeros(i1 - i0)
-        if quadrature or pc.c == 0.0:
-            left = np.full(i1 - i0, quadrature)
-        else:
-            left = cell_A != 0.0
-            _closed_forms(pc, p, expansion, over_curve, cell_lo, cell_hi, cell_A, cell_B, part, left)
-        if over_curve:
-            runs.append((cells, cell_lo, cell_hi, part, left, pc))
-            continue
-        # Over x* no cell is left to quadrature (A = 0), and the walk stops
-        # at the first segment whose integral is infinite.
-        inc[cells] += part
-        if np.isinf(inc[cells]).any():
-            raise DivergentIntegralError("weight is not locally integrable near 0")
-    if not over_curve:
-        return float(np.cumsum(np.concatenate(([0.0], _powers(v, p) * inc)))[-1])
-    quad = []  # the cells left to quadrature, run by run: (values, where, columns)
-    for cells, cell_lo, cell_hi, part, left, pc in runs:
-        n = np.count_nonzero(left)
-        if n:
-            quad.append((part, left, (cell_lo[left], cell_hi[left], A[cells][left], B[cells][left],
-                                      np.full(n, pc.c), np.full(n, pc.a), np.full(n, pc.b))))
-    if quad:
-        values = _quadrature(p, *map(np.concatenate, zip(*(cols for _, _, cols in quad))))
-        at = 0
-        for part, left, cols in quad:
-            part[left] = values[at:at + len(cols[0])]
-            at += len(cols[0])
-    parts = np.concatenate([part for _, _, _, part, _, _ in runs])
-    return float(np.cumsum(np.concatenate(([0.0], parts)))[-1])
 
 
 def _gamma_slopes(w: WeightSpec, p: float, m: np.ndarray, widths: np.ndarray,

@@ -14,6 +14,9 @@ not depend on c.
 W, W_inf, the W_p tails and the Lorentz list pass and subgradients take their
 integrals through one pointer walk over ascending segments, :func:`_cell_walk`:
 a closed form per cell where there is one, one batched quadrature for the rest.
+Its array twin :func:`_cell_arrays` takes the Lorentz pass over x* and x** from
+``ARRAY_MIN_PIECES`` pieces of x* up, to the walk's bits; reference mode
+(every cell to quadrature) runs on the walk only.
 
 Divergence rules for a tail piece ``c * t^a * log(e+t)^b`` (c > 0):
   * integral to infinity diverges  iff  a > -1, or a = -1 and b >= -1;
@@ -25,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -182,6 +186,78 @@ def _quadrature(p: float, lo: np.ndarray, hi: np.ndarray, A: np.ndarray, B: np.n
     return integrate_cells(f, lo, hi, rel_tol=1e-9)
 
 
+def _powers(xs: np.ndarray, e: float) -> np.ndarray:
+    """``x ** e`` at every x, by CPython's pow, whose last bit numpy's does
+    not always match; xs itself for e = 1, where pow returns x."""
+    if e == 1:
+        return xs
+    return np.fromiter(map(pow, xs.tolist(), repeat(e)), float, len(xs))
+
+
+def _antiderivative(c: float, e: float, ts: np.ndarray) -> np.ndarray:
+    """``c t^e / e`` (``log t`` for e = 0) at the ascending points ts, by
+    CPython's pow and log; at t = 0 the walk's limit, 0 for e > 0 and -inf
+    otherwise."""
+    pts = ts.tolist()
+    at_zero = pts[:1] == [0.0]
+    if at_zero:
+        pts = pts[1:]
+    if e:
+        out = c * np.fromiter(map(pow, pts, repeat(e)), float, len(pts)) / e
+    else:
+        out = np.fromiter(map(math.log, pts), float, len(pts))
+    return np.concatenate(([0.0 if e > 0.0 else -math.inf], out)) if at_zero else out
+
+
+def _differences(c: float, e: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """:func:`_power_integral` on the ascending cells (lo, hi), to its bits:
+    ``F(hi) - F(lo)`` for ``F = c t^e / e``, and ``c (log hi - log lo)`` for
+    e = 0.  F is evaluated once per cut: a cell starting where the one before
+    it ends takes that cell's upper value as its lower one."""
+    F = _antiderivative(c, e, np.concatenate((lo[:1], hi)))
+    diff = F[1:] - F[:-1]
+    fresh = (lo[1:] != hi[:-1]).nonzero()[0]
+    if len(fresh):
+        fresh += 1
+        diff[fresh] = F[1:][fresh] - _antiderivative(c, e, lo[fresh])
+    return diff if e else c * diff
+
+
+def _closed_forms(pc: WeightPiece, q: float, expansion: list[tuple[int, int, int]] | None,
+                  lo: np.ndarray, hi: np.ndarray, A: np.ndarray | None,
+                  B: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_cell_integral` on the cells (lo, hi) of the weight piece pc,
+    as ``(values, left)``: ``left`` marks the cells left to quadrature, whose
+    values are 0 here.  A = B = None stands for A = 0, B = 1 (the layout of
+    x*), where B^q = 1.0 ** q is 1.0 and is left out, and a log cell with an
+    infinite integral ends the pass, as it ends the walk.  On a power piece
+    each term is a :func:`_differences` of the antiderivative."""
+    values = np.zeros(len(lo))
+    left = np.zeros(len(lo), bool) if A is None or not pc.c else A != 0.0
+    if not pc.c:
+        return values, left
+    zero = ~left
+    if pc.b != 0.0:
+        for k in zero.nonzero()[0].tolist():
+            part = power_log_integral(pc.c, pc.a, pc.b, float(lo[k]), float(hi[k]))
+            values[k] = part if B is None else float(B[k]) ** q * part
+            if B is None and math.isinf(part):
+                break
+        return values, left
+    rest = left.nonzero()[0]
+    if expansion and len(rest):
+        total = np.zeros(len(rest))  # the expansion's terms, added in order
+        for cb, nj, jj in expansion:
+            coef = cb * (_powers(B[rest], nj) if nj else 1.0) * (_powers(A[rest], jj) if jj else 1.0)
+            total += coef * _differences(pc.c, (pc.a - jj) + 1.0, lo[rest], hi[rest])
+        values[rest] = total
+        left[rest] = False
+    at = zero if len(rest) else slice(None)  # the cells with A = 0, as a view where that is all
+    own = _differences(pc.c, pc.a + 1.0, lo[at], hi[at])
+    values[at] = own if B is None else _powers(B[at], q) * own
+    return values, left
+
+
 def _cell_walk(w: WeightSpec, q: float, shift: float, lo: Iterable[float], hi: Iterable[float],
                A: Iterable[float], B: Iterable[float], quadrature: bool = False) -> tuple[list, list]:
     """The integrals of ``(B_k + A_k/t)^q t^(-shift) w(t)`` over the cells of
@@ -223,6 +299,52 @@ def _cell_walk(w: WeightSpec, q: float, shift: float, lo: Iterable[float], hi: I
         for i, k, part in zip(idx, seg, _quadrature(q, *map(np.array, cols)).tolist()):
             cells[i] = part
             sums[k] += part
+    return cells, sums
+
+
+def _cell_arrays(w: WeightSpec, q: float, lo: np.ndarray, hi: np.ndarray, A: np.ndarray | None = None,
+                 B: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+    """:func:`_cell_walk` at shift 0 on ascending segments inside w's
+    domain, given as arrays, to the walk's bits: the cells in walk order and,
+    for A = B = None (A = 0, B = 1, the layout of x*), each segment's sum,
+    else None.
+
+    The cells on one weight piece are a run of consecutive segments, the first
+    and the last clipped to the piece, and run after run they come in the
+    walk's order; a segment's sum adds its cells run by run, as the walk
+    does.  Only +, -, * and / run in numpy: each power and log goes through
+    CPython's ``pow`` and ``math.log``.  The cells left to quadrature reach
+    one :func:`_quadrature` call in the walk's order and number, because its
+    batched sums depend on the shape of the batch.  Over x* the pass ends at
+    the first run that makes a sum infinite.
+    """
+    expansion = _BINOMIAL.get(q)
+    sums = np.zeros(len(lo)) if A is None else None
+    runs = []  # per weight piece: its cells' segments, (c, a, b), ends, values and those left
+    for pc in w.pieces:
+        i0 = int(hi.searchsorted(pc.t0, side="right"))
+        i1 = int(lo.searchsorted(pc.t1, side="left"))
+        if i0 >= i1:
+            continue
+        cell_lo, cell_hi = lo[i0:i1], hi[i0:i1]
+        if cell_lo[0] < pc.t0:
+            cell_lo = np.concatenate(([pc.t0], cell_lo[1:]))
+        if cell_hi[-1] > pc.t1:
+            cell_hi = np.concatenate((cell_hi[:-1], [pc.t1]))
+        coeffs = (None, None) if A is None else (A[i0:i1], B[i0:i1])
+        values, left = _closed_forms(pc, q, expansion, cell_lo, cell_hi, *coeffs)
+        runs.append((np.arange(i0, i1), (pc.c, pc.a, pc.b), cell_lo, cell_hi, values, left))
+        if sums is not None:
+            sums[i0:i1] += values
+            if np.isinf(sums[i0:i1]).any():
+                break
+    segs, pieces, cell_lo, cell_hi, cells, left = zip(*runs)
+    cells, left = np.concatenate(cells), np.concatenate(left)
+    if left.any():
+        seg = np.concatenate(segs)[left]
+        c, a, b = (np.repeat(col, list(map(len, segs)))[left] for col in zip(*pieces))
+        cells[left] = _quadrature(q, np.concatenate(cell_lo)[left], np.concatenate(cell_hi)[left],
+                                  A[seg], B[seg], c, a, b)
     return cells, sums
 
 

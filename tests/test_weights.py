@@ -5,14 +5,15 @@ which shares no code with the piece-integral machinery.
 """
 
 import math
+from itertools import repeat
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from rifs import SchemaError, WeightSpec, in_D_p
-from rifs.weights import power_log_integral
+from rifs import SchemaError, StepFunction, WeightSpec, in_D_p, maximal_curve, rearrange
+from rifs.weights import _cell_arrays, _cell_walk, _differences, _power_integral, power_log_integral
 
 INF = math.inf
 
@@ -333,3 +334,65 @@ def test_power_closed_form_matches_written_out_reference():
     for c, a, lo, hi in _closed_form_cells():
         got = power_log_integral(c, a, 0.0, lo, hi)
         assert got.hex() == _closed_form_reference(c, a, lo, hi).hex(), (c, a, lo, hi)
+
+
+# ------------------------------------------------- the walk's array twin
+
+LOG_TAIL = WeightSpec.make([(0, 1, 1.0, -0.5, 0.0), (1, INF, 1.0, -0.5, 1.0)])
+
+
+def _hexes(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("w", [WeightSpec.power(-0.5), LOG_TAIL], ids=["power", "log-tail"])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_cell_arrays_match_the_cell_walk_bit_for_bit(w, p):
+    # A 1000-piece x: the segments of x* (Lambda) and of x** (Gamma) go
+    # through the array twin and through the list walk.
+    rng = np.random.default_rng(12345)
+    ends = np.cumsum(rng.uniform(0.1, 2.0, 1000))
+    x = StepFunction.make(zip(np.concatenate(([0.0], ends[:-1])).tolist(), ends.tolist(),
+                              rng.uniform(-3.0, 3.0, 1000).tolist()))
+    t0, t1, _ = rearrange(x)._columns
+    assert len(t0) == 1000
+    cells, sums = _cell_arrays(w, p, t0, t1)
+    walk_cells, walk_sums = _cell_walk(w, p, 0.0, t0.tolist(), t1.tolist(), repeat(0.0), repeat(1.0))
+    assert _hexes(cells) == _hexes(walk_cells)
+    assert _hexes(sums) == _hexes(walk_sums)
+    lo, hi, A, B = maximal_curve(x)._segments
+    cells, sums = _cell_arrays(w, p, lo, hi, A, B)
+    assert sums is None
+    assert _hexes(cells) == _hexes(_cell_walk(w, p, 0.0, lo.tolist(), hi.tolist(), A.tolist(),
+                                              B.tolist())[0])
+
+
+@pytest.mark.parametrize("e", [2.0, 1.5, 0.5, 0.0, -0.5, -1.5])
+def test_differences_on_cells_with_gaps_match_the_power_integral_bit_for_bit(e):
+    # Cells from 0, some starting where the one before ends and some after a
+    # gap, whose lower antiderivative value is evaluated on its own.
+    rng = np.random.default_rng(7)
+    lo, hi, t = [], [], 0.0
+    for width, gap in zip(rng.uniform(0.05, 2.0, 300), rng.choice([0.0, 0.0, 0.7], 300)):
+        t += float(gap) if lo else 0.0
+        lo.append(t)
+        t += float(width)
+        hi.append(t)
+    lo, hi = np.array(lo), np.array(hi)
+    assert (lo[1:] != hi[:-1]).any() and (lo[1:] == hi[:-1]).any()
+    want = [_power_integral(0.8, e, a, b) for a, b in zip(lo.tolist(), hi.tolist())]
+    assert _hexes(_differences(0.8, e, lo, hi)) == _hexes(want)
+
+
+def test_integral_clips_hi_to_a_finite_domain_end():
+    # A weight on (0, 1) ending in a log piece: integrals past the end stop there.
+    w = WeightSpec.make([(0, 0.5, 1.0, -0.5, 0.0), (0.5, 1, 2.0, 0.0, 1.0)])
+    for p in (0.0, 2.0):
+        within = w.integral(0.2, 1.0, p)
+        assert within > 0.0
+        assert w.integral(0.2, 5.0, p) == within
+        assert w.integral(0.2, INF, p) == within
+        assert w.integral(1.5, 3.0, p) == 0.0
+    assert w.integral(0.2, 5.0) == pytest.approx(
+        quad(lambda t: t ** -0.5 if t < 0.5 else 2.0 * math.log(math.e + t), 0.2, 1.0,
+             points=[0.5])[0], rel=1e-10)
